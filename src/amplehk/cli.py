@@ -268,6 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag in ("max_degree", "words"):
+        if getattr(args, flag, 0) < 0:
+            sys.stderr.write(f"error: --{flag.replace('_', '-')} must be nonnegative\n")
+            return _EXIT_INPUT
     try:
         return args.handler(args)
     except (ParseError, SchemaError, ModelInvalid, ShapeMismatch, OSError) as e:

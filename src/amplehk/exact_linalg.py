@@ -6,10 +6,10 @@ quotient computed here is exact.  Matrices are immutable; the functions below
 are pure and deterministic, so results can be compared byte-for-byte across
 runs.
 
-The Smith normal form drives everything else: cokernels give finitely
-generated abelian groups in invariant-factor form, kernels give free ranks,
-and ``chain_homology`` combines the two to compute homology of a complex at a
-given spot.
+One Smith reduction drives everything else.  Ranks, invariant factors,
+cokernels and ``chain_homology`` read only the diagonal it leaves, so they
+never build transforms; ``smith_normal_form`` and ``kernel_basis`` are the
+only callers that also carry the unimodular transforms U and V along.
 """
 
 from __future__ import annotations
@@ -190,48 +190,15 @@ class SnfResult:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _snf_inner(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V, Vinv) with U @ mat @ V == D and Vinv == V^-1.
+def _reduce(a: list[list[int]], m: int, n: int) -> None:
+    """Bring the leading m x n block of ``a`` to Smith form, in place.
 
-    Pivots are chosen by minimal absolute value with the lowest (row, col)
-    index breaking ties; this keeps intermediate entries small and makes the
-    decomposition deterministic.
+    Row operations act on whole rows of ``a`` and column operations on whole
+    columns, so rows past m and columns past n, when present, record the
+    column and row operations.  Pivots are chosen by minimal absolute value
+    with the lowest (row, col) index breaking ties; this keeps intermediate
+    entries small and makes the reduction deterministic.
     """
-    m, n = mat.rows, mat.cols
-    a = mat.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-    vinv = IntMatrix.identity(n).to_rows()
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def add_row(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_col(j: int, i: int, q: int) -> None:
-        # col_j += q * col_i; the inverse transform adds -q * row_j to row_i,
-        # so Vinv picks up +q * row_j on row_i after inverting the sign twice.
-        for row in a:
-            row[j] += q * row[i]
-        for row in v:
-            row[j] += q * row[i]
-        vinv[i] = [x - q * y for x, y in zip(vinv[i], vinv[j])]
-
     t = 0
     bound = min(m, n)
     while t < bound:
@@ -246,23 +213,28 @@ def _snf_inner(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatr
                     best_abs = abs(x)
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
+        bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         d = a[t][t]
 
         dirty = False
         for i in range(t + 1, m):
             if a[i][t]:
-                add_row(i, t, -(a[i][t] // d))
+                q = -(a[i][t] // d)
+                a[i] = [x + q * y for x, y in zip(a[i], a[t])]
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, n):
             if a[t][j]:
-                add_col(j, t, -(a[t][j] // d))
+                q = -(a[t][j] // d)
+                for row in a:
+                    row[j] += q * row[t]
                 if a[t][j]:
                     dirty = True
         if dirty:
@@ -278,20 +250,23 @@ def _snf_inner(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatr
             if culprit is not None:
                 break
         if culprit is not None:
-            add_row(t, culprit, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
             continue
         t += 1
 
-    return (
-        IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(a, cols=n),
-        IntMatrix.from_rows(v, cols=n),
-        IntMatrix.from_rows(vinv, cols=n),
-    )
+
+def _smith_diagonal(mat: IntMatrix) -> list[int]:
+    """Diagonal of the Smith form of ``mat``, without the transforms."""
+    a = mat.to_rows()
+    _reduce(a, mat.rows, mat.cols)
+    return [a[i][i] for i in range(min(mat.rows, mat.cols))]
 
 
 def smith_normal_form(mat: IntMatrix) -> SnfResult:
     """Diagonalize ``mat`` over the integers.
+
+    The reduction runs on [[M, I], [I, 0]]: row operations carry U along in
+    the right block and column operations carry V along in the bottom block.
 
     >>> res = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> res.diagonal()
@@ -299,17 +274,24 @@ def smith_normal_form(mat: IntMatrix) -> SnfResult:
     >>> res.U @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ res.V == res.D
     True
     """
-    u, d, v, _ = _snf_inner(mat)
-    return SnfResult(U=u, D=d, V=v)
+    m, n = mat.rows, mat.cols
+    a = [row + [int(i == k) for k in range(m)] for i, row in enumerate(mat.to_rows())]
+    a += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    _reduce(a, m, n)
+    return SnfResult(
+        U=IntMatrix.from_rows([row[n:] for row in a[:m]], cols=m),
+        D=IntMatrix.from_rows([row[:n] for row in a[:m]], cols=n),
+        V=IntMatrix.from_rows([row[:n] for row in a[m:]], cols=n),
+    )
 
 
 def invariant_factors(mat: IntMatrix) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    return [d for d in smith_normal_form(mat).diagonal() if d != 0]
+    return [d for d in _smith_diagonal(mat) if d != 0]
 
 
 def matrix_rank(mat: IntMatrix) -> int:
-    return smith_normal_form(mat).rank()
+    return sum(1 for d in _smith_diagonal(mat) if d != 0)
 
 
 def kernel_rank(mat: IntMatrix) -> int:
@@ -319,9 +301,9 @@ def kernel_rank(mat: IntMatrix) -> int:
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Columns form a basis of ker(mat) as a direct summand of Z^cols."""
-    _, d, v, _ = _snf_inner(mat)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i) != 0)
-    rows = [[v.entry(i, j) for j in range(r, mat.cols)] for i in range(mat.cols)]
+    res = smith_normal_form(mat)
+    r = res.rank()
+    rows = [[res.V.entry(i, j) for j in range(r, mat.cols)] for i in range(mat.cols)]
     return IntMatrix.from_rows(rows, cols=mat.cols - r)
 
 
@@ -353,15 +335,12 @@ def determinant(mat: IntMatrix) -> int:
 def _canonical_torsion(orders: Iterable[int]) -> tuple[int, ...]:
     """Invariant factors of the direct sum of cyclic groups Z/o for o in orders.
 
-    Computed as the Smith form of the diagonal matrix of the orders, which
+    Computed as the cokernel of the diagonal matrix of the orders, which
     recombines arbitrary cyclic orders into a divisibility chain without any
     integer factorization.
     """
     relevant = [o for o in orders if o > 1]
-    if not relevant:
-        return ()
-    diag = IntMatrix.diagonal(relevant)
-    return tuple(d for d in smith_normal_form(diag).diagonal() if d > 1)
+    return cokernel(IntMatrix.diagonal(relevant)).torsion if relevant else ()
 
 
 @dataclass(frozen=True)
@@ -448,7 +427,7 @@ def cokernel(mat: IntMatrix) -> FgAbelianGroup:
     >>> str(cokernel(IntMatrix.from_rows([[2, 4], [6, 8]])))
     'Z/2 + Z/4'
     """
-    diag = smith_normal_form(mat).diagonal()
+    diag = _smith_diagonal(mat)
     r = sum(1 for d in diag if d != 0)
     return FgAbelianGroup(mat.rows - r, tuple(d for d in diag if d > 1))
 
@@ -460,9 +439,9 @@ def chain_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> FgAbelian
     ``boundary_out`` maps into it from one degree up.  Their composite must be
     zero.
 
-    The kernel of ``boundary_in`` is computed as a direct summand via the
-    Smith form, ``boundary_out`` is rewritten in that kernel basis, and the
-    quotient is the cokernel of the rewritten map.
+    The image of ``boundary_in`` is free, so its kernel is a direct summand
+    and the homology has the torsion of coker(boundary_out); its rank is
+    cols - rank(boundary_in) - rank(boundary_out).
 
     >>> z = IntMatrix.zeros(1, 1)
     >>> str(chain_homology(z, IntMatrix.from_rows([[2]])))
@@ -475,14 +454,5 @@ def chain_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> FgAbelian
         )
     if not (boundary_in @ boundary_out).is_zero():
         raise NotAComplex("composite of consecutive boundaries is nonzero")
-    _, d, _, vinv = _snf_inner(boundary_in)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i) != 0)
-    transformed = vinv @ boundary_out
-    # Rows 0..r-1 of the transformed matrix vanish because the composite is
-    # zero and the first r Smith-basis coordinates carry nonzero elementary
-    # divisors; the quotient lives entirely in the kernel coordinates.
-    restricted = IntMatrix.from_rows(
-        [list(transformed.row(i)) for i in range(r, boundary_in.cols)],
-        cols=boundary_out.cols,
-    )
-    return cokernel(restricted)
+    quotient = cokernel(boundary_out)
+    return FgAbelianGroup(quotient.rank - matrix_rank(boundary_in), quotient.torsion)

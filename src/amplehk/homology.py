@@ -24,7 +24,7 @@ from .errors import (
     SimplicityNotCertified,
     TruncationUnsound,
 )
-from .exact_linalg import FgAbelianGroup, IntMatrix, chain_homology, cokernel, kernel_rank
+from .exact_linalg import FgAbelianGroup, IntMatrix, chain_homology, cokernel
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -170,15 +170,16 @@ def _sft_complex_matrix(model: SftModel) -> IntMatrix:
 
 def homology_sft(model: SftModel) -> GradedGroup:
     """Homology of the shift groupoid: the two-term complex of id minus the
-    transposed transition matrix; everything above degree 1 vanishes."""
+    transposed transition matrix; everything above degree 1 vanishes.
+
+    The matrix is square, so its kernel has the rank of its cokernel and one
+    elimination gives both degrees.
+    """
     violations = validate_model(model)
     if violations:
         raise ModelInvalid(violations)
-    m = _sft_complex_matrix(model)
-    return GradedGroup(
-        (cokernel(m), FgAbelianGroup.free(kernel_rank(m))),
-        vanishing_above=True,
-    )
+    h0 = cokernel(_sft_complex_matrix(model))
+    return GradedGroup((h0, FgAbelianGroup.free(h0.rank)), vanishing_above=True)
 
 
 def homology_af(model: BratteliModel, stage: int | None = None) -> GradedGroup:

@@ -1,21 +1,22 @@
 """Operator K-theory of the model classes.
 
-Each symbolic class has a known K-theory: Cuntz-Krieger groups for shifts of
-finite type, the dimension group for AF algebras, the dimension group plus a
-copy of Z for crossed products of Cantor minimal Z-systems, and for principal
-finite groupoids the K-theory of a direct sum of matrix algebras, one per
-orbit.  Products use the two-periodic Kunneth formula, where the Tor terms
-shift parity by one.
+For the symbolic classes K_0 and K_1 are the groupoid homology in degrees 0
+and 1, read off the one closed form in ``homology``: Cuntz-Krieger groups for
+shifts of finite type, the dimension group for AF algebras, the dimension
+group plus a copy of Z for crossed products of Cantor minimal Z-systems.
+Principal finite groupoids get the K-theory of a direct sum of matrix
+algebras, one per orbit.  Products use the two-periodic Kunneth formula,
+where the Tor terms shift parity by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colimits import ColimitInvariants, colimit_invariants
-from .errors import ModelInvalid, NotFinitelyGenerated, NotPrincipal, SimplicityNotCertified
-from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel, kernel_rank
-from .homology import GroupValue, group_rank
+from .colimits import ColimitInvariants
+from .errors import ModelInvalid, NotFinitelyGenerated, NotPrincipal
+from .exact_linalg import FgAbelianGroup
+from .homology import GroupValue, group_rank, homology_of_model
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -23,20 +24,15 @@ from .models import (
     GroupoidModel,
     ProductModel,
     SftModel,
-    dimension_system,
     identity_arrows,
     orbits,
-    simplicity_certificate,
     validate_model,
 )
 
 __all__ = [
     "KPair",
-    "k_af",
-    "k_cantor_z",
     "k_finite_principal",
     "k_product",
-    "k_sft",
     "ktheory_of_model",
 ]
 
@@ -68,40 +64,6 @@ def k_finite_principal(g: FiniteGroupoid) -> KPair:
         listing = ", ".join(repr(u) for u in offenders)
         raise NotPrincipal(f"nontrivial stabilizers at units {listing}")
     return KPair(FgAbelianGroup.free(len(orbits(g))), FgAbelianGroup.zero())
-
-
-def k_sft(model: SftModel) -> KPair:
-    """Cuntz-Krieger K-theory: both groups come from id minus the transpose."""
-    violations = validate_model(model)
-    if violations:
-        raise ModelInvalid(violations)
-    a = model.matrix
-    m = IntMatrix.identity(a.rows) - a.transpose()
-    return KPair(cokernel(m), FgAbelianGroup.free(kernel_rank(m)))
-
-
-def k_af(model: BratteliModel, stage: int | None = None) -> KPair:
-    """AF algebra K-theory: K_0 is the dimension group, K_1 vanishes."""
-    violations = validate_model(model)
-    if violations:
-        raise ModelInvalid(violations)
-    return KPair(colimit_invariants(dimension_system(model), stage=stage), FgAbelianGroup.zero())
-
-
-def k_cantor_z(model: CantorZModel, stage: int | None = None) -> KPair:
-    """K-theory of the crossed product of a Cantor minimal Z-system.
-
-    K_0 is the dimension group of the diagram; K_1 is the free rank-one group
-    generated by the class of the unitary implementing the action.
-    """
-    shape = validate_model(model.diagram)
-    if shape:
-        raise ModelInvalid(shape)
-    ok, why = simplicity_certificate(model.diagram.tail, model.telescope_depth)
-    if not ok:
-        raise SimplicityNotCertified(why)
-    k0 = colimit_invariants(dimension_system(model.diagram), stage=stage)
-    return KPair(k0, FgAbelianGroup.free(1))
 
 
 def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
@@ -142,17 +104,15 @@ def ktheory_of_model(
 ) -> KPair:
     """K-theory of any model, dispatching on its class.
 
-    Products recurse; a factor with colimit-valued K-theory drops the
-    assembly to the rational-only formula.
+    Shifts of finite type, AF and Cantor minimal Z-models take K_i from
+    their homology in degree i.  Products recurse; a factor with
+    colimit-valued K-theory drops the assembly to the rational-only formula.
     """
     if isinstance(model, FiniteGroupoid):
         return k_finite_principal(model)
-    if isinstance(model, SftModel):
-        return k_sft(model)
-    if isinstance(model, BratteliModel):
-        return k_af(model, stage=stage)
-    if isinstance(model, CantorZModel):
-        return k_cantor_z(model, stage=stage)
+    if isinstance(model, (SftModel, BratteliModel, CantorZModel)):
+        h = homology_of_model(model, stage=stage)
+        return KPair(h.entry(0), h.entry(1))
     if isinstance(model, ProductModel):
         left = ktheory_of_model(model.left, stage=stage, rational_only=rational_only)
         right = ktheory_of_model(model.right, stage=stage, rational_only=rational_only)

@@ -38,6 +38,8 @@ def load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply to decode") from None
 
 
 def _expect_object(doc, pointer: str) -> dict:

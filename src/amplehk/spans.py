@@ -11,8 +11,8 @@ sums of face transfers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Hashable, Mapping, Sequence
 
 from .errors import BoundaryMismatch, ShapeMismatch
@@ -121,39 +121,20 @@ def disjoint_union_spans(a: FiniteSpan, b: FiniteSpan) -> FiniteSpan:
     return FiniteSpan(left, mid, right, left_leg, right_leg)
 
 
-def spans_isomorphic(a: FiniteSpan, b: FiniteSpan, search_limit: int = 8) -> bool:
+def spans_isomorphic(a: FiniteSpan, b: FiniteSpan) -> bool:
     """Equality up to a bijection of the middles fixing both boundary sets.
 
     The boundary sets must match on the nose.  Any leg-preserving bijection
     permutes middle elements within their (left, right) fibers, so the spans
-    are isomorphic exactly when the fiber counts agree; for middles up to
-    ``search_limit`` the bijection is also constructed explicitly as a check.
+    are isomorphic exactly when the fiber counts agree.
     """
     if set(a.left) != set(b.left) or set(a.right) != set(b.right):
         return False
-    if len(a.mid) != len(b.mid):
-        return False
 
-    def fiber_of(span: FiniteSpan, z: Hashable) -> tuple[Hashable, Hashable]:
-        return (span.left_leg[z], span.right_leg[z])
+    def fiber_counts(span: FiniteSpan) -> Counter:
+        return Counter((span.left_leg[z], span.right_leg[z]) for z in span.mid)
 
-    count_a: dict[tuple, int] = {}
-    for z in a.mid:
-        count_a[fiber_of(a, z)] = count_a.get(fiber_of(a, z), 0) + 1
-    count_b: dict[tuple, int] = {}
-    for z in b.mid:
-        count_b[fiber_of(b, z)] = count_b.get(fiber_of(b, z), 0) + 1
-    if count_a != count_b:
-        return False
-    if len(a.mid) <= search_limit:
-        # Belt and braces: exhibit one bijection explicitly.
-        found = any(
-            all(fiber_of(a, z) == fiber_of(b, w) for z, w in zip(a.mid, perm))
-            for perm in permutations(b.mid)
-        )
-        if not found:
-            return False
-    return True
+    return fiber_counts(a) == fiber_counts(b)
 
 
 # ---------------------------------------------------------------------------

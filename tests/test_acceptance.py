@@ -23,7 +23,7 @@ from amplehk.homology import (
     homology_finite,
     homology_sft,
 )
-from amplehk.ktheory import k_sft
+from amplehk.ktheory import ktheory_of_model
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
@@ -98,7 +98,7 @@ def test_02_random_shifts_of_finite_type_match_integrally():
             break
         report = hk_check(model)
         h = homology_sft(model)
-        k = k_sft(model)
+        k = ktheory_of_model(model)
         if not (
             report.verdict == "match"
             and report.integral_match is True

@@ -150,6 +150,32 @@ class TestInputProblems:
         assert code == 3
         assert "row 0" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("homology", "pair2.json", "--max-degree", "-1"),
+            ("homology", "o3.json", "--max-degree", "-1"),
+            ("hk-check", "pair2.json", "--max-degree", "-2"),
+            ("fullgroup-dims", "o2.json", "--words", "-1"),
+        ],
+    )
+    def test_negative_count_flag_exits_three(self, capsys, argv):
+        command, name, *flags = argv
+        code, out, err = run(capsys, command, model_path(name), *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nesting_too_deep_to_decode_exits_three(self, capsys, tmp_path):
+        leaf = json.dumps({"model": "sft", "matrix": [[1]]})
+        text = '{"model": "product", "factors": [' + leaf + ", "
+        path = tmp_path / "deep.json"
+        path.write_text(text * 600 + leaf + "]}" * 600)
+        code, out, err = run(capsys, "hk-check", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "nested too deeply" in err
+
 
 class TestPreconditionExits:
     def test_uncertified_cantor_model(self, capsys, tmp_path):

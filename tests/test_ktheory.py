@@ -12,11 +12,8 @@ from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.homology import homology_sft
 from amplehk.ktheory import (
     KPair,
-    k_af,
-    k_cantor_z,
     k_finite_principal,
     k_product,
-    k_sft,
     ktheory_of_model,
 )
 from amplehk.models import (
@@ -64,15 +61,15 @@ class TestFinitePrincipal:
 
 class TestSft:
     def test_full_shifts(self):
-        assert k_sft(SftModel(M([[1, 1], [1, 1]]))) == KPair(FgAbelianGroup.zero(), Z(0))
-        assert k_sft(SftModel(M([[2]]))) == KPair(FgAbelianGroup.zero(), Z(0))
-        assert k_sft(SftModel(M([[3]]))) == KPair(FgAbelianGroup.cyclic(2), Z(0))
+        assert ktheory_of_model(SftModel(M([[1, 1], [1, 1]]))) == KPair(FgAbelianGroup.zero(), Z(0))
+        assert ktheory_of_model(SftModel(M([[2]]))) == KPair(FgAbelianGroup.zero(), Z(0))
+        assert ktheory_of_model(SftModel(M([[3]]))) == KPair(FgAbelianGroup.cyclic(2), Z(0))
 
     def test_fixed_point_is_a_circle(self):
-        assert k_sft(SftModel(M([[1]]))) == KPair(Z(1), Z(1))
+        assert ktheory_of_model(SftModel(M([[1]]))) == KPair(Z(1), Z(1))
 
     def test_golden_mean(self):
-        assert k_sft(SftModel(M([[1, 1], [1, 0]]))) == KPair(FgAbelianGroup.zero(), Z(0))
+        assert ktheory_of_model(SftModel(M([[1, 1], [1, 0]]))) == KPair(FgAbelianGroup.zero(), Z(0))
 
     def test_agrees_with_homology_in_both_degrees(self):
         rng = random.Random(47)
@@ -84,25 +81,25 @@ class TestSft:
                 h = homology_sft(model)
             except ModelInvalid:
                 continue
-            k = k_sft(model)
+            k = ktheory_of_model(model)
             assert k.k0 == h.by_degree[0]
             assert k.k1 == h.by_degree[1]
 
 
 class TestAfAndCantor:
     def test_af_pair(self):
-        k = k_af(BratteliModel((1,), (), M([[2]])))
+        k = ktheory_of_model(BratteliModel((1,), (), M([[2]])))
         assert k.k0 == ColimitInvariants(rank=1, torsion_free=True, verified_stage=2)
         assert k.k1 == FgAbelianGroup.zero()
         assert not k.all_finitely_generated()
 
     def test_cantor_z_pair(self):
-        k = k_cantor_z(CantorZModel(BratteliModel((1,), (), M([[2]]))))
+        k = ktheory_of_model(CantorZModel(BratteliModel((1,), (), M([[2]]))))
         assert k.k0.rank == 1 and k.k0.torsion_free
         assert k.k1 == Z(1)
 
     def test_stage_propagates(self):
-        k = k_af(BratteliModel((1,), (), M([[2]])), stage=6)
+        k = ktheory_of_model(BratteliModel((1,), (), M([[2]])), stage=6)
         assert k.k0.verified_stage == 6
 
 
@@ -127,7 +124,7 @@ class TestProduct:
         assert k.k1 == FgAbelianGroup(1, (2,))
 
     def test_colimit_factor_needs_rational_mode(self):
-        af = k_af(BratteliModel((1,), (), M([[2]])))
+        af = ktheory_of_model(BratteliModel((1,), (), M([[2]])))
         with pytest.raises(NotFinitelyGenerated):
             k_product(af, af)
         rat = k_product(af, af, rational_only=True)
