@@ -278,21 +278,38 @@ def simplicity_certificate(tail: IntMatrix, depth: int) -> tuple[bool, str]:
     connections, which forces simplicity.  A genuinely Cantor path space also
     needs branching: a 1x1 tail of [1] describes a single path, not a Cantor
     set.
+
+    The tail is nonnegative, so only the 0/1 pattern of each power matters.
+    An n x n pattern with a positive power has one by (n-1)^2 + 1 (Wielandt),
+    so the search stops there even when ``depth`` is larger.
     """
     if tail.rows != tail.cols or tail.rows == 0:
         return False, "tail is not a nonempty square matrix"
-    power = tail
+    n = tail.rows
+    # Row i of a pattern is a bit mask of the columns j with a positive entry.
+    step = [sum(1 << j for j in range(n) if tail.entry(i, j) > 0) for i in range(n)]
+    full = (1 << n) - 1
+    power = step
     positive_at = None
-    for k in range(1, max(depth, 1) + 1):
-        if all(x > 0 for x in power.entries):
+    for k in range(1, min(max(depth, 1), (n - 1) ** 2 + 1) + 1):
+        if all(r == full for r in power):
             positive_at = k
             break
-        power = power @ tail
+        power = [_next_pattern_row(r, step) for r in power]
     if positive_at is None:
         return False, f"no tail power up to {depth} is entrywise positive"
     if tail.rows == 1 and tail.entry(0, 0) == 1:
         return False, "path space is a single point, not a Cantor set"
     return True, f"tail power {positive_at} is entrywise positive"
+
+
+def _next_pattern_row(row: int, step: list[int]) -> int:
+    """Row of (pattern x tail pattern): the union of the tail rows ``row`` reaches."""
+    out = 0
+    for j, s in enumerate(step):
+        if row >> j & 1:
+            out |= s
+    return out
 
 
 def dimension_system(b: BratteliModel) -> InductiveSystem:

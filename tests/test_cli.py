@@ -6,6 +6,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,22 @@ class TestPreconditionExits:
         code, out, _ = run(capsys, "hk-check", path, "--telescope-depth", "2")
         assert code == 0
         assert "verdict: match" in out
+
+    def test_huge_telescope_depth_on_non_primitive_tail(self, capsys, tmp_path):
+        # No power of [[1, 1], [0, 1]] is positive; the search must stop long
+        # before the declared depth.
+        doc = {
+            "model": "cantor_z",
+            "diagram": {"level_sizes": [2], "incidences": [], "tail": [[1, 1], [0, 1]]},
+            "telescope_depth": 100000000,
+        }
+        started = time.perf_counter()
+        code, _, err = run(capsys, "hk-check", write_doc(tmp_path, doc))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert err == (
+            "precondition failure: no tail power up to 100000000 is entrywise positive\n"
+        )
 
     def test_principal_ktheory_refuses_isotropy(self, capsys):
         code, _, err = run(capsys, "ktheory", model_path("z2group.json"))

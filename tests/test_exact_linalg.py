@@ -19,6 +19,8 @@ from amplehk.exact_linalg import (
     matrix_rank,
     smith_normal_form,
 )
+from amplehk.homology import boundary_matrix
+from amplehk.models import cyclic_group_groupoid, transitive_groupoid
 
 from conftest import assert_valid_snf, random_int_matrix
 
@@ -81,6 +83,85 @@ class TestSmithNormalForm:
                 abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i] != 0
             ]
             assert ours == theirs
+
+
+def random_sparse_matrix(rng: random.Random, max_size: int, values) -> IntMatrix:
+    rows = rng.randint(1, max_size)
+    cols = rng.randint(1, max_size)
+    density = rng.uniform(0.05, 0.5)
+    return IntMatrix(
+        rows, cols,
+        tuple(rng.choice(values) if rng.random() < density else 0 for _ in range(rows * cols)),
+    )
+
+
+def assert_diagonal_readers_agree(mat: IntMatrix) -> list[int]:
+    """The sparse diagonal behind rank, invariant factors and cokernel
+    against the nonzero diagonal of the transform-carrying Smith form."""
+    diag = [d for d in smith_normal_form(mat).diagonal() if d]
+    assert invariant_factors(mat) == diag
+    assert matrix_rank(mat) == len(diag)
+    assert cokernel(mat) == FgAbelianGroup(mat.rows - len(diag), tuple(d for d in diag if d > 1))
+    return diag
+
+
+class TestSparseUnitPivots:
+    def test_random_sparse_unit_matrices(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            assert_diagonal_readers_agree(random_sparse_matrix(rng, 14, (1, -1)))
+
+    def test_no_unit_entry_leaves_all_residue(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            assert_diagonal_readers_agree(random_sparse_matrix(rng, 8, (2, -2, 3, -4, 6, 9)))
+
+    def test_mixed_small_and_large_entries(self):
+        rng = random.Random(41)
+        big = (2**61 - 1, -(2**40) - 3, 3**30)
+        for _ in range(100):
+            assert_diagonal_readers_agree(random_sparse_matrix(rng, 10, (1, -1, 1, 2, -5) + big))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
+    def test_empty_and_zero_shapes(self, shape):
+        mat = IntMatrix.zeros(*shape)
+        assert assert_diagonal_readers_agree(mat) == []
+        assert cokernel(mat) == FgAbelianGroup.free(shape[0])
+
+    @pytest.mark.parametrize(
+        "groupoid, degrees",
+        [(cyclic_group_groupoid(4), (1, 2, 3)), (transitive_groupoid(2, 2), (1, 2, 3))],
+        ids=["cyclic4", "transitive2x2"],
+    )
+    def test_bar_complex_boundaries(self, groupoid, degrees):
+        for n in degrees:
+            assert_diagonal_readers_agree(boundary_matrix(groupoid, n))
+
+    def test_cross_check_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(43)
+        for _ in range(40):
+            mat = random_sparse_matrix(rng, 7, (1, -1, 1, 2, -3, 4))
+            if not any(mat.entries):
+                continue
+            sm = sympy_snf(sympy.Matrix(mat.to_rows()))
+            theirs = [abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i] != 0]
+            assert invariant_factors(mat) == theirs
+
+    def test_sparse_product_matches_dense_sum(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            a = random_sparse_matrix(rng, 6, (1, -1, 3))
+            cols = rng.randint(1, 6)
+            b = IntMatrix(a.cols, cols, tuple(rng.choice((0, 0, 1, -2)) for _ in range(a.cols * cols)))
+            expected = [
+                sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
+                for i in range(a.rows) for j in range(b.cols)
+            ]
+            assert (a @ b).entries == tuple(expected)
+        assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
 
 
 class TestRanksAndKernels:
@@ -234,6 +315,11 @@ class TestIntMatrix:
         fib = M([[1, 1], [1, 0]])
         assert fib.power(5) == M([[8, 5], [5, 3]])
         assert fib.power(0) == IntMatrix.identity(2)
+
+    def test_non_integer_entries_rejected(self):
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(ShapeMismatch, match=f"non-integer entry {bad!r}$"):
+                IntMatrix(1, 3, (0, bad, 2.5))
 
     def test_transpose_involution(self):
         mat = M([[1, 2, 3], [4, 5, 6]])

@@ -97,6 +97,11 @@ class TestFiniteHomology:
         h = homology_finite(cyclic_group_groupoid(3), 3)
         assert groups(h) == ["Z", "Z/3", "0", "Z/3"]
 
+    def test_cyclic_seven(self):
+        # 2,401 cells in the top nerve level; the top boundary is 343 x 2401.
+        h = homology_finite(cyclic_group_groupoid(7), 3)
+        assert groups(h) == ["Z", "Z/7", "0", "Z/7"]
+
     def test_disjoint_union_is_additive(self):
         a, b = pair_groupoid(2), cyclic_group_groupoid(2)
         union = homology_finite(disjoint_union_groupoids(a, b), 2)

@@ -189,6 +189,20 @@ class TestSimplicity:
         ok, _ = simplicity_certificate(M([[1, 1], [1, 0]]), 1)
         assert not ok
 
+    def test_wielandt_matrix_needs_the_full_bound(self):
+        # The n x n Wielandt matrix first turns positive at power (n-1)^2 + 1.
+        n = 5
+        rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+        rows.append([1, 1] + [0] * (n - 2))
+        assert simplicity_certificate(M(rows), 100) == (True, "tail power 17 is entrywise positive")
+        assert simplicity_certificate(M(rows), 16) == (
+            False, "no tail power up to 16 is entrywise positive"
+        )
+
+    def test_periodic_tail_stops_at_any_depth(self):
+        ok, why = simplicity_certificate(M([[0, 1], [1, 0]]), 10**12)
+        assert not ok and why == f"no tail power up to {10**12} is entrywise positive"
+
     def test_shape_violations_leaves_certificate_aside(self):
         model = CantorZModel(
             BratteliModel((2,), (), M([[1, 1], [0, 1]])), telescope_depth=4
