@@ -52,6 +52,9 @@ _EXIT_MISMATCH = 1
 _EXIT_PRECONDITION = 2
 _EXIT_INPUT = 3
 
+# Largest ``fullgroup-dims --words``; the output lists every word length.
+MAX_WORDS = 10_000
+
 _VERDICT_EXITS = {
     VERDICT_MATCH: _EXIT_OK,
     VERDICT_MISMATCH: _EXIT_MISMATCH,
@@ -252,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="drop torsion bookkeeping and compare ranks only")
         if with_words:
             p.add_argument("--words", type=int, default=6,
-                           help="top word length for graded dimensions (default 6)")
+                           help=f"top word length for graded dimensions (default 6, at most {MAX_WORDS})")
         p.set_defaults(handler=handler)
 
     add("homology", _cmd_homology, "graded homology of a model")
@@ -272,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, flag, 0) < 0:
             sys.stderr.write(f"error: --{flag.replace('_', '-')} must be nonnegative\n")
             return _EXIT_INPUT
+    if getattr(args, "words", 0) > MAX_WORDS:
+        sys.stderr.write(f"error: --words must be at most {MAX_WORDS}\n")
+        return _EXIT_INPUT
     try:
         return args.handler(args)
     except (ParseError, SchemaError, ModelInvalid, ShapeMismatch, OSError) as e:

@@ -9,8 +9,13 @@ certificate.
 
 The rational dimension is computed from the tail alone.  Dropping finitely
 many initial stages does not change a colimit, so the dimension equals the
-eventual rank of the tail matrix, which stabilizes at the power equal to the
-matrix size.
+eventual rank of the tail matrix M.  The ranks of M, M^2, M^3, ... never
+increase, and the first repeat fixes them for good: rank M^k = rank M^(k+1)
+means ker M^k = ker M^(k+1), and then ker M^(k+j) = ker M^k for every j.  So
+the powers are formed one multiplication by M at a time and eliminated until
+the rank repeats.  A nonsingular tail stops after one elimination; a nilpotent
+block of index s adds one elimination per step, up to s.  So only low powers
+are eliminated, while M^n of an n x n tail can carry entries of a hundred bits.
 """
 
 from __future__ import annotations
@@ -92,23 +97,46 @@ class ColimitInvariants:
     verified_stage: int
 
 
-def _eventual_tail_power(tail: IntMatrix) -> IntMatrix:
-    # rank(M^k) is nonincreasing in k and strictly drops until it stabilizes,
-    # so the power equal to the matrix size is already eventual.
-    k = max(tail.rows, 1)
-    return tail.power(k)
+def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:
+    """(M^k, rank M^k) for the first k >= 1 with rank M^k = rank M^(k+1).
+
+    From that k on the rank and the kernel of the powers stay fixed, so M^k
+    has the eventual rank and the eventual kernel.  Rank 0 or full rank is
+    already fixed, so it needs no further power.
+    """
+    power = tail
+    rank = matrix_rank(power)
+    while 0 < rank < tail.rows:
+        following = power @ tail
+        following_rank = matrix_rank(following)
+        if following_rank == rank:
+            break
+        power, rank = following, following_rank
+    return power, rank
 
 
 def colimit_invariants(system: InductiveSystem, stage: int | None = None) -> ColimitInvariants:
     """Rank and torsion certificate of the colimit of ``system``.
 
-    The rank is the eventual rank of the tail.  A colimit of free abelian
-    groups is torsion-free outright (any torsion element already dies at a
-    finite stage), so the certificate is always affirmative; what varies is
-    the stage depth it is stamped with.
+    The rank is the eventual rank of the tail M: the rank of M^k at the first
+    k where rank M^k = rank M^(k+1).  The ranks of the powers never
+    increase, and once two consecutive ones agree the kernels agree too, so
+    every later power keeps that rank.  A colimit of free abelian groups is
+    torsion-free outright (any torsion element already dies at a finite
+    stage), so the certificate is always affirmative; what varies is the
+    stage depth it is stamped with.
+
+    A 2 x 2 Jordan block at 0 next to a doubling: the ranks of M, M^2, M^3
+    are 2, 1, 1, so the rank repeats at M^2 and the colimit has rank 1.
+
+    >>> tail = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+    >>> [matrix_rank(tail.power(k)) for k in (1, 2, 3)]
+    [2, 1, 1]
+    >>> colimit_invariants(InductiveSystem.stationary(tail)).rank
+    1
     """
     depth = stage if stage is not None else len(system.stage_dims) + system.tail.rows
-    rank = matrix_rank(_eventual_tail_power(system.tail))
+    _, rank = _stable_power(system.tail)
     return ColimitInvariants(rank=rank, torsion_free=True, verified_stage=depth)
 
 
@@ -136,17 +164,19 @@ def map_on_colimit_rank(system: InductiveSystem, endo: IntMatrix) -> int:
     ``endo`` acts on the tail stage and must commute with the tail, possibly
     only after composing with further tail applications (a stage shift).  The
     induced map lives on the quotient by the eventual kernel of the tail; its
-    rank is rank([endo | K]) - rank(K) for K a basis of that kernel.
+    rank is rank([endo | K]) - rank(K) for K a basis of that kernel.  The
+    power M^k at which the tail's rank repeats has that kernel, so it serves
+    both the commutation check and K.
     """
     last = system.stage_dims[-1]
     if (endo.rows, endo.cols) != (last, last):
         raise ShapeMismatch(f"endomorphism is {endo.rows}x{endo.cols}, expected {last}x{last}")
+    stable, _ = _stable_power(system.tail)
     commutator = system.tail @ endo - endo @ system.tail
-    if not commutator.is_zero():
-        # Allow the discrepancy to die under further tail applications.
-        if not (_eventual_tail_power(system.tail) @ commutator).is_zero():
-            raise CommutationFailure("endomorphism does not commute with the tail, even eventually")
-    kernel = kernel_basis(_eventual_tail_power(system.tail))
+    # Allow the discrepancy to die under further tail applications.
+    if not (stable @ commutator).is_zero():
+        raise CommutationFailure("endomorphism does not commute with the tail, even eventually")
+    kernel = kernel_basis(stable)
     if kernel.cols == 0:
         return matrix_rank(endo)
     return matrix_rank(endo.hstack(kernel)) - kernel.cols

@@ -210,6 +210,12 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
     column and row operations.  Pivots are chosen by minimal absolute value
     with the lowest (row, col) index breaking ties; this keeps intermediate
     entries small and makes the reduction deterministic.
+
+    A column operation adds a multiple of the pivot column, so it changes
+    only the rows with a nonzero entry there; once the pivot's own column is
+    cleared that is usually the pivot row alone (plus, when transforms are
+    carried, the rows of V).  A pivot of 1 divides everything, so the
+    trailing block needs no divisibility scan after it.
     """
     t = 0
     bound = min(m, n)
@@ -242,10 +248,11 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
                 a[i] = [x + q * y for x, y in zip(a[i], a[t])]
                 if a[i][t]:
                     dirty = True
+        touched = [row for row in a if row[t]]
         for j in range(t + 1, n):
             if a[t][j]:
                 q = -(a[t][j] // d)
-                for row in a:
+                for row in touched:
                     row[j] += q * row[t]
                 if a[t][j]:
                     dirty = True
@@ -253,17 +260,13 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
             continue
 
         # Row and column are clear; enforce that d divides the trailing block.
-        culprit = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % d:
-                    culprit = i
-                    break
+        if d != 1:
+            culprit = next(
+                (i for i in range(t + 1, m) if any(a[i][j] % d for j in range(t + 1, n))), None
+            )
             if culprit is not None:
-                break
-        if culprit is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-            continue
+                a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+                continue
         t += 1
 
 

@@ -374,9 +374,9 @@ def free_graded_commutative_dims(
     for n in range(max_word_length + 1):
         even_total = 0
         odd_total = 0
-        for sym_weight in range(n + 1):
-            ext_weight = n - sym_weight
-            count = _sym_dim(even_dim, sym_weight) * math.comb(odd_dim, ext_weight) if ext_weight <= odd_dim else 0
+        # Exterior powers vanish past odd_dim.
+        for ext_weight in range(min(n, odd_dim) + 1):
+            count = _sym_dim(even_dim, n - ext_weight) * math.comb(odd_dim, ext_weight)
             if count == 0:
                 continue
             if ext_weight % 2 == 0:

@@ -20,11 +20,12 @@ from typing import Union
 from .colimits import ColimitInvariants, colimit_invariants
 from .errors import (
     ModelInvalid,
+    NotAComplex,
     NotFinitelyGenerated,
     SimplicityNotCertified,
     TruncationUnsound,
 )
-from .exact_linalg import FgAbelianGroup, IntMatrix, chain_homology, cokernel
+from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -153,9 +154,16 @@ def homology_finite(
         raise ValueError("max_degree must be nonnegative")
     levels = nerve_levels(g, max_degree + 1, size_bound=size_bound)
     boundaries = [boundary_matrix_from_levels(levels, n) for n in range(1, max_degree + 2)]
-    entries: list[GroupValue] = [cokernel(boundaries[0])]
-    for n in range(1, max_degree + 1):
-        entries.append(chain_homology(boundaries[n - 1], boundaries[n]))
+    for d_in, d_out in zip(boundaries, boundaries[1:]):
+        if not (d_in @ d_out).is_zero():
+            raise NotAComplex("composite of consecutive boundaries is nonzero")
+    # H_n = ker d_n / im d_(n+1) has the torsion of coker d_(n+1) and rank
+    # rank coker d_(n+1) - rank d_n, with rank d_n = rows - rank coker d_n:
+    # one elimination per boundary.
+    cokernels = [cokernel(d) for d in boundaries]
+    entries: list[GroupValue] = [cokernels[0]]
+    for d_in, below, above in zip(boundaries, cokernels, cokernels[1:]):
+        entries.append(FgAbelianGroup(above.rank - (d_in.rows - below.rank), above.torsion))
     return GradedGroup(tuple(entries), vanishing_above=False)
 
 

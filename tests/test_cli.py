@@ -301,6 +301,21 @@ class TestFullgroupDimsCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_word_length_above_the_maximum_exits_three_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fullgroup-dims", model_path("o2.json"), "--words", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --words must be at most {cli.MAX_WORDS}\n"
+
+    def test_word_length_at_the_maximum_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "fullgroup-dims", model_path("fixed_point.json"), "--words", str(cli.MAX_WORDS)
+        )
+        assert code == 0
+        assert f"word length {cli.MAX_WORDS}: even 1, odd 1" in out
+
 
 class TestEntryPoint:
     def test_entry_raises_system_exit(self, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import amplehk.colimits as colimits
 from amplehk.colimits import (
     ColimitInvariants,
     InductiveSystem,
@@ -14,7 +15,7 @@ from amplehk.colimits import (
     map_on_colimit_rank,
 )
 from amplehk.errors import CommutationFailure, ShapeMismatch
-from amplehk.exact_linalg import IntMatrix, matrix_rank
+from amplehk.exact_linalg import IntMatrix, kernel_basis, matrix_rank
 
 
 def M(rows):
@@ -92,6 +93,80 @@ class TestColimitInvariants:
             assert rank == matrix_rank(tail.power(2 * n + 1))
 
 
+def block_tail(rng, p, s):
+    """[[P, X], [0, N]] with P nonsingular and N strictly upper triangular
+    (nilpotent of index at most s), conjugated by a random permutation."""
+    n = p + s
+    while True:
+        core = M([[rng.randint(-3, 3) for _ in range(p)] for _ in range(p)])
+        if matrix_rank(core) == p:
+            break
+    rows = [[0] * n for _ in range(n)]
+    for i in range(p):
+        rows[i][:p] = core.row(i)
+        rows[i][p:] = [rng.randint(-2, 2) for _ in range(s)]
+    for i in range(p, n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randint(-2, 2)
+    order = list(range(n))
+    rng.shuffle(order)
+    return M([[rows[order[i]][order[j]] for j in range(n)] for i in range(n)])
+
+
+def jordan_block(n):
+    return M([[int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+def eliminations(monkeypatch):
+    """Record the size of every matrix ``colimits`` eliminates."""
+    seen = []
+    real = colimits.matrix_rank
+
+    def counted(mat):
+        seen.append(mat.rows)
+        return real(mat)
+
+    monkeypatch.setattr(colimits, "matrix_rank", counted)
+    return seen
+
+
+class TestEventualRank:
+    """The first repeated rank of M, M^2, ... against the rank of M^n."""
+
+    def test_nilpotent_blocks_against_the_full_power(self):
+        rng = random.Random(53)
+        for n in range(1, 17):
+            for _ in range(3):
+                p = rng.randint(0, n)
+                tail = block_tail(rng, p, n - p)
+                rank = colimit_invariants(InductiveSystem.stationary(tail)).rank
+                assert rank == matrix_rank(tail.power(n)) == p
+
+    def test_full_jordan_block_drops_at_every_power(self, monkeypatch):
+        seen = eliminations(monkeypatch)
+        for n in (1, 2, 5, 9):
+            seen.clear()
+            assert colimit_invariants(InductiveSystem.stationary(jordan_block(n))).rank == 0
+            # ranks n-1, n-2, ..., 0: one elimination per power, none after 0
+            assert len(seen) == n
+
+    def test_empty_tail(self):
+        inv = colimit_invariants(InductiveSystem.stationary(IntMatrix.zeros(0, 0)))
+        assert inv.rank == 0 and inv.torsion_free
+
+    def test_invertible_tail_needs_one_elimination(self, monkeypatch):
+        seen = eliminations(monkeypatch)
+        tail = M([[2, 1, 0], [1, 1, 1], [0, 1, 3]])
+        assert colimit_invariants(InductiveSystem.stationary(tail)).rank == 3
+        assert seen == [3]
+
+    def test_singular_tail_stops_at_the_first_repeat(self, monkeypatch):
+        seen = eliminations(monkeypatch)
+        tail = M([[1, 1], [1, 1]])  # rank 1 at every power
+        assert colimit_invariants(InductiveSystem.stationary(tail)).rank == 1
+        assert seen == [2, 2]
+
+
 class TestDirectSum:
     def test_rank_is_additive(self):
         rng = random.Random(37)
@@ -155,3 +230,29 @@ class TestMapOnColimit:
         sys_ = InductiveSystem.stationary(M([[2]]))
         with pytest.raises(ShapeMismatch):
             map_on_colimit_rank(sys_, IntMatrix.identity(2))
+
+    def test_nilpotent_blocks_against_the_full_power_kernel(self):
+        # Oracle: rank([endo | K]) - rank(K) with K a kernel basis of M^n.
+        rng = random.Random(59)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            p = rng.randint(0, n)
+            tail = block_tail(rng, p, n - p)
+            sys_ = InductiveSystem.stationary(tail)
+            kernel = kernel_basis(tail.power(n))
+            a, b, c = (rng.randint(-2, 2) for _ in range(3))
+            endo = tail.power(2).scale(a) + tail.scale(b) + IntMatrix.identity(n).scale(c)
+            expected = matrix_rank(endo.hstack(kernel)) - kernel.cols
+            assert map_on_colimit_rank(sys_, endo) == expected
+            assert map_on_colimit_rank(sys_, IntMatrix.identity(n)) == p
+            assert map_on_colimit_rank(sys_, tail) == p
+
+    def test_discrepancy_inside_a_nilpotent_block_is_accepted(self):
+        # The first endomorphism fails to commute only on the nilpotent
+        # block, where the tail's square kills the discrepancy; the second
+        # mixes that block into the doubling, where nothing kills it.
+        tail = M([[2, 0, 0], [0, 0, 1], [0, 0, 0]])
+        sys_ = InductiveSystem.stationary(tail)
+        assert map_on_colimit_rank(sys_, M([[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == 1
+        with pytest.raises(CommutationFailure):
+            map_on_colimit_rank(sys_, M([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+import amplehk.homology as homology
 from amplehk.colimits import ColimitInvariants
 from amplehk.errors import (
     ModelInvalid,
+    NotAComplex,
     NotFinitelyGenerated,
     SimplicityNotCertified,
     SizeBoundExceeded,
@@ -130,6 +132,32 @@ class TestFiniteHomology:
         with pytest.raises(ModelInvalid) as exc:
             homology_finite(broken, 1)
         assert exc.value.violations
+
+    def test_one_elimination_per_boundary(self, monkeypatch):
+        calls = []
+        real = homology.cokernel
+
+        def counted(mat):
+            calls.append((mat.rows, mat.cols, mat.entries))
+            return real(mat)
+
+        monkeypatch.setattr(homology, "cokernel", counted)
+        h = homology_finite(cyclic_group_groupoid(3), 3)
+        assert groups(h) == ["Z", "Z/3", "0", "Z/3"]
+        assert len(calls) == 4 and len(set(calls)) == 4
+
+    def test_nonzero_composite_is_not_a_complex(self, monkeypatch):
+        # An all-ones d_1 meets d_2, whose columns each sum to 1 (three faces
+        # with signs + - +), in a nonzero composite.
+        real = homology.boundary_matrix_from_levels
+
+        def broken(levels, n):
+            d = real(levels, n)
+            return IntMatrix(d.rows, d.cols, (1,) * len(d.entries)) if n == 1 else d
+
+        monkeypatch.setattr(homology, "boundary_matrix_from_levels", broken)
+        with pytest.raises(NotAComplex, match="composite of consecutive boundaries is nonzero"):
+            homology_finite(cyclic_group_groupoid(2), 1)
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
