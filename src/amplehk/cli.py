@@ -3,8 +3,8 @@
 Subcommands: homology, ktheory, hk-check, smale-check, span-check,
 fullgroup-dims.  All take a JSON document path.  Exit codes: 0 for success or
 a matching verdict, 1 for a rank mismatch, 2 for a failed precondition, 3 for
-unusable input.  Output is deterministic: the same input bytes produce the
-same output bytes, in both text and JSON formats.
+unusable input or a usage error.  Output is deterministic: the same input
+bytes produce the same output bytes, in both text and JSON formats.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import (
     ModelInvalid,
@@ -30,6 +31,7 @@ from .hkcheck import (
     VERDICT_MATCH,
     VERDICT_MISMATCH,
     VERDICT_PRECONDITION_FAILED,
+    _graded_to_json,
     free_graded_commutative_dims,
     group_to_json,
     group_to_text,
@@ -39,7 +41,6 @@ from .hkcheck import (
     smale_check,
 )
 from .homology import DEFAULT_SIZE_BOUND, homology_of_model
-from .hkcheck import _graded_to_json  # shared rendering of graded groups
 from .ktheory import ktheory_of_model
 from .models import CantorZModel, GroupoidModel, ProductModel, SftModel, model_summary
 from .modelio import load_json, parse_model, parse_span_document
@@ -83,17 +84,12 @@ def _read_model(args: argparse.Namespace) -> GroupoidModel:
     return _override_depth(model, args.telescope_depth)
 
 
-def _matrix_json(m) -> list[list[int]]:
-    return m.to_rows()
-
-
 def _cmd_homology(args: argparse.Namespace) -> int:
     model = _read_model(args)
     graded = homology_of_model(
         model,
         max_degree=args.max_degree,
         size_bound=args.size_bound,
-        stage=args.stage,
         rational_only=args.rational_only,
     )
     if args.format == "json":
@@ -115,7 +111,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 def _cmd_ktheory(args: argparse.Namespace) -> int:
     model = _read_model(args)
-    pair = ktheory_of_model(model, stage=args.stage, rational_only=args.rational_only)
+    pair = ktheory_of_model(model, rational_only=args.rational_only)
     if args.format == "json":
         sys.stdout.write(
             _dump_json(
@@ -138,7 +134,6 @@ def _cmd_hk_check(args: argparse.Namespace) -> int:
     report = hk_check(
         model,
         max_degree=args.max_degree,
-        stage=args.stage,
         size_bound=args.size_bound,
         rational_only=args.rational_only,
     )
@@ -160,7 +155,7 @@ def _cmd_span_check(args: argparse.Namespace) -> int:
     if kind == "span":
         t = transfer_matrix(spans[0])
         if args.format == "json":
-            sys.stdout.write(_dump_json({"transfer": _matrix_json(t)}))
+            sys.stdout.write(_dump_json({"transfer": t.to_rows()}))
         else:
             sys.stdout.write(f"transfer = {t}\n")
         return _EXIT_OK
@@ -175,10 +170,10 @@ def _cmd_span_check(args: argparse.Namespace) -> int:
         sys.stdout.write(
             _dump_json(
                 {
-                    "transfer_first": _matrix_json(t_first),
-                    "transfer_second": _matrix_json(t_second),
-                    "transfer_composite": _matrix_json(t_composite),
-                    "product": _matrix_json(product),
+                    "transfer_first": t_first.to_rows(),
+                    "transfer_second": t_second.to_rows(),
+                    "transfer_composite": t_composite.to_rows(),
+                    "product": product.to_rows(),
                     "functorial": functorial,
                 }
             )
@@ -197,7 +192,6 @@ def _cmd_fullgroup_dims(args: argparse.Namespace) -> int:
     report = hk_check(
         model,
         max_degree=args.max_degree,
-        stage=args.stage,
         size_bound=args.size_bound,
         rational_only=args.rational_only,
     )
@@ -231,8 +225,20 @@ def _cmd_fullgroup_dims(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as exit 3, not argparse's exit 2, which here
+    means a failed precondition."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amplehk",
         description="Exact homology / K-theory invariants of ample groupoid models",
     )
@@ -243,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="JSON document to read")
         p.add_argument("--max-degree", type=int, default=3, dest="max_degree",
                        help="top homology degree for truncated computations (default 3)")
-        p.add_argument("--stage", type=int, default=3,
-                       help="certification depth for colimit torsion certificates (default 3)")
         p.add_argument("--telescope-depth", type=int, default=None, dest="telescope_depth",
                        help="override the telescoping depth of cantor_z models")
         p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND, dest="size_bound",
@@ -270,7 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return _EXIT_INPUT
     for flag in ("max_degree", "words"):
         if getattr(args, flag, 0) < 0:
             sys.stderr.write(f"error: --{flag.replace('_', '-')} must be nonnegative\n")

@@ -4,8 +4,9 @@ A system here is a finite run of free abelian groups and connecting integer
 matrices, followed by a periodic tail: one square matrix applied forever.
 Such colimits (dimension groups of Bratteli diagrams, for instance) need not
 be finitely generated, so they are never materialized.  Instead we report
-exact invariants: the rational dimension of the colimit and a torsion-freeness
-certificate.
+their rank, the rational dimension of the colimit.  A colimit of free abelian
+groups is torsion-free (an element of finite order already dies at a finite
+stage), so rationally the rank describes it completely.
 
 The rational dimension is computed from the tail alone.  Dropping finitely
 many initial stages does not change a colimit, so the dimension equals the
@@ -29,7 +30,6 @@ __all__ = [
     "ColimitInvariants",
     "InductiveSystem",
     "colimit_invariants",
-    "direct_sum_systems",
     "map_on_colimit_rank",
 ]
 
@@ -70,10 +70,6 @@ class InductiveSystem:
                 f"tail is {self.tail.rows}x{self.tail.cols}, expected {last}x{last}"
             )
 
-    @property
-    def is_stationary(self) -> bool:
-        return not self.connecting
-
     @staticmethod
     def stationary(tail: IntMatrix) -> "InductiveSystem":
         if tail.rows != tail.cols:
@@ -83,18 +79,10 @@ class InductiveSystem:
 
 @dataclass(frozen=True)
 class ColimitInvariants:
-    """Exact rank plus a torsion-freeness certificate for a colimit.
-
-    For a purely stationary system the certificate is exact: the eventual
-    kernel of the tail is saturated, so the colimit embeds in a union of
-    torsion-free quotients.  ``verified_stage`` records how far the
-    certificate was checked; stationary systems are valid at every stage, so
-    the field just echoes the requested depth there.
-    """
+    """A group known only by its rank: a colimit that need not be finitely
+    generated, or a rational-only value whose torsion was dropped."""
 
     rank: int
-    torsion_free: bool
-    verified_stage: int
 
 
 def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:
@@ -115,16 +103,13 @@ def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:
     return power, rank
 
 
-def colimit_invariants(system: InductiveSystem, stage: int | None = None) -> ColimitInvariants:
-    """Rank and torsion certificate of the colimit of ``system``.
+def colimit_invariants(system: InductiveSystem) -> ColimitInvariants:
+    """Rank of the colimit of ``system``.
 
     The rank is the eventual rank of the tail M: the rank of M^k at the first
     k where rank M^k = rank M^(k+1).  The ranks of the powers never
     increase, and once two consecutive ones agree the kernels agree too, so
-    every later power keeps that rank.  A colimit of free abelian groups is
-    torsion-free outright (any torsion element already dies at a finite
-    stage), so the certificate is always affirmative; what varies is the
-    stage depth it is stamped with.
+    every later power keeps that rank.
 
     A 2 x 2 Jordan block at 0 next to a doubling: the ranks of M, M^2, M^3
     are 2, 1, 1, so the rank repeats at M^2 and the colimit has rank 1.
@@ -135,27 +120,8 @@ def colimit_invariants(system: InductiveSystem, stage: int | None = None) -> Col
     >>> colimit_invariants(InductiveSystem.stationary(tail)).rank
     1
     """
-    depth = stage if stage is not None else len(system.stage_dims) + system.tail.rows
     _, rank = _stable_power(system.tail)
-    return ColimitInvariants(rank=rank, torsion_free=True, verified_stage=depth)
-
-
-def direct_sum_systems(a: InductiveSystem, b: InductiveSystem) -> InductiveSystem:
-    """Stage-wise direct sum; both runs must list the same number of stages."""
-    if len(a.stage_dims) != len(b.stage_dims):
-        raise ShapeMismatch("direct sum needs equal stage counts")
-
-    def block_diag(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-        rows = []
-        for i in range(x.rows):
-            rows.append(list(x.row(i)) + [0] * y.cols)
-        for i in range(y.rows):
-            rows.append([0] * x.cols + list(y.row(i)))
-        return IntMatrix.from_rows(rows, cols=x.cols + y.cols)
-
-    dims = tuple(p + q for p, q in zip(a.stage_dims, b.stage_dims))
-    conn = tuple(block_diag(p, q) for p, q in zip(a.connecting, b.connecting))
-    return InductiveSystem(dims, conn, block_diag(a.tail, b.tail))
+    return ColimitInvariants(rank=rank)
 
 
 def map_on_colimit_rank(system: InductiveSystem, endo: IntMatrix) -> int:

@@ -489,10 +489,6 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    @property
-    def is_torsion_free(self) -> bool:
-        return not self.torsion
-
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
         return FgAbelianGroup(self.rank + other.rank, _canonical_torsion(self.torsion + other.torsion))
 

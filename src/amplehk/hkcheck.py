@@ -28,7 +28,6 @@ from .homology import (
     DEFAULT_SIZE_BOUND,
     GradedGroup,
     GroupValue,
-    group_rank,
     homology_of_model,
 )
 from .ktheory import KPair, ktheory_of_model
@@ -109,8 +108,8 @@ def periodicize(h: GradedGroup, acknowledge_truncation: bool = False) -> tuple[i
         raise TruncationUnsound(
             "graded group is a truncation; pass acknowledge_truncation=True to sum anyway"
         )
-    even = sum(group_rank(v) for d, v in enumerate(h.by_degree) if d % 2 == 0)
-    odd = sum(group_rank(v) for d, v in enumerate(h.by_degree) if d % 2 == 1)
+    even = sum(v.rank for v in h.by_degree[0::2])
+    odd = sum(v.rank for v in h.by_degree[1::2])
     return even, odd
 
 
@@ -164,7 +163,6 @@ def _baum_connes_justification(model: GroupoidModel) -> str:
 def hk_check(
     model: GroupoidModel,
     max_degree: int = 3,
-    stage: int | None = None,
     size_bound: int = DEFAULT_SIZE_BOUND,
     rational_only: bool = False,
 ) -> HKReport:
@@ -201,7 +199,6 @@ def hk_check(
         model,
         max_degree=max_degree,
         size_bound=size_bound,
-        stage=stage,
         rational_only=rational_only,
     )
     summary = model_summary(model)
@@ -228,14 +225,14 @@ def hk_check(
             notes=tuple(notes),
         )
 
-    ktheory = ktheory_of_model(model, stage=stage, rational_only=rational_only)
+    ktheory = ktheory_of_model(model, rational_only=rational_only)
     truncation_degree = None if homology.vanishing_above else homology.max_degree
     if truncation_degree is not None:
         notes.append(
             f"bar complex truncated: rational comparison verified up to degree {truncation_degree}"
         )
     even, odd = periodicize(homology, acknowledge_truncation=True)
-    rational_match = group_rank(ktheory.k0) == even and group_rank(ktheory.k1) == odd
+    rational_match = ktheory.k0.rank == even and ktheory.k1.rank == odd
 
     integral_match: bool | str
     if (
@@ -319,10 +316,9 @@ class SpectralDegenerationReport:
 def spectral_degeneration_ranks(
     model: GroupoidModel,
     max_degree: int = 3,
-    stage: int | None = None,
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> SpectralDegenerationReport:
-    report = hk_check(model, max_degree=max_degree, stage=stage, size_bound=size_bound)
+    report = hk_check(model, max_degree=max_degree, size_bound=size_bound)
     if report.verdict == VERDICT_PRECONDITION_FAILED:
         raise ValueError(
             "spectral comparison needs the theorem's preconditions: " + "; ".join(report.notes)
@@ -333,8 +329,8 @@ def spectral_degeneration_ranks(
         model=report.model,
         e2_even_rank=report.even_rank,
         e2_odd_rank=report.odd_rank,
-        k0_rank=group_rank(report.ktheory.k0),
-        k1_rank=group_rank(report.ktheory.k1),
+        k0_rank=report.ktheory.k0.rank,
+        k1_rank=report.ktheory.k1.rank,
         degenerates_rationally=bool(report.rational_match),
         truncation_degree=report.truncation_degree,
     )
@@ -394,30 +390,19 @@ def free_graded_commutative_dims(
 def group_to_json(value: GroupValue) -> dict:
     if isinstance(value, FgAbelianGroup):
         return {"rank": value.rank, "torsion": list(value.torsion)}
-    return {
-        "rank": value.rank,
-        "torsion_free": value.torsion_free,
-        "torsion_verified_up_to_stage": value.verified_stage,
-    }
+    return {"rank": value.rank}
 
 
 def group_from_json(doc: dict) -> GroupValue:
     if "torsion" in doc:
         return FgAbelianGroup(doc["rank"], tuple(doc["torsion"]))
-    return ColimitInvariants(
-        rank=doc["rank"],
-        torsion_free=doc["torsion_free"],
-        verified_stage=doc["torsion_verified_up_to_stage"],
-    )
+    return ColimitInvariants(rank=doc["rank"])
 
 
 def group_to_text(value: GroupValue) -> str:
     if isinstance(value, FgAbelianGroup):
         return str(value)
-    inner = f"rank {value.rank}"
-    if value.torsion_free:
-        inner += f", torsion-free certified to stage {value.verified_stage}"
-    return f"colimit({inner})"
+    return f"colimit(rank {value.rank})"
 
 
 def _graded_to_json(h: GradedGroup) -> dict:

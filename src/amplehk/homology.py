@@ -8,8 +8,8 @@ type, the dimension-group colimit for AF models, the colimit plus one copy of
 Z for Cantor minimal Z-systems, and a Kunneth assembly for products.
 
 Results are graded groups whose entries are either finitely generated groups
-in canonical form or colimit invariants (rank plus torsion certificate) when
-the group has no finite presentation.
+in canonical form or, when the group has no finite presentation or torsion
+was dropped in rational-only mode, values known only by their rank.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "GroupValue",
     "boundary_matrix",
     "boundary_matrix_from_levels",
-    "group_rank",
     "homology_af",
     "homology_cantor_z",
     "homology_finite",
@@ -60,18 +59,8 @@ GroupValue = Union[FgAbelianGroup, ColimitInvariants]
 DEFAULT_SIZE_BOUND = 200_000
 
 
-def group_rank(value: GroupValue) -> int:
-    return value.rank
-
-
 def _is_fg(value: GroupValue) -> bool:
     return isinstance(value, FgAbelianGroup)
-
-
-def _is_torsion_free(value: GroupValue) -> bool:
-    if isinstance(value, FgAbelianGroup):
-        return value.is_torsion_free
-    return value.torsion_free
 
 
 @dataclass(frozen=True)
@@ -100,7 +89,7 @@ class GradedGroup:
         )
 
     def rank(self, degree: int) -> int:
-        return group_rank(self.entry(degree))
+        return self.entry(degree).rank
 
     def all_finitely_generated(self) -> bool:
         return all(_is_fg(v) for v in self.by_degree)
@@ -190,16 +179,16 @@ def homology_sft(model: SftModel) -> GradedGroup:
     return GradedGroup((h0, FgAbelianGroup.free(h0.rank)), vanishing_above=True)
 
 
-def homology_af(model: BratteliModel, stage: int | None = None) -> GradedGroup:
+def homology_af(model: BratteliModel) -> GradedGroup:
     """Homology of an AF groupoid: the dimension-group colimit in degree 0."""
     violations = validate_model(model)
     if violations:
         raise ModelInvalid(violations)
-    h0 = colimit_invariants(dimension_system(model), stage=stage)
+    h0 = colimit_invariants(dimension_system(model))
     return GradedGroup((h0,), vanishing_above=True)
 
 
-def homology_cantor_z(model: CantorZModel, stage: int | None = None) -> GradedGroup:
+def homology_cantor_z(model: CantorZModel) -> GradedGroup:
     """Homology of a Cantor minimal Z-system presented by a Bratteli diagram.
 
     Degree 0 is the dimension-group colimit (the coinvariants of the action);
@@ -212,7 +201,7 @@ def homology_cantor_z(model: CantorZModel, stage: int | None = None) -> GradedGr
     ok, why = simplicity_certificate(model.diagram.tail, model.telescope_depth)
     if not ok:
         raise SimplicityNotCertified(why)
-    h0 = colimit_invariants(dimension_system(model.diagram), stage=stage)
+    h0 = colimit_invariants(dimension_system(model.diagram))
     return GradedGroup((h0, FgAbelianGroup.free(1)), vanishing_above=True)
 
 
@@ -240,7 +229,7 @@ def homology_product(
     Degree n collects tensor products of factor degrees summing to n plus the
     torsion products (Tor) of degrees summing to n - 1.  In rational-only mode
     torsion is dropped: ranks multiply and convolve, Tor contributes nothing,
-    and entries come back as rank certificates rather than presented groups.
+    and entries come back as ranks rather than presented groups.
     """
     vanishing = left.vanishing_above and right.vanishing_above
     if max_degree is None:
@@ -263,14 +252,11 @@ def homology_product(
             entries.append(total)
         return GradedGroup(tuple(entries), vanishing_above=vanishing)
 
-    torsion_free = all(_is_torsion_free(v) for v in left.by_degree) and all(
-        _is_torsion_free(v) for v in right.by_degree
+    ranks = tuple(
+        ColimitInvariants(rank=sum(left.rank(p) * right.rank(n - p) for p in range(n + 1)))
+        for n in range(max_degree + 1)
     )
-    ranks: list[GroupValue] = []
-    for n in range(max_degree + 1):
-        r = sum(left.rank(p) * right.rank(n - p) for p in range(n + 1))
-        ranks.append(ColimitInvariants(rank=r, torsion_free=torsion_free, verified_stage=0))
-    return GradedGroup(tuple(ranks), vanishing_above=vanishing)
+    return GradedGroup(ranks, vanishing_above=vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +267,6 @@ def homology_of_model(
     model: GroupoidModel,
     max_degree: int = 3,
     size_bound: int = DEFAULT_SIZE_BOUND,
-    stage: int | None = None,
     rational_only: bool = False,
 ) -> GradedGroup:
     """Homology of any model, dispatching on its class.
@@ -294,16 +279,16 @@ def homology_of_model(
     if isinstance(model, SftModel):
         return homology_sft(model)
     if isinstance(model, BratteliModel):
-        return homology_af(model, stage=stage)
+        return homology_af(model)
     if isinstance(model, CantorZModel):
-        return homology_cantor_z(model, stage=stage)
+        return homology_cantor_z(model)
     if isinstance(model, ProductModel):
         left = homology_of_model(
-            model.left, max_degree=max_degree, size_bound=size_bound, stage=stage,
+            model.left, max_degree=max_degree, size_bound=size_bound,
             rational_only=rational_only,
         )
         right = homology_of_model(
-            model.right, max_degree=max_degree, size_bound=size_bound, stage=stage,
+            model.right, max_degree=max_degree, size_bound=size_bound,
             rational_only=rational_only,
         )
         both_vanish = left.vanishing_above and right.vanishing_above

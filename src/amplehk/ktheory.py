@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .colimits import ColimitInvariants
 from .errors import ModelInvalid, NotFinitelyGenerated, NotPrincipal
 from .exact_linalg import FgAbelianGroup
-from .homology import GroupValue, group_rank, homology_of_model
+from .homology import GroupValue, homology_of_model
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -74,15 +74,11 @@ def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
     parity by one.  Rational-only mode keeps just the ranks.
     """
     if rational_only:
-        r0 = group_rank(left.k0) * group_rank(right.k0) + group_rank(left.k1) * group_rank(right.k1)
-        r1 = group_rank(left.k0) * group_rank(right.k1) + group_rank(left.k1) * group_rank(right.k0)
-        torsion_free = all(
-            v.is_torsion_free if isinstance(v, FgAbelianGroup) else v.torsion_free
-            for v in (left.k0, left.k1, right.k0, right.k1)
-        )
+        a0, a1 = left.k0.rank, left.k1.rank
+        b0, b1 = right.k0.rank, right.k1.rank
         return KPair(
-            ColimitInvariants(rank=r0, torsion_free=torsion_free, verified_stage=0),
-            ColimitInvariants(rank=r1, torsion_free=torsion_free, verified_stage=0),
+            ColimitInvariants(rank=a0 * b0 + a1 * b1),
+            ColimitInvariants(rank=a0 * b1 + a1 * b0),
         )
     for side, pair in (("left", left), ("right", right)):
         if not pair.all_finitely_generated():
@@ -99,7 +95,6 @@ def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
 
 def ktheory_of_model(
     model: GroupoidModel,
-    stage: int | None = None,
     rational_only: bool = False,
 ) -> KPair:
     """K-theory of any model, dispatching on its class.
@@ -111,11 +106,11 @@ def ktheory_of_model(
     if isinstance(model, FiniteGroupoid):
         return k_finite_principal(model)
     if isinstance(model, (SftModel, BratteliModel, CantorZModel)):
-        h = homology_of_model(model, stage=stage)
+        h = homology_of_model(model)
         return KPair(h.entry(0), h.entry(1))
     if isinstance(model, ProductModel):
-        left = ktheory_of_model(model.left, stage=stage, rational_only=rational_only)
-        right = ktheory_of_model(model.right, stage=stage, rational_only=rational_only)
+        left = ktheory_of_model(model.left, rational_only=rational_only)
+        right = ktheory_of_model(model.right, rational_only=rational_only)
         if rational_only:
             return k_product(left, right, rational_only=True)
         try:

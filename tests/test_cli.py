@@ -101,7 +101,7 @@ class TestHkCheckCommand:
     def test_json_round_trips_to_the_library_report(self, capsys):
         code, out, _ = run(capsys, "hk-check", model_path("o2.json"), "--format", "json")
         assert code == 0
-        direct = hk_check(SftModel(IntMatrix.from_rows([[1, 1], [1, 1]])), max_degree=3, stage=3)
+        direct = hk_check(SftModel(IntMatrix.from_rows([[1, 1], [1, 1]])), max_degree=3)
         assert report_from_json(json.loads(out)) == direct
 
     def test_output_bytes_are_deterministic(self, capsys):
@@ -176,6 +176,34 @@ class TestInputProblems:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "nested too deeply" in err
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 3 with one error line, not 2,
+    which means a failed precondition."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("homology", "o3.json", "--bogus"), "unrecognized arguments: --bogus"),
+            (("hk-check", "dyadic_odometer.json", "--stage", "3"), "unrecognized arguments: --stage 3"),
+            (("homology", "o3.json", "--max-degree", "x"), "argument --max-degree: invalid int value: 'x'"),
+            (("ktheory",), "the following arguments are required: path"),
+            ((), "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_three(self, capsys, argv, message):
+        args = [model_path(a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["homology", "--help"])
+        assert exc.value.code == 0
+        assert "--max-degree" in capsys.readouterr().out
 
 
 class TestPreconditionExits:

@@ -1,0 +1,112 @@
+"""Seeded fuzz test of ``cli.main`` over the shipped models.
+
+Every shipped document runs under random subcommands, formats and flag
+values, including negative, huge and non-integer values and unknown flags.
+Whatever the input, ``main`` must return one of the documented exit codes
+and let no exception escape.  ``--max-degree`` stays at most 4, so every
+case finishes in milliseconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import amplehk.cli as cli  # noqa: E402
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+MODELS = sorted(str(p) for p in MODELS_DIR.glob("*.json"))
+SUBCOMMANDS = ("homology", "ktheory", "hk-check", "smale-check", "span-check", "fullgroup-dims")
+MODEL_COMMANDS = ("homology", "ktheory", "hk-check", "fullgroup-dims")
+
+
+def applicable(path: str) -> tuple[str, ...]:
+    """The subcommands that accept the document at ``path``."""
+    kind = json.loads(Path(path).read_text()).get("model")
+    if kind is None:
+        return ("span-check",)
+    return MODEL_COMMANDS + ("smale-check",) if kind == "sft" else MODEL_COMMANDS
+
+
+APPLICABLE = {path: applicable(path) for path in MODELS}
+
+MISSING = str(MODELS_DIR / "no_such_model.json")
+HUGE = st.sampled_from(["10" + "0" * 30, str(2**64), str(-(2**64))])
+NOT_AN_INT = st.sampled_from(["x", "1.5", "", "0x10", "--", "3e2"])
+UNKNOWN = st.sampled_from([["--stage", "3"], ["--bogus"], ["-x"], ["--max-degree"], ["extra"]])
+
+
+def rarely(draw) -> bool:
+    """True about one time in five."""
+    return draw(st.integers(0, 9)) in (3, 6)
+
+
+def mostly(draw, good: st.SearchStrategy[str], bad: st.SearchStrategy[str]) -> str:
+    """A usable value most of the time, so most runs get past the parser."""
+    return draw(bad) if rarely(draw) else draw(good)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A subcommand, usually a shipped document it accepts, and up to three
+    flags, each usually well formed."""
+    if rarely(draw):
+        command = draw(st.sampled_from(SUBCOMMANDS))
+        path = draw(st.sampled_from(MODELS + [MISSING, None]))
+    else:
+        path = draw(st.sampled_from(MODELS))
+        command = draw(st.sampled_from(APPLICABLE[path]))
+    argv = [command] + ([] if path is None else [path])
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(
+            ["--max-degree", "--telescope-depth", "--size-bound", "--words", "--format",
+             "--rational-only", "unknown"]
+        ))
+        if flag == "--max-degree":
+            argv += [flag, mostly(draw, st.integers(-1, 4).map(str), NOT_AN_INT)]
+        elif flag == "--telescope-depth":
+            argv += [flag, mostly(draw, st.integers(-2, 40).map(str), st.one_of(HUGE, NOT_AN_INT))]
+        elif flag == "--size-bound":
+            argv += [flag, mostly(draw, st.integers(-2, 40).map(str), st.one_of(HUGE, NOT_AN_INT))]
+        elif flag == "--words" and command == "fullgroup-dims":
+            argv += [flag, mostly(draw, st.integers(-2, 12).map(str), st.one_of(HUGE, NOT_AN_INT))]
+        elif flag == "--format":
+            argv += [flag, mostly(draw, st.sampled_from(["text", "json"]), st.sampled_from(["xml", ""]))]
+        elif flag == "--rational-only":
+            argv.append(flag)
+        elif rarely(draw):
+            argv += draw(UNKNOWN)
+    return argv
+
+
+def call(argv: list[str]) -> tuple[int | None, str, BaseException | None]:
+    out, err = io.StringIO(), io.StringIO()
+    code, escaped = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except (Exception, SystemExit) as e:
+            escaped = e
+    return code, out.getvalue(), escaped
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(argv=argvs())
+def test_main_returns_a_documented_exit_code(argv):
+    code, out, escaped = call(argv)
+    assert escaped is None, f"{argv}: {escaped!r} escaped cli.main"
+    assert code in (0, 1, 2, 3), f"{argv}: exit {code}"
+    if code == 1:
+        assert any(
+            mark in out
+            for mark in ("verdict: mismatch", '"verdict": "mismatch"',
+                         "functorial: false", '"functorial": false')
+        ), f"{argv}: exit 1 without a mismatch on stdout"

@@ -11,7 +11,6 @@ from amplehk.colimits import (
     ColimitInvariants,
     InductiveSystem,
     colimit_invariants,
-    direct_sum_systems,
     map_on_colimit_rank,
 )
 from amplehk.errors import CommutationFailure, ShapeMismatch
@@ -25,7 +24,7 @@ def M(rows):
 class TestSystemValidation:
     def test_stationary_builder(self):
         sys_ = InductiveSystem.stationary(M([[2]]))
-        assert sys_.is_stationary
+        assert sys_.connecting == ()
         assert sys_.stage_dims == (1,)
 
     def test_needs_a_stage(self):
@@ -50,11 +49,11 @@ class TestSystemValidation:
 class TestColimitInvariants:
     def test_doubling_tail(self):
         inv = colimit_invariants(InductiveSystem.stationary(M([[2]])))
-        assert inv == ColimitInvariants(rank=1, torsion_free=True, verified_stage=2)
+        assert inv == ColimitInvariants(rank=1)
 
     def test_invertible_tail(self):
         inv = colimit_invariants(InductiveSystem.stationary(M([[1, 1], [1, 0]])))
-        assert inv.rank == 2 and inv.torsion_free
+        assert inv.rank == 2
 
     def test_rank_drops_to_eventual_image(self):
         # [[1, 1], [0, 0]] has rank 1 already at the first power.
@@ -63,7 +62,7 @@ class TestColimitInvariants:
 
     def test_nilpotent_tail_vanishes(self):
         inv = colimit_invariants(InductiveSystem.stationary(M([[0, 1], [0, 0]])))
-        assert inv.rank == 0 and inv.torsion_free
+        assert inv.rank == 0
 
     def test_rank_ignores_leading_stages(self):
         # Dropping finitely many stages never changes a colimit, so the rank
@@ -73,14 +72,6 @@ class TestColimitInvariants:
         assert colimit_invariants(run).rank == colimit_invariants(
             InductiveSystem.stationary(tail)
         ).rank
-
-    def test_requested_stage_is_echoed(self):
-        sys_ = InductiveSystem.stationary(M([[2]]))
-        assert colimit_invariants(sys_, stage=7).verified_stage == 7
-
-    def test_default_stage_covers_listed_run_plus_tail(self):
-        run = InductiveSystem((1, 1, 1), (M([[2]]), M([[3]])), M([[5]]))
-        assert colimit_invariants(run).verified_stage == 4
 
     def test_eventual_rank_has_stabilized(self):
         rng = random.Random(31)
@@ -152,7 +143,7 @@ class TestEventualRank:
 
     def test_empty_tail(self):
         inv = colimit_invariants(InductiveSystem.stationary(IntMatrix.zeros(0, 0)))
-        assert inv.rank == 0 and inv.torsion_free
+        assert inv.rank == 0
 
     def test_invertible_tail_needs_one_elimination(self, monkeypatch):
         seen = eliminations(monkeypatch)
@@ -171,29 +162,13 @@ class TestDirectSum:
     def test_rank_is_additive(self):
         rng = random.Random(37)
         for _ in range(40):
-            a = InductiveSystem.stationary(
-                M([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-            )
-            b = InductiveSystem.stationary(
-                M([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-            )
-            total = colimit_invariants(direct_sum_systems(a, b))
-            assert total.rank == colimit_invariants(a).rank + colimit_invariants(b).rank
-            assert total.torsion_free
-
-    def test_stage_counts_must_agree(self):
-        a = InductiveSystem.stationary(M([[1]]))
-        b = InductiveSystem((1, 1), (M([[1]]),), M([[1]]))
-        with pytest.raises(ShapeMismatch):
-            direct_sum_systems(a, b)
-
-    def test_runs_are_summed_stagewise(self):
-        a = InductiveSystem((1, 1), (M([[2]]),), M([[1]]))
-        b = InductiveSystem((2, 1), (M([[1, 1]]),), M([[3]]))
-        total = direct_sum_systems(a, b)
-        assert total.stage_dims == (3, 2)
-        assert total.connecting[0] == M([[2, 0, 0], [0, 1, 1]])
-        assert total.tail == M([[1, 0], [0, 3]])
+            x = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+            y = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            block_diag = M([row + [0] * 3 for row in x] + [[0] * 2 + row for row in y])
+            total = colimit_invariants(InductiveSystem.stationary(block_diag))
+            a = colimit_invariants(InductiveSystem.stationary(M(x)))
+            b = colimit_invariants(InductiveSystem.stationary(M(y)))
+            assert total.rank == a.rank + b.rank
 
 
 class TestMapOnColimit:

@@ -68,7 +68,7 @@ class TestPeriodicize:
 
     def test_group_level_refuses_colimit_entries(self):
         h = GradedGroup(
-            (ColimitInvariants(rank=1, torsion_free=True, verified_stage=2),),
+            (ColimitInvariants(rank=1),),
             vanishing_above=True,
         )
         with pytest.raises(TruncationUnsound):
@@ -118,11 +118,6 @@ class TestHkCheck:
         assert report.verdict == VERDICT_MATCH
         assert report.integral_match is True
         assert (report.even_rank, report.odd_rank) == (2, 2)
-
-    def test_stage_controls_the_certificate_stamp(self):
-        odo = CantorZModel(BratteliModel((1,), (), M([[2]])))
-        report = hk_check(odo, stage=5)
-        assert report.homology.by_degree[0].verified_stage == 5
 
     def test_shape_violations_raise(self):
         with pytest.raises(ModelInvalid):
@@ -206,7 +201,7 @@ class TestSerialization:
         for value in (
             FgAbelianGroup(2, (2, 6)),
             FgAbelianGroup.zero(),
-            ColimitInvariants(rank=3, torsion_free=True, verified_stage=4),
+            ColimitInvariants(rank=3),
         ):
             assert group_from_json(group_to_json(value)) == value
 
