@@ -196,7 +196,8 @@ def _cmd_fullgroup_dims(args: argparse.Namespace) -> int:
         rational_only=args.rational_only,
     )
     if report.verdict == VERDICT_PRECONDITION_FAILED:
-        sys.stderr.write("error: " + "; ".join(report.notes) + "\n")
+        reasons = (note.removeprefix("precondition failed: ") for note in report.notes)
+        sys.stderr.write("precondition failure: " + "; ".join(reasons) + "\n")
         return _EXIT_PRECONDITION
     assert report.ktheory is not None
     r0 = report.ktheory.k0.rank
@@ -252,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--telescope-depth", type=int, default=None, dest="telescope_depth",
                        help="override the telescoping depth of cantor_z models")
         p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND, dest="size_bound",
-                       help=f"abort when a nerve level outgrows this (default {DEFAULT_SIZE_BOUND})")
+                       help="exit 3 when a level of the reduced finite-groupoid complex (the "
+                            f"nerve of one unit per orbit) outgrows this (default {DEFAULT_SIZE_BOUND})")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
         p.add_argument("--rational-only", action="store_true", dest="rational_only",

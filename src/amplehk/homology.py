@@ -1,11 +1,19 @@
 """Homology of groupoid models.
 
-Finite groupoids get the honest chain-level computation: enumerate the nerve,
-form boundary matrices as alternating sums of face maps pushed forward by
-counting preimages, and run Smith reduction degree by degree.  The symbolic
-classes use their known closed forms: a two-term complex for shifts of finite
-type, the dimension-group colimit for AF models, the colimit plus one copy of
-Z for Cantor minimal Z-systems, and a Kunneth assembly for products.
+Finite groupoids get a chain-level computation on a smaller complex with the
+same homology.  Groupoid homology is invariant under equivalence (Matui,
+"Homology and topological full groups of etale groupoids on totally
+disconnected spaces", Proc. LMS 2012; Crainic and Moerdijk, "A homology
+theory for etale groupoids", Crelle 2000), so the groupoid is first cut down
+to its skeleton, one unit per orbit, whose homology is the direct sum of the
+isotropy groups' homology.  Its nerve is then normalized: cells containing an
+identity arrow span an acyclic subcomplex and are dropped.  Boundary matrices
+are alternating sums of the remaining face maps, and Smith reduction runs
+degree by degree.  ``boundary_matrix`` still gives the boundaries of the full
+nerve, which the tests use as the oracle.  The symbolic classes use their
+known closed forms: a two-term complex for shifts of finite type, the
+dimension-group colimit for AF models, the colimit plus one copy of Z for
+Cantor minimal Z-systems, and a Kunneth assembly for products.
 
 Results are graded groups whose entries are either finitely generated groups
 in canonical form or, when the group has no finite presentation or torsion
@@ -36,6 +44,7 @@ from .models import (
     SftModel,
     dimension_system,
     nerve_levels,
+    orbits,
     simplicity_certificate,
     validate_model,
 )
@@ -105,6 +114,8 @@ def boundary_matrix_from_levels(levels: list[NerveLevel], n: int) -> IntMatrix:
     The transfer of a face map sends an n-cell basis vector to the basis
     vector of its image cell, and the boundary adds these with alternating
     signs; the entry at (c, t) is the signed count of faces of t equal to c.
+    A face index of -1 marks a face that is zero in the complex (a dropped
+    degenerate cell) and contributes nothing.
     """
     if n < 1:
         raise ValueError("boundary starts at degree 1")
@@ -115,7 +126,8 @@ def boundary_matrix_from_levels(levels: list[NerveLevel], n: int) -> IntMatrix:
     sign = 1
     for face in level.faces:
         for t, c in enumerate(face):
-            flat[c * cols + t] += sign
+            if c >= 0:
+                flat[c * cols + t] += sign
         sign = -sign
     return IntMatrix(rows, cols, tuple(flat))
 
@@ -125,6 +137,42 @@ def boundary_matrix(g: FiniteGroupoid, n: int) -> IntMatrix:
     return boundary_matrix_from_levels(nerve_levels(g, n), n)
 
 
+def _skeleton(g: FiniteGroupoid) -> FiniteGroupoid:
+    """The full subgroupoid on the first unit of each orbit, in ``g.units``
+    order: one isotropy group per orbit, equivalent to ``g``."""
+    position = {u: i for i, u in enumerate(g.units)}
+    reps = {min(orbit, key=position.__getitem__) for orbit in orbits(g)}
+    arrows = tuple(a for a in g.arrows if a[1] in reps and a[2] in reps)
+    kept = {a[0] for a in arrows}
+    return FiniteGroupoid(
+        tuple(u for u in g.units if u in reps),
+        arrows,
+        {pair: c for pair, c in g.compose.items() if pair[0] in kept and pair[1] in kept},
+        {a: b for a, b in g.inverse.items() if a in kept},
+    )
+
+
+def _normalized(levels: list[NerveLevel], g: FiniteGroupoid) -> list[NerveLevel]:
+    """The levels without the cells that contain an identity arrow.
+
+    Faces are re-indexed into the kept cells of the level below; a face that
+    lands on a dropped cell becomes -1.  In a groupoid the identities are
+    exactly the arrows e with e.e = e.
+    """
+    names = g.arrow_names()
+    identities = {i for i, a in enumerate(names) if g.compose.get((a, a)) == a}
+    out = [levels[0]]
+    index = list(range(levels[0].size()))
+    for level in levels[1:]:
+        keep = [t for t, cell in enumerate(level.cells) if identities.isdisjoint(cell)]
+        faces = tuple(tuple(index[face[t]] for t in keep) for face in level.faces)
+        index = [-1] * level.size()
+        for new, t in enumerate(keep):
+            index[t] = new
+        out.append(NerveLevel(level.degree, tuple(level.cells[t] for t in keep), faces))
+    return out
+
+
 def homology_finite(
     g: FiniteGroupoid,
     max_degree: int,
@@ -132,16 +180,23 @@ def homology_finite(
 ) -> GradedGroup:
     """Bar-complex homology of a finite groupoid, degrees 0..max_degree.
 
-    Needs nerve levels up to max_degree + 1; raises SizeBoundExceeded when a
-    level outgrows ``size_bound``.  The result is a truncation: finite
-    groupoids can have homology in arbitrarily high degrees.
+    The complex is the normalized bar complex of the skeleton: one unit per
+    orbit (the first in ``g.units`` order), and no nerve cell containing an
+    identity arrow.  Both steps keep the homology: it is invariant under
+    groupoid equivalence (Matui, Proc. LMS 2012; Crainic and Moerdijk, Crelle
+    2000), and the degenerate cells span an acyclic subcomplex.  The
+    skeleton's nerve levels up to max_degree + 1 are built; raises
+    SizeBoundExceeded when one of them outgrows ``size_bound``.  The result
+    is a truncation: finite groupoids can have homology in arbitrarily high
+    degrees.
     """
     violations = validate_model(g)
     if violations:
         raise ModelInvalid(violations)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    levels = nerve_levels(g, max_degree + 1, size_bound=size_bound)
+    skeleton = _skeleton(g)
+    levels = _normalized(nerve_levels(skeleton, max_degree + 1, size_bound=size_bound), skeleton)
     boundaries = [boundary_matrix_from_levels(levels, n) for n in range(1, max_degree + 2)]
     for d_in, d_out in zip(boundaries, boundaries[1:]):
         if not (d_in @ d_out).is_zero():

@@ -4,7 +4,7 @@ The document schema mirrors the model dataclasses.  Every model document has
 a ``model`` tag naming the class; matrices are row-major arrays of arrays of
 integers.  Parse failures carry location information: malformed JSON reports
 line and column, schema violations report a JSON pointer to the offending
-value.
+value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from .models import (
 )
 from .spans import FiniteSpan
 
+# Deepest product nesting a model document may have.  The Kunneth assembly of
+# a chain of n products keeps about 2n degrees, each a quadratic sum, so the
+# cost grows like n cubed; 32 levels take well under a second.
+MAX_PRODUCT_DEPTH = 32
+
 __all__ = [
+    "MAX_PRODUCT_DEPTH",
     "load_json",
     "parse_model",
     "parse_model_file",
@@ -132,6 +138,11 @@ def _parse_bratteli(doc: dict, pointer: str) -> BratteliModel:
 
 def parse_model(doc, pointer: str = "") -> GroupoidModel:
     """Turn a decoded JSON document into a model, or raise SchemaError."""
+    return _parse_model(doc, pointer, 0)
+
+
+def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
+    """``depth`` counts the products enclosing ``doc``."""
     doc = _expect_object(doc, pointer or "/")
     kind = _expect_str(_get(doc, "model", pointer), f"{pointer}/model")
     if kind == "finite":
@@ -145,16 +156,17 @@ def parse_model(doc, pointer: str = "") -> GroupoidModel:
             _expect_object(_get(doc, "diagram", pointer), f"{pointer}/diagram"),
             f"{pointer}/diagram",
         )
-        depth = doc.get("telescope_depth", 3)
-        depth = _expect_int(depth, f"{pointer}/telescope_depth")
-        return CantorZModel(diagram, telescope_depth=depth)
+        telescope = _expect_int(doc.get("telescope_depth", 3), f"{pointer}/telescope_depth")
+        return CantorZModel(diagram, telescope_depth=telescope)
     if kind == "product":
+        if depth == MAX_PRODUCT_DEPTH:
+            raise SchemaError(pointer, f"products nested more than {MAX_PRODUCT_DEPTH} deep")
         factors = _expect_list(_get(doc, "factors", pointer), f"{pointer}/factors")
         if len(factors) != 2:
             raise SchemaError(f"{pointer}/factors", f"expected exactly 2 factors, got {len(factors)}")
         return ProductModel(
-            parse_model(factors[0], f"{pointer}/factors/0"),
-            parse_model(factors[1], f"{pointer}/factors/1"),
+            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1),
+            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1),
         )
     raise SchemaError(
         f"{pointer}/model",

@@ -51,6 +51,17 @@ def assert_valid_snf(mat: IntMatrix) -> list[int]:
     return diag
 
 
+def finite_document(g: FiniteGroupoid) -> dict:
+    """The JSON model document of a finite groupoid, as ``parse_model`` reads it."""
+    return {
+        "model": "finite",
+        "units": list(g.units),
+        "arrows": [{"id": a, "source": s, "target": t} for a, s, t in g.arrows],
+        "compose": [[x, y, z] for (x, y), z in g.compose.items()],
+        "inverse": dict(g.inverse),
+    }
+
+
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b

@@ -14,7 +14,9 @@ import pytest
 import amplehk.cli as cli
 from amplehk.exact_linalg import IntMatrix
 from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_from_json
-from amplehk.models import SftModel
+from amplehk.modelio import MAX_PRODUCT_DEPTH
+from amplehk.models import SftModel, cyclic_group_groupoid
+from conftest import finite_document
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -56,12 +58,23 @@ class TestHomologyCommand:
         assert "truncated at degree 1" in out
         assert out.count("H_") == 2
 
-    def test_size_bound_exits_three(self, capsys):
-        code, _, err = run(
-            capsys, "homology", model_path("pair2.json"), "--max-degree", "3", "--size-bound", "10"
-        )
+    def test_size_bound_exits_three(self, capsys, tmp_path):
+        # Z/5 is its own skeleton; its nerve level 2 has 25 cells.
+        path = write_doc(tmp_path, finite_document(cyclic_group_groupoid(5)))
+        code, _, err = run(capsys, "homology", path, "--max-degree", "3", "--size-bound", "10")
         assert code == 3
         assert "error:" in err
+
+    def test_size_bound_counts_the_skeleton(self, capsys):
+        # The pair groupoid's skeleton is one unit with its identity: one
+        # cell per nerve level, far below the bound.
+        code, bounded, err = run(
+            capsys, "homology", model_path("pair2.json"), "--max-degree", "3", "--size-bound", "10"
+        )
+        assert code == 0 and err == ""
+        _, unbounded, _ = run(capsys, "homology", model_path("pair2.json"), "--max-degree", "3")
+        assert bounded == unbounded
+        assert "H_0 = Z\nH_1 = 0\nH_2 = 0\nH_3 = 0\n" in bounded
 
 
 class TestKtheoryCommand:
@@ -176,6 +189,31 @@ class TestInputProblems:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "nested too deeply" in err
+
+    @staticmethod
+    def product_chain(depth: int) -> dict:
+        doc = {"model": "sft", "matrix": [[2]]}
+        for _ in range(depth):
+            doc = {"model": "product", "factors": [doc, {"model": "sft", "matrix": [[2]]}]}
+        return doc
+
+    def test_product_nested_past_the_cap_exits_three_at_once(self, capsys, tmp_path):
+        path = write_doc(tmp_path, self.product_chain(MAX_PRODUCT_DEPTH + 1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hk-check", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        pointer = "/factors/0" * MAX_PRODUCT_DEPTH
+        assert err == (
+            f"error: {pointer}: products nested more than {MAX_PRODUCT_DEPTH} deep\n"
+        )
+
+    def test_product_nested_to_the_cap_is_accepted(self, capsys, tmp_path):
+        path = write_doc(tmp_path, self.product_chain(MAX_PRODUCT_DEPTH))
+        code, out, _ = run(capsys, "homology", path)
+        assert code == 0
+        assert "H_0 = 0" in out
 
 
 class TestUsageErrors:
@@ -327,7 +365,7 @@ class TestFullgroupDimsCommand:
     def test_precondition_failure(self, capsys):
         code, _, err = run(capsys, "fullgroup-dims", model_path("z2group.json"))
         assert code == 2
-        assert "error:" in err
+        assert err.startswith("precondition failure: ") and "error:" not in err
 
     def test_word_length_above_the_maximum_exits_three_at_once(self, capsys):
         start = time.perf_counter()

@@ -1,10 +1,12 @@
-"""Seeded fuzz test of ``cli.main`` over the shipped models.
+"""Seeded fuzz test of ``cli.main`` over the shipped models and a few
+seeded finite groupoids.
 
-Every shipped document runs under random subcommands, formats and flag
-values, including negative, huge and non-integer values and unknown flags.
-Whatever the input, ``main`` must return one of the documented exit codes
-and let no exception escape.  ``--max-degree`` stays at most 4, so every
-case finishes in milliseconds.
+Every document runs under random subcommands, formats and flag values,
+including negative, huge and non-integer values and unknown flags, and
+``--size-bound`` down to 1, where the finite groupoids' reduced complexes
+outgrow it.  Whatever the input, ``main`` must return one of the documented
+exit codes and let no exception escape.  ``--max-degree`` stays at most 4,
+so every case finishes in milliseconds.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import amplehk.cli as cli  # noqa: E402
+from amplehk.models import (  # noqa: E402
+    disjoint_union_groupoids,
+    pair_groupoid,
+    random_finite_groupoid,
+    transitive_groupoid,
+)
+from conftest import finite_document  # noqa: E402
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 MODELS = sorted(str(p) for p in MODELS_DIR.glob("*.json"))
@@ -38,6 +48,15 @@ def applicable(path: str) -> tuple[str, ...]:
 
 APPLICABLE = {path: applicable(path) for path in MODELS}
 
+# Finite groupoids whose reduced complexes are far smaller than their nerves.
+FINITE = {
+    "transitive_3x2": transitive_groupoid(3, 2),
+    "pair_3": pair_groupoid(3),
+    "union": disjoint_union_groupoids(transitive_groupoid(2, 3), pair_groupoid(2)),
+    "random_5": random_finite_groupoid(random.Random(5), max_arrows=16),
+    "random_11": random_finite_groupoid(random.Random(11), max_arrows=16),
+}
+
 MISSING = str(MODELS_DIR / "no_such_model.json")
 HUGE = st.sampled_from(["10" + "0" * 30, str(2**64), str(-(2**64))])
 NOT_AN_INT = st.sampled_from(["x", "1.5", "", "0x10", "--", "3e2"])
@@ -54,16 +73,30 @@ def mostly(draw, good: st.SearchStrategy[str], bad: st.SearchStrategy[str]) -> s
     return draw(bad) if rarely(draw) else draw(good)
 
 
+@pytest.fixture(scope="module")
+def pool(tmp_path_factory) -> dict[str, tuple[str, ...]]:
+    """Each document path with the subcommands that accept it: the shipped
+    models and the ``FINITE`` groupoids written out as documents."""
+    directory = tmp_path_factory.mktemp("finite")
+    out = dict(APPLICABLE)
+    for name, g in FINITE.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(finite_document(g)))
+        out[str(path)] = MODEL_COMMANDS
+    return out
+
+
 @st.composite
-def argvs(draw) -> list[str]:
-    """A subcommand, usually a shipped document it accepts, and up to three
-    flags, each usually well formed."""
+def argvs(draw, pool: dict[str, tuple[str, ...]]) -> list[str]:
+    """A subcommand, usually a document from ``pool`` it accepts, and up to
+    three flags, each usually well formed."""
+    paths = list(pool)
     if rarely(draw):
         command = draw(st.sampled_from(SUBCOMMANDS))
-        path = draw(st.sampled_from(MODELS + [MISSING, None]))
+        path = draw(st.sampled_from(paths + [MISSING, None]))
     else:
-        path = draw(st.sampled_from(MODELS))
-        command = draw(st.sampled_from(APPLICABLE[path]))
+        path = draw(st.sampled_from(paths))
+        command = draw(st.sampled_from(pool[path]))
     argv = [command] + ([] if path is None else [path])
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(st.sampled_from(
@@ -99,8 +132,9 @@ def call(argv: list[str]) -> tuple[int | None, str, BaseException | None]:
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
-@given(argv=argvs())
-def test_main_returns_a_documented_exit_code(argv):
+@given(data=st.data())
+def test_main_returns_a_documented_exit_code(pool, data):
+    argv = data.draw(argvs(pool), label="argv")
     code, out, escaped = call(argv)
     assert escaped is None, f"{argv}: {escaped!r} escaped cli.main"
     assert code in (0, 1, 2, 3), f"{argv}: exit {code}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from amplehk.errors import (
     SizeBoundExceeded,
     TruncationUnsound,
 )
-from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
+from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, cokernel, matrix_rank
 from amplehk.homology import (
     GradedGroup,
     boundary_matrix,
@@ -160,8 +161,79 @@ class TestFiniteHomology:
             homology_finite(cyclic_group_groupoid(2), 1)
 
     def test_size_bound(self):
+        # Z/5 is its own skeleton; its nerve level 4 has 625 cells.
         with pytest.raises(SizeBoundExceeded):
-            homology_finite(pair_groupoid(4), 3, size_bound=500)
+            homology_finite(cyclic_group_groupoid(5), 3, size_bound=500)
+
+
+def full_nerve_homology(g: FiniteGroupoid, max_degree: int) -> tuple[FgAbelianGroup, ...]:
+    """Oracle: homology of the whole nerve, every unit and every degenerate
+    cell kept; H_n has rank cols d_n - rank d_n - rank d_(n+1) and the
+    torsion of coker d_(n+1)."""
+    levels = nerve_levels(g, max_degree + 1)
+    d = [None] + [boundary_matrix_from_levels(levels, n) for n in range(1, max_degree + 2)]
+    out = [cokernel(d[1])]
+    for n in range(1, max_degree + 1):
+        rank = d[n].cols - matrix_rank(d[n]) - matrix_rank(d[n + 1])
+        out.append(FgAbelianGroup(rank, cokernel(d[n + 1]).torsion))
+    return tuple(out)
+
+
+class TestReducedComplex:
+    """``homology_finite`` works on the normalized bar complex of a skeleton;
+    the full nerve is the oracle."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cyclic_group_groupoid(4),
+            cyclic_group_groupoid(5),
+            transitive_groupoid(2, 2),
+            transitive_groupoid(2, 3),
+            disjoint_union_groupoids(transitive_groupoid(2, 2), cyclic_group_groupoid(3)),
+        ],
+        ids=["Z4", "Z5", "T2x2", "T2x3", "T2x2+Z3"],
+    )
+    def test_agrees_with_the_full_nerve(self, g):
+        assert homology_finite(g, 3).by_degree == full_nerve_homology(g, 3)
+
+    def test_agrees_with_the_full_nerve_on_a_random_corpus(self):
+        rng = random.Random(43)
+        for _ in range(25):
+            g = random_finite_groupoid(rng, max_arrows=12)
+            assert homology_finite(g, 3).by_degree == full_nerve_homology(g, 3), g.units
+
+    def test_builds_the_nerve_of_one_unit_per_orbit(self, monkeypatch):
+        seen = []
+        real = homology.nerve_levels
+
+        def recorded(g, top, size_bound=None):
+            seen.append(g.units)
+            return real(g, top, size_bound=size_bound)
+
+        monkeypatch.setattr(homology, "nerve_levels", recorded)
+        g = disjoint_union_groupoids(pair_groupoid(3), transitive_groupoid(2, 2))
+        homology_finite(g, 2)
+        assert seen == [("L.u0", "R.u0")]
+
+    def test_degenerate_cells_are_dropped(self, monkeypatch):
+        sizes = []
+        real = homology.boundary_matrix_from_levels
+
+        def recorded(levels, n):
+            sizes.append(levels[n].size())
+            return real(levels, n)
+
+        monkeypatch.setattr(homology, "boundary_matrix_from_levels", recorded)
+        homology_finite(cyclic_group_groupoid(4), 3)
+        # (k - 1)^n cells of Z/k in degree n, against k^n in the full nerve.
+        assert sizes == [3, 9, 27, 81]
+
+    def test_transitive_four_units_z3_within_the_default_bound(self):
+        start = time.perf_counter()
+        h = homology_finite(transitive_groupoid(4, 3), 3)
+        assert time.perf_counter() - start < 1.0
+        assert groups(h) == ["Z", "Z/3", "0", "Z/3"]
 
 
 class TestSftHomology:
