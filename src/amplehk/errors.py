@@ -5,6 +5,9 @@ that do not care about the fine distinctions can catch the usual built-ins.
 The CLI maps these onto exit codes: input problems (ParseError, SchemaError,
 ModelInvalid) exit 3, precondition failures (NotPrincipal,
 SimplicityNotCertified, TruncationUnsound, NotFinitelyGenerated) exit 2.
+ModelInvalid comes only from building a model whose tables break its axioms,
+so a document is rejected as malformed when it is read; the precondition
+failures concern well-formed models outside a theorem's hypotheses.
 """
 
 from __future__ import annotations
@@ -67,7 +70,10 @@ class BoundaryMismatch(ValueError):
 
 
 class ModelInvalid(ValueError):
-    """A groupoid model failed its validity checks."""
+    """A groupoid model was built from tables that break its axioms.
+
+    ``violations`` lists every violation found, in the checker's order.
+    """
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .colimits import ColimitInvariants
-from .errors import ModelInvalid, TruncationUnsound
+from .errors import TruncationUnsound
 from .exact_linalg import FgAbelianGroup, IntMatrix
 from .homology import (
     DEFAULT_SIZE_BOUND,
@@ -40,7 +40,6 @@ from .models import (
     SftModel,
     isotropy_report,
     model_summary,
-    shape_violations,
 )
 
 __all__ = [
@@ -175,10 +174,6 @@ def hk_check(
     discrepancy is reported as a note, never as a failure of the rational
     statement.
     """
-    bad_shapes = shape_violations(model)
-    if bad_shapes:
-        raise ModelInvalid(bad_shapes)
-
     iso = isotropy_report(model)
     preconditions = [
         Precondition(

@@ -15,6 +15,11 @@ known closed forms: a two-term complex for shifts of finite type, the
 dimension-group colimit for AF models, the colimit plus one copy of Z for
 Cantor minimal Z-systems, and a Kunneth assembly for products.
 
+Every model checked its axioms when it was built, so the engines take their
+input as valid.  The one hypothesis checked here is the simplicity
+certificate of a Cantor minimal Z-system, which a well-formed diagram can
+fail (SimplicityNotCertified).
+
 Results are graded groups whose entries are either finitely generated groups
 in canonical form or, when the group has no finite presentation or torsion
 was dropped in rational-only mode, values known only by their rank.
@@ -27,7 +32,6 @@ from typing import Union
 
 from .colimits import ColimitInvariants, colimit_invariants
 from .errors import (
-    ModelInvalid,
     NotAComplex,
     NotFinitelyGenerated,
     SimplicityNotCertified,
@@ -46,7 +50,6 @@ from .models import (
     nerve_levels,
     orbits,
     simplicity_certificate,
-    validate_model,
 )
 
 __all__ = [
@@ -190,9 +193,6 @@ def homology_finite(
     is a truncation: finite groupoids can have homology in arbitrarily high
     degrees.
     """
-    violations = validate_model(g)
-    if violations:
-        raise ModelInvalid(violations)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     skeleton = _skeleton(g)
@@ -227,18 +227,12 @@ def homology_sft(model: SftModel) -> GradedGroup:
     The matrix is square, so its kernel has the rank of its cokernel and one
     elimination gives both degrees.
     """
-    violations = validate_model(model)
-    if violations:
-        raise ModelInvalid(violations)
     h0 = cokernel(_sft_complex_matrix(model))
     return GradedGroup((h0, FgAbelianGroup.free(h0.rank)), vanishing_above=True)
 
 
 def homology_af(model: BratteliModel) -> GradedGroup:
     """Homology of an AF groupoid: the dimension-group colimit in degree 0."""
-    violations = validate_model(model)
-    if violations:
-        raise ModelInvalid(violations)
     h0 = colimit_invariants(dimension_system(model))
     return GradedGroup((h0,), vanishing_above=True)
 
@@ -248,11 +242,10 @@ def homology_cantor_z(model: CantorZModel) -> GradedGroup:
 
     Degree 0 is the dimension-group colimit (the coinvariants of the action);
     degree 1 is a single copy of Z, the class of the invariant: minimality
-    makes the only invariant functions the constants.
+    makes the only invariant functions the constants.  Raises
+    SimplicityNotCertified when telescoping to the model's depth does not
+    certify the diagram.
     """
-    shape = validate_model(model.diagram)
-    if shape:
-        raise ModelInvalid(shape)
     ok, why = simplicity_certificate(model.diagram.tail, model.telescope_depth)
     if not ok:
         raise SimplicityNotCertified(why)

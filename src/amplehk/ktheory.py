@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colimits import ColimitInvariants
-from .errors import ModelInvalid, NotFinitelyGenerated, NotPrincipal
+from .errors import NotFinitelyGenerated, NotPrincipal
 from .exact_linalg import FgAbelianGroup
 from .homology import GroupValue, homology_of_model
 from .models import (
@@ -24,9 +24,8 @@ from .models import (
     GroupoidModel,
     ProductModel,
     SftModel,
-    identity_arrows,
+    _units_with_isotropy,
     orbits,
-    validate_model,
 )
 
 __all__ = [
@@ -55,11 +54,7 @@ def k_finite_principal(g: FiniteGroupoid) -> KPair:
     direct sum of one matrix algebra per orbit, so K_0 is free on the orbits
     and K_1 vanishes.  Nontrivial isotropy anywhere raises NotPrincipal.
     """
-    violations = validate_model(g)
-    if violations:
-        raise ModelInvalid(violations)
-    idents = set(identity_arrows(g).values())
-    offenders = sorted({src for name, src, tgt in g.arrows if src == tgt and name not in idents})
+    offenders = _units_with_isotropy(g)
     if offenders:
         listing = ", ".join(repr(u) for u in offenders)
         raise NotPrincipal(f"nontrivial stabilizers at units {listing}")

@@ -5,6 +5,12 @@ a ``model`` tag naming the class; matrices are row-major arrays of arrays of
 integers.  Parse failures carry location information: malformed JSON reports
 line and column, schema violations report a JSON pointer to the offending
 value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep.
+
+Each model checks its axioms when it is built, so a document that parses is
+a valid model, and a malformed one raises ModelInvalid before any engine
+runs.  The violations of a model nested in a product are led by the model's
+JSON pointer ("/factors/1: row 0 of the transition matrix is zero"); those
+of a top-level model carry no prefix.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError, SchemaError
+from .errors import ModelInvalid, ParseError, SchemaError
 from .exact_linalg import IntMatrix
 from .models import (
     BratteliModel,
@@ -137,7 +143,8 @@ def _parse_bratteli(doc: dict, pointer: str) -> BratteliModel:
 
 
 def parse_model(doc, pointer: str = "") -> GroupoidModel:
-    """Turn a decoded JSON document into a model, or raise SchemaError."""
+    """Turn a decoded JSON document into a model, or raise SchemaError or
+    ModelInvalid."""
     return _parse_model(doc, pointer, 0)
 
 
@@ -145,6 +152,27 @@ def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
     """``depth`` counts the products enclosing ``doc``."""
     doc = _expect_object(doc, pointer or "/")
     kind = _expect_str(_get(doc, "model", pointer), f"{pointer}/model")
+    if kind == "product":
+        if depth == MAX_PRODUCT_DEPTH:
+            raise SchemaError(pointer, f"products nested more than {MAX_PRODUCT_DEPTH} deep")
+        factors = _expect_list(_get(doc, "factors", pointer), f"{pointer}/factors")
+        if len(factors) != 2:
+            raise SchemaError(f"{pointer}/factors", f"expected exactly 2 factors, got {len(factors)}")
+        return ProductModel(
+            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1),
+            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1),
+        )
+    try:
+        return _parse_leaf(kind, doc, pointer)
+    except ModelInvalid as e:
+        if not pointer:
+            raise
+        # The pointer leads the message once, as in a SchemaError.
+        first, *rest = e.violations
+        raise ModelInvalid([f"{pointer}: {first}", *rest]) from None
+
+
+def _parse_leaf(kind: str, doc: dict, pointer: str) -> GroupoidModel:
     if kind == "finite":
         return _parse_finite(doc, pointer)
     if kind == "sft":
@@ -158,16 +186,6 @@ def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
         )
         telescope = _expect_int(doc.get("telescope_depth", 3), f"{pointer}/telescope_depth")
         return CantorZModel(diagram, telescope_depth=telescope)
-    if kind == "product":
-        if depth == MAX_PRODUCT_DEPTH:
-            raise SchemaError(pointer, f"products nested more than {MAX_PRODUCT_DEPTH} deep")
-        factors = _expect_list(_get(doc, "factors", pointer), f"{pointer}/factors")
-        if len(factors) != 2:
-            raise SchemaError(f"{pointer}/factors", f"expected exactly 2 factors, got {len(factors)}")
-        return ProductModel(
-            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1),
-            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1),
-        )
     raise SchemaError(
         f"{pointer}/model",
         f"unknown model kind {kind!r}; expected finite, sft, af, cantor_z, or product",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .colimits import InductiveSystem
+from .errors import ModelInvalid
 from .exact_linalg import IntMatrix
 
 __all__ = [
@@ -40,11 +41,9 @@ __all__ = [
     "orbits",
     "pair_groupoid",
     "random_finite_groupoid",
-    "shape_violations",
     "simplicity_certificate",
     "transitive_groupoid",
     "trivial_groupoid",
-    "validate_model",
 ]
 
 
@@ -58,15 +57,23 @@ class FiniteGroupoid:
     (identity) arrows are part of ``arrows`` and are recognized by their
     behaviour, not by naming convention.
 
-    Constructors do not validate the axioms; ``validate_model`` reports every
-    violation so that broken tables can be diagnosed rather than rejected
-    wholesale.
+    Building a groupoid checks the axioms and raises ModelInvalid, whose
+    ``violations`` list every violation found, so broken tables can be
+    diagnosed in one pass; a groupoid that exists is a valid one.
+
+    >>> FiniteGroupoid(("x",), (("e", "x", "x"),), compose={}, inverse={"e": "e"})
+    Traceback (most recent call last):
+        ...
+    amplehk.errors.ModelInvalid: composition ('e', 'e') required but missing
     """
 
     units: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (name, source, target)
     compose: Mapping[tuple[str, str], str] = field(default_factory=dict)
     inverse: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _reject(_validate_finite(self))
 
     def arrow_names(self) -> list[str]:
         return [a[0] for a in self.arrows]
@@ -87,6 +94,9 @@ class SftModel:
 
     matrix: IntMatrix
 
+    def __post_init__(self) -> None:
+        _reject(_validate_sft(self))
+
 
 @dataclass(frozen=True)
 class BratteliModel:
@@ -100,6 +110,9 @@ class BratteliModel:
     incidences: tuple[IntMatrix, ...]
     tail: IntMatrix
 
+    def __post_init__(self) -> None:
+        _reject(_validate_bratteli(self))
+
 
 @dataclass(frozen=True)
 class CantorZModel:
@@ -108,11 +121,17 @@ class CantorZModel:
     Simplicity (minimality of the action, with genuinely infinite path space)
     is certified by telescoping: some power of the tail up to
     ``telescope_depth`` must have all entries positive, and the path space
-    must branch.
+    must branch.  Building the model checks only that the depth is at least
+    1; a diagram that fails the certificate is well formed, and the homology
+    engine refuses it as a failed hypothesis (SimplicityNotCertified).
     """
 
     diagram: BratteliModel
     telescope_depth: int = 3
+
+    def __post_init__(self) -> None:
+        if self.telescope_depth < 1:
+            raise ModelInvalid(["telescope depth must be at least 1"])
 
 
 @dataclass(frozen=True)
@@ -128,6 +147,17 @@ GroupoidModel = Union[FiniteGroupoid, SftModel, BratteliModel, CantorZModel, Pro
 
 # ---------------------------------------------------------------------------
 # validation
+#
+# Each model class runs its checker from ``__post_init__``, so a model that
+# exists satisfies its axioms and no engine checks again.  A checker returns
+# every violation it finds, in a fixed order; ``_reject`` raises them as one
+# ModelInvalid.  A product has no axioms of its own: its factors were checked
+# when they were built.
+
+
+def _reject(violations: list[str]) -> None:
+    if violations:
+        raise ModelInvalid(violations)
 
 
 def _validate_finite(g: FiniteGroupoid) -> list[str]:
@@ -317,54 +347,6 @@ def dimension_system(b: BratteliModel) -> InductiveSystem:
     return InductiveSystem(b.level_sizes, b.incidences, b.tail)
 
 
-def _validate_cantor_z(c: CantorZModel) -> list[str]:
-    bad = _validate_bratteli(c.diagram)
-    if bad:
-        return bad
-    if c.telescope_depth < 1:
-        return ["telescope depth must be at least 1"]
-    ok, why = simplicity_certificate(c.diagram.tail, c.telescope_depth)
-    if not ok:
-        bad.append(f"not a simple Cantor diagram: {why}")
-    return bad
-
-
-def shape_violations(model: GroupoidModel) -> list[str]:
-    """Structural violations only, leaving certificates (simplicity) aside.
-
-    ``validate_model`` reports everything; this variant lets callers separate
-    malformed input from a well-formed diagram that merely fails a
-    certificate, which deserves a precondition error rather than a parse one.
-    """
-    if isinstance(model, CantorZModel):
-        bad = _validate_bratteli(model.diagram)
-        if not bad and model.telescope_depth < 1:
-            bad = ["telescope depth must be at least 1"]
-        return bad
-    if isinstance(model, ProductModel):
-        out = [f"left factor: {v}" for v in shape_violations(model.left)]
-        out += [f"right factor: {v}" for v in shape_violations(model.right)]
-        return out
-    return validate_model(model)
-
-
-def validate_model(model: GroupoidModel) -> list[str]:
-    """All detected violations, empty when the model is valid."""
-    if isinstance(model, FiniteGroupoid):
-        return _validate_finite(model)
-    if isinstance(model, SftModel):
-        return _validate_sft(model)
-    if isinstance(model, BratteliModel):
-        return _validate_bratteli(model)
-    if isinstance(model, CantorZModel):
-        return _validate_cantor_z(model)
-    if isinstance(model, ProductModel):
-        out = [f"left factor: {v}" for v in validate_model(model.left)]
-        out += [f"right factor: {v}" for v in validate_model(model.right)]
-        return out
-    return [f"unknown model type {type(model).__name__}"]
-
-
 # ---------------------------------------------------------------------------
 # nerve
 
@@ -496,12 +478,20 @@ class IsotropyReport:
     justification: str
 
 
+def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
+    """The units with a non-identity loop, sorted.
+
+    ``g`` satisfies the axioms, so a loop a is an identity exactly when
+    a.a = a.
+    """
+    return sorted(
+        {src for name, src, tgt in g.arrows if src == tgt and g.compose[(name, name)] != name}
+    )
+
+
 def isotropy_report(model: GroupoidModel) -> IsotropyReport:
     if isinstance(model, FiniteGroupoid):
-        idents = set(identity_arrows(model).values())
-        torsion_units = sorted(
-            {src for name, src, tgt in model.arrows if src == tgt and name not in idents}
-        )
+        torsion_units = _units_with_isotropy(model)
         if torsion_units:
             listing = ", ".join(repr(u) for u in torsion_units)
             return IsotropyReport(

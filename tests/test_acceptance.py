@@ -16,6 +16,7 @@ import random
 from pathlib import Path
 
 import amplehk.cli as cli
+from amplehk.errors import ModelInvalid
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.hkcheck import hk_check
 from amplehk.homology import (
@@ -32,7 +33,6 @@ from amplehk.models import (
     nerve_levels,
     orbits,
     random_finite_groupoid,
-    validate_model,
 )
 from amplehk.spans import compose_spans, disjoint_union_spans, transfer_matrix
 
@@ -92,8 +92,9 @@ def test_02_random_shifts_of_finite_type_match_integrally():
     rng = random.Random(101)
     ok = True
     for _ in range(50):
-        model = _random_sft(rng)
-        if validate_model(model):
+        try:
+            model = _random_sft(rng)
+        except ModelInvalid:
             ok = False
             break
         report = hk_check(model)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import amplehk.cli as cli
+import amplehk.models as models
 from amplehk.exact_linalg import IntMatrix
 from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_from_json
 from amplehk.modelio import MAX_PRODUCT_DEPTH
@@ -381,6 +382,70 @@ class TestFullgroupDimsCommand:
         )
         assert code == 0
         assert f"word length {cli.MAX_WORDS}: even 1, odd 1" in out
+
+
+class TestOneExitPerDocument:
+    """Models check their axioms when the document is read, so a malformed
+    document exits 3 under every subcommand, before any computation."""
+
+    COMMANDS = ("homology", "ktheory", "hk-check", "fullgroup-dims")
+
+    @staticmethod
+    def cases(tmp_path: Path) -> dict[str, tuple[list[str], str]]:
+        shallow = {
+            "model": "cantor_z",
+            "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]},
+            "telescope_depth": 0,
+        }
+        product = {
+            "model": "product",
+            "factors": [
+                {"model": "cantor_z",
+                 "diagram": {"level_sizes": [1], "incidences": [], "tail": [[1]]}},
+                {"model": "sft", "matrix": [[0]]},
+            ],
+        }
+        shallow_path = tmp_path / "shallow.json"
+        shallow_path.write_text(json.dumps(shallow))
+        product_path = tmp_path / "product.json"
+        product_path.write_text(json.dumps(product))
+        return {
+            "depth_zero_document": ([str(shallow_path)], "telescope depth must be at least 1"),
+            "depth_zero_override": (
+                [model_path("dyadic_odometer.json"), "--telescope-depth", "0"],
+                "telescope depth must be at least 1",
+            ),
+            "uncertified_times_zero_row": ([str(product_path)], "/factors/1: row 0 "),
+        }
+
+    @pytest.mark.parametrize("case", ["depth_zero_document", "depth_zero_override",
+                                      "uncertified_times_zero_row"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_malformed_exits_three_everywhere(self, capsys, tmp_path, case, command):
+        argv, message = self.cases(tmp_path)[case]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("error:") == 1
+        assert message in err
+        if case == "uncertified_times_zero_row":
+            assert err.count("/factors/1: ") == 1
+
+    def test_finite_document_is_validated_once(self, capsys, monkeypatch):
+        arrows = len(json.loads(Path(model_path("pair2.json")).read_text())["arrows"])
+        real = models._validate_finite
+        calls = []
+
+        def counted(g):
+            if len(g.arrows) == arrows:
+                calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(models, "_validate_finite", counted)
+        code, _, _ = run(capsys, "hk-check", model_path("pair2.json"))
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestEntryPoint:

@@ -129,9 +129,8 @@ class TestFiniteHomology:
             assert h.by_degree[0] == Z(len(orbits(g)))
 
     def test_invalid_model_rejected(self):
-        broken = FiniteGroupoid(units=("x",), arrows=(("g", "x", "x"),))
         with pytest.raises(ModelInvalid) as exc:
-            homology_finite(broken, 1)
+            homology_finite(FiniteGroupoid(units=("x",), arrows=(("g", "x", "x"),)), 1)
         assert exc.value.violations
 
     def test_one_elimination_per_boundary(self, monkeypatch):

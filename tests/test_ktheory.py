@@ -54,9 +54,8 @@ class TestFinitePrincipal:
     def test_invalid_model_rejected(self):
         import dataclasses
 
-        broken = dataclasses.replace(pair_groupoid(2), inverse={})
         with pytest.raises(ModelInvalid):
-            k_finite_principal(broken)
+            k_finite_principal(dataclasses.replace(pair_groupoid(2), inverse={}))
 
 
 class TestSft:
@@ -76,8 +75,8 @@ class TestSft:
         for _ in range(40):
             n = rng.randint(1, 3)
             mat = M([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
-            model = SftModel(mat)
             try:
+                model = SftModel(mat)
                 h = homology_sft(model)
             except ModelInvalid:
                 continue

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from amplehk.errors import ParseError, SchemaError
+from amplehk.errors import ModelInvalid, ParseError, SchemaError
 from amplehk.exact_linalg import IntMatrix
 from amplehk.modelio import (
     load_json,
@@ -21,7 +22,6 @@ from amplehk.models import (
     FiniteGroupoid,
     ProductModel,
     SftModel,
-    shape_violations,
 )
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -76,7 +76,7 @@ class TestParseModel:
         assert isinstance(model, FiniteGroupoid)
         assert model.units == ("x",)
         assert model.compose[("g", "g")] == "e"
-        assert shape_violations(model) == []
+        assert dataclasses.replace(model) == model
 
     def test_product(self):
         doc = {
@@ -94,7 +94,7 @@ class TestParseModel:
             if path.name == "span_pair.json":
                 continue
             model = parse_model_file(path)
-            assert shape_violations(model) == []
+            assert dataclasses.replace(model) == model
 
 
 class TestSchemaPointers:
@@ -175,6 +175,52 @@ class TestSchemaPointers:
         with pytest.raises(SchemaError) as exc:
             parse_model(doc)
         assert exc.value.pointer == "/telescope_depth"
+
+
+class TestModelViolations:
+    """Models check their axioms when built, so parsing rejects a malformed
+    model; a nested model's violations are led by its JSON pointer, once."""
+
+    ZERO = {"model": "sft", "matrix": [[0]]}
+    ONE = {"model": "sft", "matrix": [[1]]}
+
+    def test_top_level_message_is_unprefixed(self):
+        with pytest.raises(ModelInvalid) as exc:
+            parse_model({"model": "sft", "matrix": [[0, 0], [1, 0]]})
+        assert str(exc.value) == (
+            "row 0 of the transition matrix is zero; column 1 of the transition matrix is zero"
+        )
+
+    def test_factor_pointer_leads_the_message_once(self):
+        doc = {"model": "product", "factors": [self.ONE, self.ZERO]}
+        with pytest.raises(ModelInvalid) as exc:
+            parse_model(doc)
+        assert exc.value.violations == [
+            "/factors/1: row 0 of the transition matrix is zero",
+            "column 0 of the transition matrix is zero",
+        ]
+
+    def test_two_deep_product_names_the_full_pointer_once(self):
+        inner = {"model": "product", "factors": [self.ZERO, self.ONE]}
+        doc = {"model": "product", "factors": [self.ONE, inner]}
+        with pytest.raises(ModelInvalid) as exc:
+            parse_model(doc)
+        message = str(exc.value)
+        assert message.count("/factors/1/factors/0") == 1
+        assert message == (
+            "/factors/1/factors/0: row 0 of the transition matrix is zero; "
+            "column 0 of the transition matrix is zero"
+        )
+
+    def test_cantor_depth_below_one(self):
+        doc = {
+            "model": "cantor_z",
+            "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]},
+            "telescope_depth": 0,
+        }
+        with pytest.raises(ModelInvalid) as exc:
+            parse_model(doc)
+        assert exc.value.violations == ["telescope depth must be at least 1"]
 
 
 class TestSpanDocuments:

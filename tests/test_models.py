@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from amplehk.errors import SizeBoundExceeded
+from amplehk.errors import ModelInvalid, SimplicityNotCertified, SizeBoundExceeded
 from amplehk.exact_linalg import IntMatrix
+from amplehk.homology import homology_cantor_z
+from amplehk.modelio import parse_model
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
@@ -26,11 +28,9 @@ from amplehk.models import (
     orbits,
     pair_groupoid,
     random_finite_groupoid,
-    shape_violations,
     simplicity_certificate,
     transitive_groupoid,
     trivial_groupoid,
-    validate_model,
 )
 
 
@@ -38,81 +38,90 @@ def M(rows):
     return IntMatrix.from_rows(rows)
 
 
+def violations(build) -> list[str]:
+    """The violations ``build()`` raises as ModelInvalid."""
+    with pytest.raises(ModelInvalid) as exc:
+        build()
+    return exc.value.violations
+
+
 class TestFiniteValidation:
     def test_corpus_is_clean(self, wide_corpus):
         for g in wide_corpus:
-            assert validate_model(g) == []
+            assert dataclasses.replace(g) == g
 
     def test_duplicate_units(self):
         g = trivial_groupoid(1)
-        broken = dataclasses.replace(g, units=("u0", "u0"))
-        assert any("duplicate unit" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, units=("u0", "u0")))
+        assert any("duplicate unit" in v for v in bad)
 
     def test_duplicate_arrows(self):
         g = trivial_groupoid(1)
-        broken = dataclasses.replace(g, arrows=g.arrows + g.arrows)
-        assert any("duplicate arrow" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, arrows=g.arrows + g.arrows))
+        assert any("duplicate arrow" in v for v in bad)
 
     def test_unknown_endpoint(self):
         g = trivial_groupoid(1)
-        broken = dataclasses.replace(g, arrows=(("id_u0", "u0", "ghost"),))
-        assert any("unknown target" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, arrows=(("id_u0", "u0", "ghost"),)))
+        assert any("unknown target" in v for v in bad)
 
     def test_composition_of_non_composable_pair(self):
         g = trivial_groupoid(2)
         extra = dict(g.compose)
         extra[("id_u0", "id_u1")] = "id_u0"
-        broken = dataclasses.replace(g, compose=extra)
-        assert any("source/target do not match" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, compose=extra))
+        assert any("source/target do not match" in v for v in bad)
 
     def test_missing_composition(self):
         g = cyclic_group_groupoid(2)
         pruned = {k: v for k, v in g.compose.items() if k != ("g1", "g1")}
-        broken = dataclasses.replace(g, compose=pruned)
-        assert any("required but missing" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, compose=pruned))
+        assert any("required but missing" in v for v in bad)
 
     def test_wrong_composite_endpoints(self):
         g = pair_groupoid(2)
         tampered = dict(g.compose)
         # u0<u1 . u1<u0 lands at (u0, u0); redirect it to a cross arrow.
         tampered[("u0<u1", "u1<u0")] = "u1<u0"
-        broken = dataclasses.replace(g, compose=tampered)
-        assert any("wrong endpoints" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, compose=tampered))
+        assert any("wrong endpoints" in v for v in bad)
 
     def test_associativity_checked(self):
         g = cyclic_group_groupoid(3)
         tampered = dict(g.compose)
         tampered[("g2", "g2")] = "g2"
-        broken = dataclasses.replace(g, compose=tampered)
-        assert any("associativity fails" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, compose=tampered))
+        assert any("associativity fails" in v for v in bad)
 
     def test_missing_identity(self):
-        broken = FiniteGroupoid(
-            units=("x",),
-            arrows=(("e", "x", "x"), ("g", "x", "x")),
-            compose={("e", "e"): "g", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "g"},
-            inverse={"e": "e", "g": "g"},
+        bad = violations(
+            lambda: FiniteGroupoid(
+                units=("x",),
+                arrows=(("e", "x", "x"), ("g", "x", "x")),
+                compose={("e", "e"): "g", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "g"},
+                inverse={"e": "e", "g": "g"},
+            )
         )
-        assert any("no identity arrow" in v for v in validate_model(broken))
+        assert any("no identity arrow" in v for v in bad)
 
     def test_missing_inverse_entry(self):
         g = cyclic_group_groupoid(2)
-        broken = dataclasses.replace(g, inverse={"g0": "g0"})
-        assert any("no inverse entry" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, inverse={"g0": "g0"}))
+        assert any("no inverse entry" in v for v in bad)
 
     def test_inverse_with_wrong_endpoints(self):
         g = pair_groupoid(2)
         tampered = dict(g.inverse)
         tampered["u0<u1"] = "u0<u1"
-        broken = dataclasses.replace(g, inverse=tampered)
-        assert any("wrong endpoints" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, inverse=tampered))
+        assert any("wrong endpoints" in v for v in bad)
 
     def test_inverse_not_composing_to_identity(self):
         g = cyclic_group_groupoid(3)
         tampered = dict(g.inverse)
         tampered["g1"], tampered["g2"] = "g1", "g2"
-        broken = dataclasses.replace(g, inverse=tampered)
-        assert any("does not compose to the identities" in v for v in validate_model(broken))
+        bad = violations(lambda: dataclasses.replace(g, inverse=tampered))
+        assert any("does not compose to the identities" in v for v in bad)
 
     def test_identity_arrows_found(self):
         g = cyclic_group_groupoid(4)
@@ -123,19 +132,19 @@ class TestFiniteValidation:
 
 class TestSftValidation:
     def test_good(self):
-        assert validate_model(SftModel(M([[1, 1], [1, 0]]))) == []
+        assert SftModel(M([[1, 1], [1, 0]])).matrix == M([[1, 1], [1, 0]])
 
     def test_non_square(self):
-        assert any("not square" in v for v in validate_model(SftModel(IntMatrix.zeros(1, 2))))
+        assert any("not square" in v for v in violations(lambda: SftModel(IntMatrix.zeros(1, 2))))
 
     def test_empty(self):
-        assert any("empty" in v for v in validate_model(SftModel(IntMatrix.zeros(0, 0))))
+        assert any("empty" in v for v in violations(lambda: SftModel(IntMatrix.zeros(0, 0))))
 
     def test_negative_entry(self):
-        assert any("negative" in v for v in validate_model(SftModel(M([[1, -1], [1, 1]]))))
+        assert any("negative" in v for v in violations(lambda: SftModel(M([[1, -1], [1, 1]]))))
 
     def test_zero_row_and_column(self):
-        bad = validate_model(SftModel(M([[0, 0], [1, 0]])))
+        bad = violations(lambda: SftModel(M([[0, 0], [1, 0]])))
         assert any("row 0" in v for v in bad)
         assert any("column 1" in v for v in bad)
 
@@ -145,27 +154,27 @@ class TestBratteliValidation:
         return BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
 
     def test_good(self):
-        assert validate_model(self.good()) == []
+        assert self.good().level_sizes == (1, 2)
 
     def test_level_sizes_positive(self):
-        b = dataclasses.replace(self.good(), level_sizes=(0, 2))
-        assert any("positive" in v for v in validate_model(b))
+        bad = violations(lambda: dataclasses.replace(self.good(), level_sizes=(0, 2)))
+        assert any("positive" in v for v in bad)
 
     def test_incidence_count(self):
-        b = dataclasses.replace(self.good(), incidences=())
-        assert any("incidence" in v for v in validate_model(b))
+        bad = violations(lambda: dataclasses.replace(self.good(), incidences=()))
+        assert any("incidence" in v for v in bad)
 
     def test_incidence_shape(self):
-        b = dataclasses.replace(self.good(), incidences=(M([[1, 1]]),))
-        assert any("expected 2x1" in v for v in validate_model(b))
+        bad = violations(lambda: dataclasses.replace(self.good(), incidences=(M([[1, 1]]),)))
+        assert any("expected 2x1" in v for v in bad)
 
     def test_negative_entries(self):
-        b = dataclasses.replace(self.good(), tail=M([[1, -1], [0, 1]]))
-        assert any("negative" in v for v in validate_model(b))
+        bad = violations(lambda: dataclasses.replace(self.good(), tail=M([[1, -1], [0, 1]])))
+        assert any("negative" in v for v in bad)
 
     def test_tail_shape(self):
-        b = dataclasses.replace(self.good(), tail=M([[1]]))
-        assert any("tail is 1x1" in v for v in validate_model(b))
+        bad = violations(lambda: dataclasses.replace(self.good(), tail=M([[1]])))
+        assert any("tail is 1x1" in v for v in bad)
 
 
 class TestSimplicity:
@@ -207,19 +216,32 @@ class TestSimplicity:
         model = CantorZModel(
             BratteliModel((2,), (), M([[1, 1], [0, 1]])), telescope_depth=4
         )
-        assert shape_violations(model) == []
-        assert any("not a simple" in v for v in validate_model(model))
+        with pytest.raises(SimplicityNotCertified) as exc:
+            homology_cantor_z(model)
+        assert str(exc.value) == "no tail power up to 4 is entrywise positive"
+
+    def test_depth_below_one_is_malformed(self):
+        diagram = BratteliModel((1,), (), M([[2]]))
+        assert violations(lambda: CantorZModel(diagram, telescope_depth=0)) == [
+            "telescope depth must be at least 1"
+        ]
 
 
 class TestProductValidation:
     def test_factor_prefixes(self):
-        bad = ProductModel(SftModel(M([[0]])), SftModel(M([[1]])))
-        msgs = validate_model(bad)
-        assert msgs and all(v.startswith("left factor:") for v in msgs)
+        assert violations(lambda: ProductModel(SftModel(M([[0]])), SftModel(M([[1]]))))
+        doc = {
+            "model": "product",
+            "factors": [{"model": "sft", "matrix": [[0]]}, {"model": "sft", "matrix": [[1]]}],
+        }
+        assert violations(lambda: parse_model(doc)) == [
+            "/factors/0: row 0 of the transition matrix is zero",
+            "column 0 of the transition matrix is zero",
+        ]
 
     def test_nested(self):
         inner = ProductModel(SftModel(M([[1]])), SftModel(M([[2]])))
-        assert validate_model(ProductModel(inner, SftModel(M([[3]])))) == []
+        assert ProductModel(inner, SftModel(M([[3]]))).left == inner
 
 
 class TestNerve:
@@ -334,7 +356,7 @@ class TestBuilders:
             transitive_groupoid(3, 4),
             disjoint_union_groupoids(pair_groupoid(2), transitive_groupoid(2, 3)),
         ):
-            assert validate_model(g) == []
+            assert dataclasses.replace(g) == g
 
     def test_transitive_shape(self):
         g = transitive_groupoid(3, 2)
@@ -346,7 +368,7 @@ class TestBuilders:
         for _ in range(60):
             g = random_finite_groupoid(rng, max_arrows=30)
             assert len(g.arrows) <= 30
-            assert validate_model(g) == []
+            assert dataclasses.replace(g) == g
 
     def test_dimension_system_mirrors_diagram(self):
         b = BratteliModel((1, 2), (M([[1], [2]]),), M([[1, 1], [1, 1]]))
