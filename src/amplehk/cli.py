@@ -5,6 +5,7 @@ fullgroup-dims.  All take a JSON document path.  Exit codes: 0 for success or
 a matching verdict, 1 for a rank mismatch, 2 for a failed precondition, 3 for
 unusable input or a usage error.  Output is deterministic: the same input
 bytes produce the same output bytes, in both text and JSON formats.
+Integers are exact at any length, in the document and in the output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import NoReturn
 
 from .errors import (
     ModelInvalid,
-    NotFinitelyGenerated,
     NotPrincipal,
     ParseError,
     SchemaError,
@@ -56,6 +56,11 @@ _EXIT_INPUT = 3
 # Largest ``fullgroup-dims --words``; the output lists every word length.
 MAX_WORDS = 10_000
 
+# Largest ``--max-degree``.  Building nerve levels up to a degree is cubic in
+# it even when each level has one cell: ``pair2.json`` took 8 s at degree
+# 1000 and 501 s at 4000.
+MAX_DEGREE = 64
+
 _VERDICT_EXITS = {
     VERDICT_MATCH: _EXIT_OK,
     VERDICT_MISMATCH: _EXIT_MISMATCH,
@@ -79,8 +84,16 @@ def _override_depth(model: GroupoidModel, depth: int | None) -> GroupoidModel:
     return model
 
 
+def _read_json(path: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return load_json(text)
+
+
 def _read_model(args: argparse.Namespace) -> GroupoidModel:
-    model = parse_model(load_json(Path(args.path).read_text()))
+    model = parse_model(_read_json(args.path))
     return _override_depth(model, args.telescope_depth)
 
 
@@ -145,13 +158,13 @@ def _cmd_smale_check(args: argparse.Namespace) -> int:
     model = _read_model(args)
     if not isinstance(model, SftModel):
         raise SchemaError("/model", "smale-check needs an sft model (the presenting shift)")
-    report = smale_check(model, max_degree=args.max_degree, size_bound=args.size_bound)
+    report = smale_check(model, max_degree=args.max_degree)
     sys.stdout.write(report_to_json_text(report) if args.format == "json" else report_to_text(report))
     return _VERDICT_EXITS[report.verdict]
 
 
 def _cmd_span_check(args: argparse.Namespace) -> int:
-    kind, spans = parse_span_document(load_json(Path(args.path).read_text()))
+    kind, spans = parse_span_document(_read_json(args.path))
     if kind == "span":
         t = transfer_matrix(spans[0])
         if args.format == "json":
@@ -249,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="JSON document to read")
         p.add_argument("--max-degree", type=int, default=3, dest="max_degree",
-                       help="top homology degree for truncated computations (default 3)")
+                       help="top homology degree for truncated computations "
+                            f"(default 3, at most {MAX_DEGREE})")
         p.add_argument("--telescope-depth", type=int, default=None, dest="telescope_depth",
                        help="override the telescoping depth of cantor_z models")
         p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND, dest="size_bound",
@@ -276,29 +290,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Invariants are exact, so document entries and results can be longer
+    # than the int/str conversion limit of Python 3.10.7 and later (4,300
+    # digits by default).  Lift it for this call; older interpreters have none.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT
-    for flag in ("max_degree", "words"):
-        if getattr(args, flag, 0) < 0:
-            sys.stderr.write(f"error: --{flag.replace('_', '-')} must be nonnegative\n")
+    for flag, cap in (("max_degree", MAX_DEGREE), ("words", MAX_WORDS)):
+        value = getattr(args, flag, 0)
+        if not 0 <= value <= cap:
+            problem = "must be nonnegative" if value < 0 else f"must be at most {cap}"
+            sys.stderr.write(f"error: --{flag.replace('_', '-')} {problem}\n")
             return _EXIT_INPUT
-    if getattr(args, "words", 0) > MAX_WORDS:
-        sys.stderr.write(f"error: --words must be at most {MAX_WORDS}\n")
-        return _EXIT_INPUT
     try:
         return args.handler(args)
-    except (ParseError, SchemaError, ModelInvalid, ShapeMismatch, OSError) as e:
+    except (ParseError, SchemaError, ModelInvalid, ShapeMismatch, OSError, SizeBoundExceeded) as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT
-    except (NotPrincipal, SimplicityNotCertified, NotFinitelyGenerated, TruncationUnsound) as e:
+    except (NotPrincipal, SimplicityNotCertified, TruncationUnsound) as e:
         sys.stderr.write(f"precondition failure: {e}\n")
         return _EXIT_PRECONDITION
-    except SizeBoundExceeded as e:
-        sys.stderr.write(f"error: {e}\n")
-        return _EXIT_INPUT
 
 
 def entry() -> None:

@@ -3,11 +3,12 @@
 Everything raised here is a ValueError or RuntimeError subclass so callers
 that do not care about the fine distinctions can catch the usual built-ins.
 The CLI maps these onto exit codes: input problems (ParseError, SchemaError,
-ModelInvalid) exit 3, precondition failures (NotPrincipal,
-SimplicityNotCertified, TruncationUnsound, NotFinitelyGenerated) exit 2.
+ModelInvalid, ShapeMismatch) and SizeBoundExceeded exit 3, precondition
+failures (NotPrincipal, SimplicityNotCertified, TruncationUnsound) exit 2.
 ModelInvalid comes only from building a model whose tables break its axioms,
 so a document is rejected as malformed when it is read; the precondition
-failures concern well-formed models outside a theorem's hypotheses.
+failures concern well-formed models outside a theorem's hypotheses.  A group
+without a finite presentation is no error: products fall back to ranks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "DimensionMismatch",
     "ModelInvalid",
     "NotAComplex",
-    "NotFinitelyGenerated",
     "NotPrincipal",
     "ParseError",
     "SchemaError",
@@ -57,12 +57,8 @@ class NotPrincipal(ValueError):
     """A finite groupoid has nontrivial isotropy where a principal one was required."""
 
 
-class NotFinitelyGenerated(ValueError):
-    """A colimit-valued group entered a computation that needs finite presentations."""
-
-
 class TruncationUnsound(ValueError):
-    """A truncated graded group was summed without acknowledging the truncation."""
+    """A computation needs degrees or exactness that a truncated graded group lacks."""
 
 
 class BoundaryMismatch(ValueError):

@@ -6,10 +6,11 @@ quotient computed here is exact.  Matrices are immutable; the functions below
 are pure and deterministic, so results can be compared byte-for-byte across
 runs.
 
-One Smith reduction drives everything else.  Ranks, invariant factors,
-cokernels and ``chain_homology`` read only the diagonal it leaves, so they
-never build transforms; ``smith_normal_form`` and ``kernel_basis`` are the
-only callers that also carry the unimodular transforms U and V along.
+One Smith reduction drives everything else.  Ranks, invariant factors and
+cokernels read only the diagonal it leaves, so they never build transforms;
+``complex_homology`` reads a whole chain complex off one cokernel per
+boundary.  ``smith_normal_form`` and ``kernel_basis`` are the only callers
+that also carry the unimodular transforms U and V along.
 
 The diagonal readers first eliminate unit pivots on a sparse copy: each +-1
 entry, taken in Markowitz order, clears its column by row operations and
@@ -32,12 +33,11 @@ __all__ = [
     "FgAbelianGroup",
     "IntMatrix",
     "SnfResult",
-    "chain_homology",
     "cokernel",
+    "complex_homology",
     "determinant",
     "invariant_factors",
     "kernel_basis",
-    "kernel_rank",
     "matrix_rank",
     "smith_normal_form",
 ]
@@ -396,11 +396,6 @@ def matrix_rank(mat: IntMatrix) -> int:
     return sum(1 for d in _smith_diagonal(mat) if d != 0)
 
 
-def kernel_rank(mat: IntMatrix) -> int:
-    """Rank of the kernel lattice, i.e. cols minus rank."""
-    return mat.cols - matrix_rank(mat)
-
-
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Columns form a basis of ker(mat) as a direct summand of Z^cols."""
     res = smith_normal_form(mat)
@@ -530,27 +525,31 @@ def cokernel(mat: IntMatrix) -> FgAbelianGroup:
     return FgAbelianGroup(mat.rows - r, tuple(d for d in diag if d > 1))
 
 
-def chain_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> FgAbelianGroup:
-    """Homology ker(boundary_in) / im(boundary_out) at the middle spot.
+def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
+    """Homology H_0 .. H_(k-1) of the chain complex with boundaries d_1 .. d_k.
 
-    ``boundary_in`` maps the chain group in question down one degree and
-    ``boundary_out`` maps into it from one degree up.  Their composite must be
-    zero.
+    ``boundaries[n - 1]`` is d_n, mapping degree n down to degree n - 1;
+    consecutive boundaries must chain and compose to zero.  The image of d_n
+    is free, so ker d_n is a direct summand: H_n has the torsion of
+    coker d_(n+1) and rank rank coker d_(n+1) - rank d_n, where rank d_n is
+    rows - rank coker d_n.  So each boundary is eliminated once.
 
-    The image of ``boundary_in`` is free, so its kernel is a direct summand
-    and the homology has the torsion of coker(boundary_out); its rank is
-    cols - rank(boundary_in) - rank(boundary_out).
-
-    >>> z = IntMatrix.zeros(1, 1)
-    >>> str(chain_homology(z, IntMatrix.from_rows([[2]])))
-    'Z/2'
+    >>> d1, d2 = IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2]])
+    >>> [str(h) for h in complex_homology([d1, d2])]
+    ['Z', 'Z/2']
     """
-    if boundary_in.cols != boundary_out.rows:
-        raise DimensionMismatch(
-            f"boundary shapes {boundary_in.rows}x{boundary_in.cols} and "
-            f"{boundary_out.rows}x{boundary_out.cols} do not chain"
-        )
-    if not (boundary_in @ boundary_out).is_zero():
-        raise NotAComplex("composite of consecutive boundaries is nonzero")
-    quotient = cokernel(boundary_out)
-    return FgAbelianGroup(quotient.rank - matrix_rank(boundary_in), quotient.torsion)
+    if not boundaries:
+        raise ValueError("a chain complex needs at least one boundary")
+    for d_in, d_out in zip(boundaries, boundaries[1:]):
+        if d_in.cols != d_out.rows:
+            raise DimensionMismatch(
+                f"boundary shapes {d_in.rows}x{d_in.cols} and "
+                f"{d_out.rows}x{d_out.cols} do not chain"
+            )
+        if not (d_in @ d_out).is_zero():
+            raise NotAComplex("composite of consecutive boundaries is nonzero")
+    cokernels = [cokernel(d) for d in boundaries]
+    out = [cokernels[0]]
+    for d_in, below, above in zip(boundaries, cokernels, cokernels[1:]):
+        out.append(FgAbelianGroup(above.rank - (d_in.rows - below.rank), above.torsion))
+    return out

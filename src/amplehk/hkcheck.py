@@ -5,13 +5,14 @@ isotropy whose class satisfies the rational Baum-Connes property, the rank of
 K_0 equals the total rank of the even homology and the rank of K_1 the total
 rank of the odd homology.  ``hk_check`` runs that comparison on a model and
 returns a full report; ``smale_check`` is the same arithmetic dressed in
-Smale-space terminology, and ``spectral_degeneration_ranks`` reframes it as
-collapse of the homological spectral sequence after tensoring with Q.
+Smale-space terminology.  Reports render as text or as canonical JSON.
 
 Preconditions are handled honestly: for finite groupoids torsion-freeness of
-the isotropy is computed exactly, for the symbolic classes it is declared
-with a citation, and a failing precondition produces a report with verdict
-``precondition_failed`` rather than a rank verdict either way.
+the isotropy is computed exactly (``models.isotropy_report``), for the
+symbolic classes it is declared with a citation, and a failing precondition
+produces a report with verdict ``precondition_failed`` rather than a rank
+verdict either way.  A truncated grading is summed over its listed degrees,
+and the report names the truncation degree.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .colimits import ColimitInvariants
 from .errors import TruncationUnsound
-from .exact_linalg import FgAbelianGroup, IntMatrix
+from .exact_linalg import FgAbelianGroup
 from .homology import (
     DEFAULT_SIZE_BOUND,
     GradedGroup,
@@ -36,6 +36,7 @@ from .models import (
     CantorZModel,
     FiniteGroupoid,
     GroupoidModel,
+    Precondition,
     ProductModel,
     SftModel,
     isotropy_report,
@@ -44,8 +45,6 @@ from .models import (
 
 __all__ = [
     "HKReport",
-    "Precondition",
-    "SpectralDegenerationReport",
     "VERDICT_MATCH",
     "VERDICT_MISMATCH",
     "VERDICT_PRECONDITION_FAILED",
@@ -54,27 +53,15 @@ __all__ = [
     "hk_check",
     "periodicize",
     "periodicize_groups",
-    "report_from_json",
     "report_to_json",
     "report_to_json_text",
     "report_to_text",
     "smale_check",
-    "spectral_degeneration_ranks",
 ]
 
 VERDICT_MATCH = "match"
 VERDICT_MISMATCH = "mismatch"
 VERDICT_PRECONDITION_FAILED = "precondition_failed"
-
-
-@dataclass(frozen=True)
-class Precondition:
-    """One hypothesis of the comparison theorem, with its status and source."""
-
-    name: str
-    holds: bool
-    mode: str  # "computed" or "declared"
-    justification: str
 
 
 @dataclass(frozen=True)
@@ -96,17 +83,12 @@ class HKReport:
     notes: tuple[str, ...]
 
 
-def periodicize(h: GradedGroup, acknowledge_truncation: bool = False) -> tuple[int, int]:
-    """Total even and odd ranks of a graded group.
+def periodicize(h: GradedGroup) -> tuple[int, int]:
+    """Total even and odd ranks of the listed degrees of a graded group.
 
-    Summing a truncated grading silently would be unsound, so a group that
-    does not vanish above its listed degrees must be acknowledged as a
-    truncation by the caller.
+    For a truncation these are the totals up to its top degree only;
+    ``hk_check`` reports that degree with the verdict.
     """
-    if not h.vanishing_above and not acknowledge_truncation:
-        raise TruncationUnsound(
-            "graded group is a truncation; pass acknowledge_truncation=True to sum anyway"
-        )
     even = sum(v.rank for v in h.by_degree[0::2])
     odd = sum(v.rank for v in h.by_degree[1::2])
     return even, odd
@@ -175,20 +157,15 @@ def hk_check(
     statement.
     """
     iso = isotropy_report(model)
-    preconditions = [
-        Precondition(
-            name="torsion_free_isotropy",
-            holds=iso.torsion_free,
-            mode=iso.mode,
-            justification=iso.justification,
-        ),
+    preconditions = (
+        iso,
         Precondition(
             name="rational_baum_connes",
             holds=True,
             mode="declared",
             justification=_baum_connes_justification(model),
         ),
-    ]
+    )
 
     homology = homology_of_model(
         model,
@@ -199,7 +176,7 @@ def hk_check(
     summary = model_summary(model)
     notes: list[str] = []
 
-    if not iso.torsion_free:
+    if not iso.holds:
         notes.append(
             "precondition failed: the comparison theorem requires the stabilizer to be "
             "a torsion-free group for all units, but " + iso.justification
@@ -208,7 +185,7 @@ def hk_check(
             model=summary,
             dialect="groupoid",
             max_degree=max_degree,
-            preconditions=tuple(preconditions),
+            preconditions=preconditions,
             homology=homology,
             ktheory=None,
             even_rank=None,
@@ -226,7 +203,7 @@ def hk_check(
         notes.append(
             f"bar complex truncated: rational comparison verified up to degree {truncation_degree}"
         )
-    even, odd = periodicize(homology, acknowledge_truncation=True)
+    even, odd = periodicize(homology)
     rational_match = ktheory.k0.rank == even and ktheory.k1.rank == odd
 
     integral_match: bool | str
@@ -253,7 +230,7 @@ def hk_check(
         model=summary,
         dialect="groupoid",
         max_degree=max_degree,
-        preconditions=tuple(preconditions),
+        preconditions=preconditions,
         homology=homology,
         ktheory=ktheory,
         even_rank=even,
@@ -266,11 +243,7 @@ def hk_check(
     )
 
 
-def smale_check(
-    matrix: IntMatrix | SftModel,
-    max_degree: int = 3,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-) -> HKReport:
+def smale_check(model: SftModel, max_degree: int = 3) -> HKReport:
     """Rank comparison for a Smale space with totally disconnected stable sets.
 
     Such a space is presented, up to the relevant equivalences, by a shift of
@@ -278,56 +251,13 @@ def smale_check(
     groupoid and the comparison runs against the K-theory of the unstable
     algebra.  The arithmetic is exactly ``hk_check`` on the shift model.
     """
-    model = matrix if isinstance(matrix, SftModel) else SftModel(matrix)
-    report = hk_check(model, max_degree=max_degree, size_bound=size_bound)
+    report = hk_check(model, max_degree=max_degree)
     notes = report.notes + (
         "Smale reading: H^s_n is the homology of the unstable groupoid and the ranks "
         "are compared against K_*(unstable algebra)",
     )
     return dataclasses.replace(
         report, model=f"smale({report.model})", dialect="smale", notes=notes
-    )
-
-
-@dataclass(frozen=True)
-class SpectralDegenerationReport:
-    """Rank bookkeeping for the homological spectral sequence.
-
-    The E^2 page has the groupoid homology along even rows and zeros along
-    odd rows (the coefficient K-theory of the complex numbers vanishes in
-    odd degrees), so rational collapse at E^2 says precisely that the
-    periodicized homology ranks hit the K-theory ranks.
-    """
-
-    model: str
-    e2_even_rank: int
-    e2_odd_rank: int
-    k0_rank: int
-    k1_rank: int
-    degenerates_rationally: bool
-    truncation_degree: int | None
-
-
-def spectral_degeneration_ranks(
-    model: GroupoidModel,
-    max_degree: int = 3,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-) -> SpectralDegenerationReport:
-    report = hk_check(model, max_degree=max_degree, size_bound=size_bound)
-    if report.verdict == VERDICT_PRECONDITION_FAILED:
-        raise ValueError(
-            "spectral comparison needs the theorem's preconditions: " + "; ".join(report.notes)
-        )
-    assert report.ktheory is not None
-    assert report.even_rank is not None and report.odd_rank is not None
-    return SpectralDegenerationReport(
-        model=report.model,
-        e2_even_rank=report.even_rank,
-        e2_odd_rank=report.odd_rank,
-        k0_rank=report.ktheory.k0.rank,
-        k1_rank=report.ktheory.k1.rank,
-        degenerates_rationally=bool(report.rational_match),
-        truncation_degree=report.truncation_degree,
     )
 
 
@@ -388,12 +318,6 @@ def group_to_json(value: GroupValue) -> dict:
     return {"rank": value.rank}
 
 
-def group_from_json(doc: dict) -> GroupValue:
-    if "torsion" in doc:
-        return FgAbelianGroup(doc["rank"], tuple(doc["torsion"]))
-    return ColimitInvariants(rank=doc["rank"])
-
-
 def group_to_text(value: GroupValue) -> str:
     if isinstance(value, FgAbelianGroup):
         return str(value)
@@ -405,13 +329,6 @@ def _graded_to_json(h: GradedGroup) -> dict:
         "by_degree": [group_to_json(v) for v in h.by_degree],
         "vanishing_above": h.vanishing_above,
     }
-
-
-def _graded_from_json(doc: dict) -> GradedGroup:
-    return GradedGroup(
-        tuple(group_from_json(v) for v in doc["by_degree"]),
-        vanishing_above=doc["vanishing_above"],
-    )
 
 
 def report_to_json(report: HKReport) -> dict:
@@ -437,28 +354,6 @@ def report_to_json(report: HKReport) -> dict:
         "verdict": report.verdict,
         "notes": list(report.notes),
     }
-
-
-def report_from_json(doc: dict) -> HKReport:
-    kdoc = doc["ktheory"]
-    return HKReport(
-        model=doc["model"],
-        dialect=doc["dialect"],
-        max_degree=doc["max_degree"],
-        preconditions=tuple(
-            Precondition(p["name"], p["holds"], p["mode"], p["justification"])
-            for p in doc["preconditions"]
-        ),
-        homology=_graded_from_json(doc["homology"]),
-        ktheory=None if kdoc is None else KPair(group_from_json(kdoc["k0"]), group_from_json(kdoc["k1"])),
-        even_rank=doc["even_rank"],
-        odd_rank=doc["odd_rank"],
-        rational_match=doc["rational_match"],
-        integral_match=doc["integral_match"],
-        truncation_degree=doc["truncation_degree"],
-        verdict=doc["verdict"],
-        notes=tuple(doc["notes"]),
-    )
 
 
 def report_to_text(report: HKReport) -> str:

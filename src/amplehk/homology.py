@@ -8,12 +8,14 @@ theory for etale groupoids", Crelle 2000), so the groupoid is first cut down
 to its skeleton, one unit per orbit, whose homology is the direct sum of the
 isotropy groups' homology.  Its nerve is then normalized: cells containing an
 identity arrow span an acyclic subcomplex and are dropped.  Boundary matrices
-are alternating sums of the remaining face maps, and Smith reduction runs
-degree by degree.  ``boundary_matrix`` still gives the boundaries of the full
-nerve, which the tests use as the oracle.  The symbolic classes use their
-known closed forms: a two-term complex for shifts of finite type, the
+are alternating sums of the remaining face maps, and
+``exact_linalg.complex_homology`` reads every degree off one cokernel per
+boundary.  ``boundary_matrix`` still gives the boundaries of the full nerve,
+which the tests use as the oracle.  The symbolic classes use their known
+closed forms: a two-term complex for shifts of finite type, the
 dimension-group colimit for AF models, the colimit plus one copy of Z for
-Cantor minimal Z-systems, and a Kunneth assembly for products.
+Cantor minimal Z-systems.  Products use the Kunneth formula, on presented
+groups when both factors have them and on ranks otherwise.
 
 Every model checked its axioms when it was built, so the engines take their
 input as valid.  The one hypothesis checked here is the simplicity
@@ -31,13 +33,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .colimits import ColimitInvariants, colimit_invariants
-from .errors import (
-    NotAComplex,
-    NotFinitelyGenerated,
-    SimplicityNotCertified,
-    TruncationUnsound,
-)
-from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel
+from .errors import SimplicityNotCertified, TruncationUnsound
+from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel, complex_homology
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -71,10 +68,6 @@ GroupValue = Union[FgAbelianGroup, ColimitInvariants]
 DEFAULT_SIZE_BOUND = 200_000
 
 
-def _is_fg(value: GroupValue) -> bool:
-    return isinstance(value, FgAbelianGroup)
-
-
 @dataclass(frozen=True)
 class GradedGroup:
     """Graded abelian group, one entry per degree starting at 0.
@@ -104,7 +97,7 @@ class GradedGroup:
         return self.entry(degree).rank
 
     def all_finitely_generated(self) -> bool:
-        return all(_is_fg(v) for v in self.by_degree)
+        return all(isinstance(v, FgAbelianGroup) for v in self.by_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +191,7 @@ def homology_finite(
     skeleton = _skeleton(g)
     levels = _normalized(nerve_levels(skeleton, max_degree + 1, size_bound=size_bound), skeleton)
     boundaries = [boundary_matrix_from_levels(levels, n) for n in range(1, max_degree + 2)]
-    for d_in, d_out in zip(boundaries, boundaries[1:]):
-        if not (d_in @ d_out).is_zero():
-            raise NotAComplex("composite of consecutive boundaries is nonzero")
-    # H_n = ker d_n / im d_(n+1) has the torsion of coker d_(n+1) and rank
-    # rank coker d_(n+1) - rank d_n, with rank d_n = rows - rank coker d_n:
-    # one elimination per boundary.
-    cokernels = [cokernel(d) for d in boundaries]
-    entries: list[GroupValue] = [cokernels[0]]
-    for d_in, below, above in zip(boundaries, cokernels, cokernels[1:]):
-        entries.append(FgAbelianGroup(above.rank - (d_in.rows - below.rank), above.torsion))
-    return GradedGroup(tuple(entries), vanishing_above=False)
+    return GradedGroup(tuple(complex_homology(boundaries)), vanishing_above=False)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +240,6 @@ def homology_cantor_z(model: CantorZModel) -> GradedGroup:
 # products
 
 
-def _require_fg_entries(h: GradedGroup, side: str) -> None:
-    for d, v in enumerate(h.by_degree):
-        if not _is_fg(v):
-            raise NotFinitelyGenerated(
-                f"{side} factor has a colimit-valued group in degree {d}; "
-                "only the rational (rank-level) product is available"
-            )
-
-
 def homology_product(
     left: GradedGroup,
     right: GradedGroup,
@@ -275,9 +249,11 @@ def homology_product(
     """Kunneth assembly of a product from the factors' homology.
 
     Degree n collects tensor products of factor degrees summing to n plus the
-    torsion products (Tor) of degrees summing to n - 1.  In rational-only mode
-    torsion is dropped: ranks multiply and convolve, Tor contributes nothing,
-    and entries come back as ranks rather than presented groups.
+    torsion products (Tor) of degrees summing to n - 1.  In rational-only
+    mode, or when a factor has a colimit-valued entry (no finite
+    presentation to tensor), torsion is dropped: ranks multiply and convolve,
+    Tor contributes nothing, and entries come back as ranks rather than
+    presented groups.
     """
     vanishing = left.vanishing_above and right.vanishing_above
     if max_degree is None:
@@ -287,9 +263,7 @@ def homology_product(
             )
         max_degree = left.max_degree + right.max_degree + 1
 
-    if not rational_only:
-        _require_fg_entries(left, "left")
-        _require_fg_entries(right, "right")
+    if not rational_only and left.all_finitely_generated() and right.all_finitely_generated():
         entries: list[GroupValue] = []
         for n in range(max_degree + 1):
             total = FgAbelianGroup.zero()
@@ -319,8 +293,8 @@ def homology_of_model(
 ) -> GradedGroup:
     """Homology of any model, dispatching on its class.
 
-    Products recurse into their factors; when a factor carries colimit-valued
-    entries the assembly falls back to the rational-only Kunneth formula.
+    Products recurse into their factors and assemble them with
+    ``homology_product``.
     """
     if isinstance(model, FiniteGroupoid):
         return homology_finite(model, max_degree, size_bound=size_bound)
@@ -341,10 +315,5 @@ def homology_of_model(
         )
         both_vanish = left.vanishing_above and right.vanishing_above
         degree = None if both_vanish else max_degree
-        if rational_only:
-            return homology_product(left, right, max_degree=degree, rational_only=True)
-        try:
-            return homology_product(left, right, max_degree=degree)
-        except NotFinitelyGenerated:
-            return homology_product(left, right, max_degree=degree, rational_only=True)
+        return homology_product(left, right, max_degree=degree, rational_only=rational_only)
     raise TypeError(f"unknown model type {type(model).__name__}")

@@ -6,7 +6,8 @@ shifts of finite type, the dimension group for AF algebras, the dimension
 group plus a copy of Z for crossed products of Cantor minimal Z-systems.
 Principal finite groupoids get the K-theory of a direct sum of matrix
 algebras, one per orbit.  Products use the two-periodic Kunneth formula,
-where the Tor terms shift parity by one.
+where the Tor terms shift parity by one, on presented groups when both
+factors have them and on ranks otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colimits import ColimitInvariants
-from .errors import NotFinitelyGenerated, NotPrincipal
+from .errors import NotPrincipal
 from .exact_linalg import FgAbelianGroup
 from .homology import GroupValue, homology_of_model
 from .models import (
@@ -66,21 +67,16 @@ def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
 
     Even part: even (x) even, odd (x) odd, and Tor of opposite parities.
     Odd part: mixed tensors and Tor of equal parities; Tor always shifts the
-    parity by one.  Rational-only mode keeps just the ranks.
+    parity by one.  Rational-only mode, or a factor with colimit-valued
+    K-theory (no finite presentation to tensor), keeps just the ranks.
     """
-    if rational_only:
+    if rational_only or not (left.all_finitely_generated() and right.all_finitely_generated()):
         a0, a1 = left.k0.rank, left.k1.rank
         b0, b1 = right.k0.rank, right.k1.rank
         return KPair(
             ColimitInvariants(rank=a0 * b0 + a1 * b1),
             ColimitInvariants(rank=a0 * b1 + a1 * b0),
         )
-    for side, pair in (("left", left), ("right", right)):
-        if not pair.all_finitely_generated():
-            raise NotFinitelyGenerated(
-                f"{side} factor has colimit-valued K-theory; "
-                "only the rational (rank-level) product is available"
-            )
     a0, a1 = left.k0, left.k1
     b0, b1 = right.k0, right.k1
     k0 = a0.tensor(b0).direct_sum(a1.tensor(b1)).direct_sum(a0.tor(b1)).direct_sum(a1.tor(b0))
@@ -95,8 +91,8 @@ def ktheory_of_model(
     """K-theory of any model, dispatching on its class.
 
     Shifts of finite type, AF and Cantor minimal Z-models take K_i from
-    their homology in degree i.  Products recurse; a factor with
-    colimit-valued K-theory drops the assembly to the rational-only formula.
+    their homology in degree i.  Products recurse into their factors and
+    assemble them with ``k_product``.
     """
     if isinstance(model, FiniteGroupoid):
         return k_finite_principal(model)
@@ -106,10 +102,5 @@ def ktheory_of_model(
     if isinstance(model, ProductModel):
         left = ktheory_of_model(model.left, rational_only=rational_only)
         right = ktheory_of_model(model.right, rational_only=rational_only)
-        if rational_only:
-            return k_product(left, right, rational_only=True)
-        try:
-            return k_product(left, right)
-        except NotFinitelyGenerated:
-            return k_product(left, right, rational_only=True)
+        return k_product(left, right, rational_only=rational_only)
     raise TypeError(f"unknown model type {type(model).__name__}")

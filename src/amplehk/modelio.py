@@ -16,7 +16,6 @@ of a top-level model carry no prefix.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import ModelInvalid, ParseError, SchemaError
 from .exact_linalg import IntMatrix
@@ -39,7 +38,6 @@ __all__ = [
     "MAX_PRODUCT_DEPTH",
     "load_json",
     "parse_model",
-    "parse_model_file",
     "parse_span",
     "parse_span_document",
 ]
@@ -190,10 +188,6 @@ def _parse_leaf(kind: str, doc: dict, pointer: str) -> GroupoidModel:
         f"{pointer}/model",
         f"unknown model kind {kind!r}; expected finite, sft, af, cantor_z, or product",
     )
-
-
-def parse_model_file(path: str | Path) -> GroupoidModel:
-    return parse_model(load_json(Path(path).read_text()))
 
 
 def parse_span(doc, pointer: str = "") -> FiniteSpan:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .colimits import InductiveSystem
-from .errors import ModelInvalid
+from .errors import ModelInvalid, SizeBoundExceeded
 from .exact_linalg import IntMatrix
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "CantorZModel",
     "FiniteGroupoid",
     "GroupoidModel",
-    "IsotropyReport",
     "NerveLevel",
+    "Precondition",
     "ProductModel",
     "SftModel",
     "cyclic_group_groupoid",
@@ -37,7 +37,7 @@ __all__ = [
     "identity_arrows",
     "isotropy_report",
     "model_summary",
-    "nerve",
+    "nerve_levels",
     "orbits",
     "pair_groupoid",
     "random_finite_groupoid",
@@ -368,30 +368,20 @@ class NerveLevel:
         return len(self.cells)
 
 
-def nerve(g: FiniteGroupoid, n: int) -> NerveLevel:
-    """The n-cells of the nerve of ``g``, with face maps for n >= 1.
+def nerve_levels(g: FiniteGroupoid, top: int, size_bound: int | None = None) -> list[NerveLevel]:
+    """Nerve levels 0..top of ``g``, built incrementally, with face maps.
 
     Cells are enumerated in lexicographic order of arrow indices, so the
-    result is deterministic given the input tables.
+    result is deterministic given the input tables.  Faces follow the bar
+    convention: at degree 1 the 0th face is the source and the 1st the
+    target; at higher degrees the outer faces drop the first or last arrow
+    and inner face i composes the i-th arrow with the next.
 
-    Faces follow the bar convention: at degree 1 the 0th face is the source
-    and the 1st the target; at higher degrees the outer faces drop the first
-    or last arrow and inner face i composes the i-th arrow with the next.
+    When ``size_bound`` is given, a level growing past it raises
+    SizeBoundExceeded.
     """
-    if n < 0:
+    if top < 0:
         raise ValueError("nerve degree must be nonnegative")
-    levels = nerve_levels(g, n)
-    return levels[n]
-
-
-def nerve_levels(g: FiniteGroupoid, top: int, size_bound: int | None = None) -> list[NerveLevel]:
-    """Nerve levels 0..top, built incrementally.
-
-    When ``size_bound`` is given, a level growing past it aborts the build;
-    the caller turns that into a SizeBoundExceeded with context.
-    """
-    from .errors import SizeBoundExceeded
-
     unit_index = {u: i for i, u in enumerate(g.units)}
     arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
     names = g.arrow_names()
@@ -466,14 +456,15 @@ def orbits(g: FiniteGroupoid) -> list[set[str]]:
 
 
 @dataclass(frozen=True)
-class IsotropyReport:
-    """Whether all isotropy groups are torsion-free, and on what authority.
+class Precondition:
+    """One hypothesis of the comparison theorem, with its status and source.
 
-    ``mode`` is "computed" when stabilizers were enumerated (finite models)
-    and "declared" when the class carries the fact by citation.
+    ``mode`` is "computed" when the fact was checked on the model (finite
+    tables) and "declared" when the class carries it by citation.
     """
 
-    torsion_free: bool
+    name: str
+    holds: bool
     mode: str
     justification: str
 
@@ -489,60 +480,52 @@ def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
     )
 
 
-def isotropy_report(model: GroupoidModel) -> IsotropyReport:
+def isotropy_report(model: GroupoidModel) -> Precondition:
+    """Whether every isotropy group is torsion-free, and on what authority."""
     if isinstance(model, FiniteGroupoid):
         torsion_units = _units_with_isotropy(model)
         if torsion_units:
             listing = ", ".join(repr(u) for u in torsion_units)
-            return IsotropyReport(
-                torsion_free=False,
-                mode="computed",
-                justification=(
-                    f"nontrivial finite stabilizers at units {listing}; a finite group "
-                    "with more than one element has torsion"
-                ),
+            return _torsion_free(
+                False,
+                "computed",
+                f"nontrivial finite stabilizers at units {listing}; a finite group "
+                "with more than one element has torsion",
             )
-        return IsotropyReport(
-            torsion_free=True,
-            mode="computed",
-            justification="every stabilizer is trivial (the groupoid is principal)",
+        return _torsion_free(
+            True, "computed", "every stabilizer is trivial (the groupoid is principal)"
         )
     if isinstance(model, SftModel):
-        return IsotropyReport(
-            torsion_free=True,
-            mode="declared",
-            justification=(
-                "isotropy of a one-sided shift-of-finite-type groupoid is trivial or "
-                "infinite cyclic (eventually periodic points), hence torsion-free"
-            ),
+        return _torsion_free(
+            True,
+            "declared",
+            "isotropy of a one-sided shift-of-finite-type groupoid is trivial or "
+            "infinite cyclic (eventually periodic points), hence torsion-free",
         )
     if isinstance(model, BratteliModel):
-        return IsotropyReport(
-            torsion_free=True,
-            mode="declared",
-            justification="AF groupoids are principal: all stabilizers are trivial",
+        return _torsion_free(
+            True, "declared", "AF groupoids are principal: all stabilizers are trivial"
         )
     if isinstance(model, CantorZModel):
-        return IsotropyReport(
-            torsion_free=True,
-            mode="declared",
-            justification=(
-                "stabilizers of a Cantor minimal Z-system embed in Z, hence are torsion-free"
-            ),
+        return _torsion_free(
+            True,
+            "declared",
+            "stabilizers of a Cantor minimal Z-system embed in Z, hence are torsion-free",
         )
     if isinstance(model, ProductModel):
         left = isotropy_report(model.left)
         right = isotropy_report(model.right)
-        mode = "computed" if left.mode == right.mode == "computed" else "declared"
-        return IsotropyReport(
-            torsion_free=left.torsion_free and right.torsion_free,
-            mode=mode,
-            justification=(
-                "stabilizers of a product are products of factor stabilizers; "
-                f"left: {left.justification}; right: {right.justification}"
-            ),
+        return _torsion_free(
+            left.holds and right.holds,
+            "computed" if left.mode == right.mode == "computed" else "declared",
+            "stabilizers of a product are products of factor stabilizers; "
+            f"left: {left.justification}; right: {right.justification}",
         )
     raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+def _torsion_free(holds: bool, mode: str, justification: str) -> Precondition:
+    return Precondition("torsion_free_isotropy", holds, mode, justification)
 
 
 def model_summary(model: GroupoidModel) -> str:

@@ -14,12 +14,19 @@ import pytest
 import amplehk.cli as cli
 import amplehk.models as models
 from amplehk.exact_linalg import IntMatrix
-from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_from_json
+from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json
 from amplehk.modelio import MAX_PRODUCT_DEPTH
 from amplehk.models import SftModel, cyclic_group_groupoid
 from conftest import finite_document
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+ALL_COMMANDS = ("homology", "ktheory", "hk-check", "smale-check", "span-check", "fullgroup-dims")
+
+# 10^4999 + 3 as an SFT: H_0 = K_0 = Z/(10^4999 + 2), past the 4,300-digit
+# default limit of int/str conversion both ways.
+LONG_ENTRY_DOCUMENT = '{"model": "sft", "matrix": [[1' + "0" * 4998 + '3]]}'
+LONG_ENTRY_H0 = "Z/1" + "0" * 4998 + "2"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -116,7 +123,7 @@ class TestHkCheckCommand:
         code, out, _ = run(capsys, "hk-check", model_path("o2.json"), "--format", "json")
         assert code == 0
         direct = hk_check(SftModel(IntMatrix.from_rows([[1, 1], [1, 1]])), max_degree=3)
-        assert report_from_json(json.loads(out)) == direct
+        assert json.loads(out) == report_to_json(direct)
 
     def test_output_bytes_are_deterministic(self, capsys):
         _, first, _ = run(capsys, "hk-check", model_path("fibonacci.json"), "--format", "json")
@@ -383,6 +390,22 @@ class TestFullgroupDimsCommand:
         assert code == 0
         assert f"word length {cli.MAX_WORDS}: even 1, odd 1" in out
 
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_degree_above_the_maximum_exits_three_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, model_path("pair2.json"), "--max-degree", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --max-degree must be at most {cli.MAX_DEGREE}\n"
+
+    def test_degree_at_the_maximum_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "homology", model_path("pair2.json"), "--max-degree", str(cli.MAX_DEGREE)
+        )
+        assert code == 0
+        assert f"H_{cli.MAX_DEGREE} = 0\ntruncated at degree {cli.MAX_DEGREE}\n" in out
+
 
 class TestOneExitPerDocument:
     """Models check their axioms when the document is read, so a malformed
@@ -431,6 +454,54 @@ class TestOneExitPerDocument:
         assert message in err
         if case == "uncertified_times_zero_row":
             assert err.count("/factors/1: ") == 1
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_non_utf8_document_exits_three(self, capsys, tmp_path, command):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: document is not UTF-8 text: invalid start byte at byte 0\n"
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_entry_longer_than_the_digit_limit(self, capsys, tmp_path, command):
+        path = tmp_path / "model.json"
+        path.write_text(LONG_ENTRY_DOCUMENT)
+        code, out, err = run(capsys, command, str(path))
+        if command == "span-check":
+            # A model document is not a span document.
+            assert (code, out) == (3, "")
+            assert err == 'error: /: expected a "span" or "compose" field\n'
+            return
+        assert code == 0 and err == ""
+        if command != "fullgroup-dims":
+            assert LONG_ENTRY_H0 in out
+
+    def test_result_longer_than_the_digit_limit(self, capsys, tmp_path):
+        # b = 10^4000 + 7 on the diagonal and 1 off it: H_0 = Z/(b(b - 2)),
+        # and b(b - 2) = 10^8000 + 12 * 10^4000 + 35 has 8,001 digits.
+        b = "1" + "0" * 3999 + "7"
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"model": "sft", "matrix": [[{b}, 1], [1, {b}]]}}')
+        code, out, err = run(capsys, "homology", str(path))
+        assert code == 0 and err == ""
+        assert f"H_0 = Z/1{'0' * 3998}12{'0' * 3998}35\n" in out
+
+    def test_digit_limit_is_restored(self, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, _, _ = run(capsys, "homology", model_path("o3.json"))
+            assert code == 0
+            assert sys.get_int_max_str_digits() == 5000
+            code, _, _ = run(capsys, "homology", model_path("missing.json"))
+            assert code == 3
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_finite_document_is_validated_once(self, capsys, monkeypatch):
         arrows = len(json.loads(Path(model_path("pair2.json")).read_text())["arrows"])

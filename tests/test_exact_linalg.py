@@ -10,12 +10,11 @@ from amplehk.errors import DimensionMismatch, NotAComplex, ShapeMismatch
 from amplehk.exact_linalg import (
     FgAbelianGroup,
     IntMatrix,
-    chain_homology,
     cokernel,
+    complex_homology,
     determinant,
     invariant_factors,
     kernel_basis,
-    kernel_rank,
     matrix_rank,
     smith_normal_form,
 )
@@ -174,14 +173,14 @@ class TestRanksAndKernels:
         rng = random.Random(13)
         for _ in range(100):
             mat = random_int_matrix(rng, 5, -4, 4)
-            assert kernel_rank(mat) == mat.cols - matrix_rank(mat)
+            assert kernel_basis(mat).cols == mat.cols - matrix_rank(mat)
 
     def test_kernel_basis_spans_kernel(self):
         rng = random.Random(17)
         for _ in range(100):
             mat = random_int_matrix(rng, 5, -4, 4)
             basis = kernel_basis(mat)
-            assert basis.cols == kernel_rank(mat)
+            assert basis.cols == mat.cols - matrix_rank(mat)
             assert (mat @ basis).is_zero()
             # A kernel basis of a saturated summand has full column rank.
             assert matrix_rank(basis) == basis.cols
@@ -204,6 +203,11 @@ class TestCokernel:
             assert cokernel(mat).rank == mat.rows - matrix_rank(mat)
 
 
+def chain_homology(d_in: IntMatrix, d_out: IntMatrix) -> FgAbelianGroup:
+    """Homology at the middle spot of d_in . d_out."""
+    return complex_homology([d_in, d_out])[1]
+
+
 class TestChainHomology:
     def test_torsion_spot(self):
         h = chain_homology(IntMatrix.zeros(1, 1), M([[2]]))
@@ -223,8 +227,21 @@ class TestChainHomology:
             chain_homology(M([[1, 2]]), M([[1, 2]]))
 
     def test_not_a_complex(self):
-        with pytest.raises(NotAComplex):
+        with pytest.raises(NotAComplex, match="composite of consecutive boundaries is nonzero"):
             chain_homology(M([[1, 0]]), IntMatrix.identity(2))
+
+    def test_needs_a_boundary(self):
+        with pytest.raises(ValueError):
+            complex_homology([])
+
+    def test_every_degree_of_a_longer_complex(self):
+        # The real projective plane: one cell in each of degrees 0, 1, 2, the
+        # 2-cell attached by a degree-2 map; Z, Z/2, 0 in degrees 0, 1, 2.
+        d1, d2, d3 = IntMatrix.zeros(1, 1), M([[2]]), IntMatrix.zeros(1, 0)
+        assert complex_homology([d1, d2, d3]) == [
+            FgAbelianGroup.free(1), FgAbelianGroup.cyclic(2), FgAbelianGroup.zero()
+        ]
+        assert complex_homology([d1]) == [FgAbelianGroup.free(1)]
 
     def test_matches_quotient_of_counts(self):
         # Euler-type sanity on random complexes built as (B, kernel-valued C).

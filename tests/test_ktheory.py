@@ -7,7 +7,7 @@ import random
 import pytest
 
 from amplehk.colimits import ColimitInvariants
-from amplehk.errors import ModelInvalid, NotFinitelyGenerated, NotPrincipal
+from amplehk.errors import ModelInvalid, NotPrincipal
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.homology import homology_sft
 from amplehk.ktheory import (
@@ -118,12 +118,15 @@ class TestProduct:
         # k1: Z (x) Z + Z/2 (x) Z/4 + Tor(Z, Z/4) + Tor(Z/2, Z).
         assert k.k1 == FgAbelianGroup(1, (2,))
 
-    def test_colimit_factor_needs_rational_mode(self):
+    def test_colimit_factor_gives_ranks_without_rational_mode(self):
         af = ktheory_of_model(BratteliModel((1,), (), M([[2]])))
-        with pytest.raises(NotFinitelyGenerated):
-            k_product(af, af)
-        rat = k_product(af, af, rational_only=True)
-        assert (rat.k0.rank, rat.k1.rank) == (1, 0)
+        circle = KPair(Z(1), Z(1))
+        for left, right in ((af, af), (af, circle), (circle, af)):
+            k = k_product(left, right)
+            assert k == k_product(left, right, rational_only=True)
+            assert isinstance(k.k0, ColimitInvariants) and isinstance(k.k1, ColimitInvariants)
+        assert k_product(af, af) == KPair(ColimitInvariants(rank=1), ColimitInvariants(rank=0))
+        assert k_product(af, circle) == KPair(ColimitInvariants(rank=1), ColimitInvariants(rank=1))
 
     def test_rational_rank_arithmetic(self):
         a = KPair(Z(2), Z(3))

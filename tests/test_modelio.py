@@ -12,7 +12,6 @@ from amplehk.exact_linalg import IntMatrix
 from amplehk.modelio import (
     load_json,
     parse_model,
-    parse_model_file,
     parse_span,
     parse_span_document,
 )
@@ -93,7 +92,7 @@ class TestParseModel:
         for path in sorted(MODELS_DIR.glob("*.json")):
             if path.name == "span_pair.json":
                 continue
-            model = parse_model_file(path)
+            model = parse_model(load_json(path.read_text()))
             assert dataclasses.replace(model) == model
 
 

@@ -23,7 +23,6 @@ from amplehk.models import (
     identity_arrows,
     isotropy_report,
     model_summary,
-    nerve,
     nerve_levels,
     orbits,
     pair_groupoid,
@@ -247,13 +246,13 @@ class TestProductValidation:
 class TestNerve:
     def test_level_zero_lists_units(self):
         g = pair_groupoid(3)
-        level = nerve(g, 0)
+        level = nerve_levels(g, 0)[0]
         assert level.cells == (0, 1, 2)
         assert level.faces == ()
 
     def test_degree_one_faces_are_endpoints(self):
         g = pair_groupoid(2)
-        level = nerve(g, 1)
+        level = nerve_levels(g, 1)[1]
         for t, cell in enumerate(level.cells):
             (j,) = cell
             name, src, tgt = g.arrows[j]
@@ -264,13 +263,13 @@ class TestNerve:
         for m in (2, 3, 4):
             g = cyclic_group_groupoid(m)
             for n in (1, 2, 3):
-                assert nerve(g, n).size() == m**n
+                assert nerve_levels(g, n)[n].size() == m**n
 
     def test_cell_counts_for_pair_groupoids(self):
         for k in (2, 3):
             g = pair_groupoid(k)
             for n in (1, 2, 3):
-                assert nerve(g, n).size() == k ** (n + 1)
+                assert nerve_levels(g, n)[n].size() == k ** (n + 1)
 
     def test_cell_counts_for_transitive_blocks(self):
         g = transitive_groupoid(2, 2)
@@ -285,7 +284,7 @@ class TestNerve:
     def test_chains_are_composable(self, wide_corpus):
         for g in wide_corpus:
             names = g.arrow_names()
-            for cell in nerve(g, 3).cells:
+            for cell in nerve_levels(g, 3)[3].cells:
                 for a, b in zip(cell, cell[1:]):
                     assert g.source_of(names[a]) == g.target_of(names[b])
 
@@ -303,7 +302,7 @@ class TestNerve:
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            nerve(trivial_groupoid(1), -1)
+            nerve_levels(trivial_groupoid(1), -1)
 
     def test_size_bound_enforced(self):
         with pytest.raises(SizeBoundExceeded):
@@ -323,11 +322,11 @@ class TestOrbitsAndIsotropy:
 
     def test_principal_finite_groupoid(self):
         rep = isotropy_report(pair_groupoid(3))
-        assert rep.torsion_free and rep.mode == "computed"
+        assert rep.holds and rep.mode == "computed"
 
     def test_finite_torsion_found(self):
         rep = isotropy_report(cyclic_group_groupoid(2))
-        assert not rep.torsion_free and rep.mode == "computed"
+        assert not rep.holds and rep.mode == "computed"
         assert "'x'" in rep.justification
 
     def test_symbolic_classes_declare(self):
@@ -337,13 +336,13 @@ class TestOrbitsAndIsotropy:
             CantorZModel(BratteliModel((1,), (), M([[2]]))),
         ):
             rep = isotropy_report(model)
-            assert rep.torsion_free and rep.mode == "declared"
+            assert rep.holds and rep.mode == "declared"
 
     def test_product_combines_factors(self):
         rep = isotropy_report(ProductModel(pair_groupoid(2), cyclic_group_groupoid(2)))
-        assert not rep.torsion_free and rep.mode == "computed"
+        assert not rep.holds and rep.mode == "computed"
         mixed = isotropy_report(ProductModel(SftModel(M([[2]])), pair_groupoid(2)))
-        assert mixed.torsion_free and mixed.mode == "declared"
+        assert mixed.holds and mixed.mode == "declared"
 
 
 class TestBuilders:
