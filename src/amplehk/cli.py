@@ -5,7 +5,8 @@ fullgroup-dims.  All take a JSON document path.  Exit codes: 0 for success or
 a matching verdict, 1 for a rank mismatch, 2 for a failed precondition, 3 for
 unusable input or a usage error.  Output is deterministic: the same input
 bytes produce the same output bytes, in both text and JSON formats.
-Integers are exact at any length, in the document and in the output.
+Integers are exact; a document's integer literals have at most
+``modelio.MAX_INT_DIGITS`` digits, and results are printed in full.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotAComplex, ShapeMismatch
@@ -72,6 +72,8 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+        """Matrix with the given rows; entries must be ``int``s, as in the
+        constructor, which rejects anything else (bool, float, str)."""
         rows = [list(r) for r in rows]
         if rows:
             width = len(rows[0])
@@ -82,8 +84,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != width:
                 raise ShapeMismatch("ragged rows")
-        flat = tuple(int(x) for row in rows for x in row)
-        return IntMatrix(len(rows), width, flat)
+        return IntMatrix(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -103,7 +104,7 @@ class IntMatrix:
         c = len(d) if cols is None else cols
         flat = [0] * (r * c)
         for i, x in enumerate(d):
-            flat[i * c + i] = int(x)
+            flat[i * c + i] = x
         return IntMatrix(r, c, tuple(flat))
 
     def entry(self, i: int, j: int) -> int:
@@ -211,6 +212,13 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
     with the lowest (row, col) index breaking ties; this keeps intermediate
     entries small and makes the reduction deterministic.
 
+    Only a new t searches the whole trailing block for its pivot.  A pass
+    that leaves remainders leaves them in row t and column t, so the next
+    pivot is sought there alone.  Remainders are taken nearest to zero, at
+    most half the pivot in absolute value, so each pivot at one t is at
+    most half the last and the loop ends; the same search follows a row
+    added to fix divisibility, whose column operations leave remainders.
+
     A column operation adds a multiple of the pivot column, so it changes
     only the rows with a nonzero entry there; once the pivot's own column is
     cleared that is usually the pivot row alone (plus, when transforms are
@@ -219,18 +227,28 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
     """
     t = 0
     bound = min(m, n)
+    fresh = True
     while t < bound:
-        # Locate the minimal-absolute-value nonzero entry of the trailing block.
+        # The nonzero entry of least absolute value in the trailing block,
+        # or in row t and column t after a pass at this t.
         best: tuple[int, int] | None = None
         best_abs = 0
-        for i in range(t, m):
+        for i in range(t, m) if fresh else (t,):
+            row = a[i]
             for j in range(t, n):
-                x = a[i][j]
+                x = row[j]
                 if x != 0 and (best is None or abs(x) < best_abs):
                     best = (i, j)
                     best_abs = abs(x)
+        if not fresh:
+            for i in range(t + 1, m):
+                x = a[i][t]
+                if x != 0 and abs(x) < best_abs:
+                    best = (i, t)
+                    best_abs = abs(x)
         if best is None:
             break
+        fresh = False
         bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
@@ -241,17 +259,18 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
             a[t] = [-x for x in a[t]]
         d = a[t][t]
 
+        # q is minus the nearest quotient, so |remainder| <= d / 2.
         dirty = False
         for i in range(t + 1, m):
             if a[i][t]:
-                q = -(a[i][t] // d)
+                q = -((2 * a[i][t] + d) // (2 * d))
                 a[i] = [x + q * y for x, y in zip(a[i], a[t])]
                 if a[i][t]:
                     dirty = True
         touched = [row for row in a if row[t]]
         for j in range(t + 1, n):
             if a[t][j]:
-                q = -(a[t][j] // d)
+                q = -((2 * a[t][j] + d) // (2 * d))
                 for row in touched:
                     row[j] += q * row[t]
                 if a[t][j]:
@@ -268,6 +287,7 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
                 a[t] = [x + y for x, y in zip(a[t], a[culprit])]
                 continue
         t += 1
+        fresh = True
 
 
 def _cheapest_unit(row: dict[int, int], cols: list[set[int]]) -> tuple[int, int] | None:

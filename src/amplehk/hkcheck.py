@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 from .errors import TruncationUnsound
 from .exact_linalg import FgAbelianGroup
-from .homology import (
-    DEFAULT_SIZE_BOUND,
-    GradedGroup,
-    GroupValue,
-    homology_of_model,
-)
-from .ktheory import KPair, ktheory_of_model
+from .homology import DEFAULT_SIZE_BOUND, GradedGroup, GroupValue
+from .ktheory import KPair, homology_and_ktheory
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -151,10 +146,12 @@ def hk_check(
 
     Homology is always computed, even when a precondition fails, so the
     report stays informative; the rank verdict itself is refused in that
-    case.  The integral comparison is attempted only when every group in
-    sight is finitely generated and the grading is exact, and an integral
-    discrepancy is reported as a note, never as a failure of the rational
-    statement.
+    case, and K-theory is not computed.  Both sides come from one walk over
+    the model (``homology_and_ktheory``), which reads each leaf's K-theory
+    off the homology just computed for it.  The integral comparison is
+    attempted only when every group in sight is finitely generated and the
+    grading is exact, and an integral discrepancy is reported as a note,
+    never as a failure of the rational statement.
     """
     iso = isotropy_report(model)
     preconditions = (
@@ -167,11 +164,12 @@ def hk_check(
         ),
     )
 
-    homology = homology_of_model(
+    homology, ktheory = homology_and_ktheory(
         model,
         max_degree=max_degree,
         size_bound=size_bound,
         rational_only=rational_only,
+        with_k=iso.holds,
     )
     summary = model_summary(model)
     notes: list[str] = []
@@ -197,7 +195,7 @@ def hk_check(
             notes=tuple(notes),
         )
 
-    ktheory = ktheory_of_model(model, rational_only=rational_only)
+    assert ktheory is not None
     truncation_degree = None if homology.vanishing_above else homology.max_degree
     if truncation_degree is not None:
         notes.append(

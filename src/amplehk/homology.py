@@ -58,6 +58,8 @@ __all__ = [
     "homology_af",
     "homology_cantor_z",
     "homology_finite",
+    "homology_of_factors",
+    "homology_of_leaf",
     "homology_of_model",
     "homology_product",
     "homology_sft",
@@ -285,6 +287,40 @@ def homology_product(
 # dispatch
 
 
+def homology_of_leaf(
+    model: GroupoidModel,
+    max_degree: int = 3,
+    size_bound: int = DEFAULT_SIZE_BOUND,
+) -> GradedGroup:
+    """Homology of a model that is not a product, by its class's closed form
+    (or, for a finite groupoid, its bar complex up to ``max_degree``)."""
+    if isinstance(model, FiniteGroupoid):
+        return homology_finite(model, max_degree, size_bound=size_bound)
+    if isinstance(model, SftModel):
+        return homology_sft(model)
+    if isinstance(model, BratteliModel):
+        return homology_af(model)
+    if isinstance(model, CantorZModel):
+        return homology_cantor_z(model)
+    raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+def homology_of_factors(
+    left: GradedGroup,
+    right: GradedGroup,
+    max_degree: int,
+    rational_only: bool = False,
+) -> GradedGroup:
+    """Homology of a product node from its factors' homology.
+
+    The product is exact when both factors vanish above their listed
+    degrees and truncated at ``max_degree`` otherwise.
+    """
+    both_vanish = left.vanishing_above and right.vanishing_above
+    degree = None if both_vanish else max_degree
+    return homology_product(left, right, max_degree=degree, rational_only=rational_only)
+
+
 def homology_of_model(
     model: GroupoidModel,
     max_degree: int = 3,
@@ -294,16 +330,8 @@ def homology_of_model(
     """Homology of any model, dispatching on its class.
 
     Products recurse into their factors and assemble them with
-    ``homology_product``.
+    ``homology_of_factors``.
     """
-    if isinstance(model, FiniteGroupoid):
-        return homology_finite(model, max_degree, size_bound=size_bound)
-    if isinstance(model, SftModel):
-        return homology_sft(model)
-    if isinstance(model, BratteliModel):
-        return homology_af(model)
-    if isinstance(model, CantorZModel):
-        return homology_cantor_z(model)
     if isinstance(model, ProductModel):
         left = homology_of_model(
             model.left, max_degree=max_degree, size_bound=size_bound,
@@ -313,7 +341,5 @@ def homology_of_model(
             model.right, max_degree=max_degree, size_bound=size_bound,
             rational_only=rational_only,
         )
-        both_vanish = left.vanishing_above and right.vanishing_above
-        degree = None if both_vanish else max_degree
-        return homology_product(left, right, max_degree=degree, rational_only=rational_only)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+        return homology_of_factors(left, right, max_degree, rational_only=rational_only)
+    return homology_of_leaf(model, max_degree=max_degree, size_bound=size_bound)

@@ -5,9 +5,13 @@ and 1, read off the one closed form in ``homology``: Cuntz-Krieger groups for
 shifts of finite type, the dimension group for AF algebras, the dimension
 group plus a copy of Z for crossed products of Cantor minimal Z-systems.
 Principal finite groupoids get the K-theory of a direct sum of matrix
-algebras, one per orbit.  Products use the two-periodic Kunneth formula,
-where the Tor terms shift parity by one, on presented groups when both
-factors have them and on ranks otherwise.
+algebras, one per orbit.  ``k_of_leaf`` is the one place where a leaf's
+K-theory is formed.  Products use the two-periodic Kunneth formula, where the
+Tor terms shift parity by one, on presented groups when both factors have
+them and on ranks otherwise.
+
+``homology_and_ktheory`` walks a model tree once and returns both sides of
+the rank comparison, so each leaf's closed form is evaluated once.
 """
 
 from __future__ import annotations
@@ -17,21 +21,26 @@ from dataclasses import dataclass
 from .colimits import ColimitInvariants
 from .errors import NotPrincipal
 from .exact_linalg import FgAbelianGroup
-from .homology import GroupValue, homology_of_model
+from .homology import (
+    DEFAULT_SIZE_BOUND,
+    GradedGroup,
+    GroupValue,
+    homology_of_factors,
+    homology_of_leaf,
+)
 from .models import (
-    BratteliModel,
-    CantorZModel,
     FiniteGroupoid,
     GroupoidModel,
     ProductModel,
-    SftModel,
     _units_with_isotropy,
     orbits,
 )
 
 __all__ = [
     "KPair",
+    "homology_and_ktheory",
     "k_finite_principal",
+    "k_of_leaf",
     "k_product",
     "ktheory_of_model",
 ]
@@ -84,23 +93,59 @@ def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
     return KPair(k0, k1)
 
 
+def k_of_leaf(model: GroupoidModel, h: GradedGroup | None = None) -> KPair:
+    """K-theory of a model that is not a product.
+
+    A finite groupoid takes it from its orbits (``k_finite_principal``).  The
+    symbolic classes read K_i off their homology in degree i: ``h`` when the
+    caller has already computed it, otherwise the class's closed form.
+    """
+    if isinstance(model, FiniteGroupoid):
+        return k_finite_principal(model)
+    if h is None:
+        h = homology_of_leaf(model)
+    return KPair(h.entry(0), h.entry(1))
+
+
 def ktheory_of_model(
     model: GroupoidModel,
     rational_only: bool = False,
 ) -> KPair:
     """K-theory of any model, dispatching on its class.
 
-    Shifts of finite type, AF and Cantor minimal Z-models take K_i from
-    their homology in degree i.  Products recurse into their factors and
-    assemble them with ``k_product``.
+    Leaves go through ``k_of_leaf``; products recurse into their factors
+    and assemble them with ``k_product``.
     """
-    if isinstance(model, FiniteGroupoid):
-        return k_finite_principal(model)
-    if isinstance(model, (SftModel, BratteliModel, CantorZModel)):
-        h = homology_of_model(model)
-        return KPair(h.entry(0), h.entry(1))
     if isinstance(model, ProductModel):
         left = ktheory_of_model(model.left, rational_only=rational_only)
         right = ktheory_of_model(model.right, rational_only=rational_only)
         return k_product(left, right, rational_only=rational_only)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return k_of_leaf(model)
+
+
+def homology_and_ktheory(
+    model: GroupoidModel,
+    max_degree: int = 3,
+    size_bound: int = DEFAULT_SIZE_BOUND,
+    rational_only: bool = False,
+    with_k: bool = True,
+) -> tuple[GradedGroup, KPair | None]:
+    """Homology of any model and, when ``with_k``, its K-theory, in one walk.
+
+    Each leaf's homology is computed once and its K-theory read off it by
+    ``k_of_leaf``; products assemble the factors with ``homology_of_factors``
+    and ``k_product``.  Without ``with_k`` the K-theory is None.
+    """
+    if isinstance(model, ProductModel):
+        left_h, left_k = homology_and_ktheory(
+            model.left, max_degree, size_bound, rational_only, with_k
+        )
+        right_h, right_k = homology_and_ktheory(
+            model.right, max_degree, size_bound, rational_only, with_k
+        )
+        h = homology_of_factors(left_h, right_h, max_degree, rational_only=rational_only)
+        if not with_k:
+            return h, None
+        return h, k_product(left_k, right_k, rational_only=rational_only)
+    h = homology_of_leaf(model, max_degree=max_degree, size_bound=size_bound)
+    return h, k_of_leaf(model, h) if with_k else None

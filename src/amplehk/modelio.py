@@ -4,7 +4,8 @@ The document schema mirrors the model dataclasses.  Every model document has
 a ``model`` tag naming the class; matrices are row-major arrays of arrays of
 integers.  Parse failures carry location information: malformed JSON reports
 line and column, schema violations report a JSON pointer to the offending
-value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep.
+value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep, and an integer
+literal has at most ``MAX_INT_DIGITS`` digits.
 
 Each model checks its axioms when it is built, so a document that parses is
 a valid model, and a malformed one raises ModelInvalid before any engine
@@ -16,6 +17,7 @@ of a top-level model carry no prefix.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ModelInvalid, ParseError, SchemaError
 from .exact_linalg import IntMatrix
@@ -34,7 +36,19 @@ from .spans import FiniteSpan
 # cost grows like n cubed; 32 levels take well under a second.
 MAX_PRODUCT_DEPTH = 32
 
+# Longest integer literal a document may hold.  Before Python 3.12 reading
+# and printing an integer is quadratic in its digit count: a 400,000-digit
+# entry took 4.25 s through the CLI on Python 3.11, one at this cap takes a
+# few milliseconds.
+MAX_INT_DIGITS = 20_000
+
+# A digit run past the cap, found by one scan of the text.  Only a document
+# with such a run is decoded again with a check on each integer literal: the
+# run may lie in a string or a fraction.
+_LONG_DIGIT_RUN = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_INT_DIGITS + 1))
+
 __all__ = [
+    "MAX_INT_DIGITS",
     "MAX_PRODUCT_DEPTH",
     "load_json",
     "parse_model",
@@ -43,9 +57,19 @@ __all__ = [
 ]
 
 
+def _capped_int(literal: str) -> int:
+    digits = len(literal) - literal.startswith("-")
+    if digits > MAX_INT_DIGITS:
+        raise ParseError(
+            f"an integer literal has {digits:,} digits, more than the limit of {MAX_INT_DIGITS:,}"
+        )
+    return int(literal)
+
+
 def load_json(text: str):
+    parse_int = _capped_int if _LONG_DIGIT_RUN.search(text) else None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
@@ -85,7 +109,6 @@ def _get(doc: dict, key: str, pointer: str):
 
 def _parse_matrix(doc, pointer: str) -> IntMatrix:
     rows = _expect_list(doc, pointer)
-    parsed: list[list[int]] = []
     width = None
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{pointer}/{i}")
@@ -93,8 +116,12 @@ def _parse_matrix(doc, pointer: str) -> IntMatrix:
             width = len(row)
         elif len(row) != width:
             raise SchemaError(f"{pointer}/{i}", f"row length {len(row)} differs from {width}")
-        parsed.append([_expect_int(x, f"{pointer}/{i}/{j}") for j, x in enumerate(row)])
-    return IntMatrix.from_rows(parsed, cols=width or 0)
+        # One pass over the row's types; entry pointers are built only to
+        # locate the first entry that is not an integer (bool included).
+        if not set(map(type, row)) <= {int}:
+            for j, x in enumerate(row):
+                _expect_int(x, f"{pointer}/{i}/{j}")
+    return IntMatrix.from_rows(rows, cols=width or 0)
 
 
 def _parse_finite(doc: dict, pointer: str) -> FiniteGroupoid:

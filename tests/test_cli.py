@@ -15,7 +15,7 @@ import amplehk.cli as cli
 import amplehk.models as models
 from amplehk.exact_linalg import IntMatrix
 from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json
-from amplehk.modelio import MAX_PRODUCT_DEPTH
+from amplehk.modelio import MAX_INT_DIGITS, MAX_PRODUCT_DEPTH
 from amplehk.models import SftModel, cyclic_group_groupoid
 from conftest import finite_document
 
@@ -487,6 +487,28 @@ class TestOneExitPerDocument:
         code, out, err = run(capsys, "homology", str(path))
         assert code == 0 and err == ""
         assert f"H_0 = Z/1{'0' * 3998}12{'0' * 3998}35\n" in out
+
+    def test_entry_at_the_digit_cap(self, capsys, tmp_path):
+        entry = "1" + "0" * (MAX_INT_DIGITS - 2) + "3"
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"model": "sft", "matrix": [[{entry}]]}}')
+        code, out, err = run(capsys, "homology", str(path))
+        assert code == 0 and err == ""
+        assert f"H_0 = Z/1{'0' * (MAX_INT_DIGITS - 2)}2\n" in out
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_entry_past_the_digit_cap_exits_three(self, capsys, tmp_path, command):
+        digits = 400_000
+        path = tmp_path / "model.json"
+        path.write_text('{"model": "sft", "matrix": [[1' + "0" * (digits - 2) + '3]]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: an integer literal has {digits:,} digits, "
+            f"more than the limit of {MAX_INT_DIGITS:,}\n"
+        )
 
     def test_digit_limit_is_restored(self, capsys):
         if not hasattr(sys, "set_int_max_str_digits"):

@@ -63,6 +63,17 @@ class TestSmithNormalForm:
         for _ in range(300):
             assert_valid_snf(random_int_matrix(rng, 6, -9, 9))
 
+    def test_large_entries_without_units(self):
+        # No +-1 entry, so the whole matrix goes through the dense reduction
+        # and needs several passes at most t, as I - A^T of a shift does.
+        rng = random.Random(53)
+        values = (0, 0, 2, -3, 6, 10, 97, -1_000_003, 2**70 + 1)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            mat = IntMatrix(rows, cols, tuple(rng.choice(values) for _ in range(rows * cols)))
+            diag = [d for d in assert_valid_snf(mat) if d]
+            assert invariant_factors(mat) == diag
+
     def test_determinism(self):
         mat = M([[3, 1, -4], [1, 5, 9], [-2, 6, 5]])
         first = smith_normal_form(mat)
@@ -337,6 +348,16 @@ class TestIntMatrix:
         for bad in (True, 1.0, "1", None):
             with pytest.raises(ShapeMismatch, match=f"non-integer entry {bad!r}$"):
                 IntMatrix(1, 3, (0, bad, 2.5))
+
+    @pytest.mark.parametrize("bad", (1.9, "3", True))
+    def test_from_rows_rejects_non_integers(self, bad):
+        with pytest.raises(ShapeMismatch, match=f"non-integer entry {bad!r}$"):
+            IntMatrix.from_rows([[1, bad], [0, 2]])
+
+    @pytest.mark.parametrize("bad", (2.0, "4", False))
+    def test_diagonal_rejects_non_integers(self, bad):
+        with pytest.raises(ShapeMismatch, match=f"non-integer entry {bad!r}$"):
+            IntMatrix.diagonal([3, bad])
 
     def test_transpose_involution(self):
         mat = M([[1, 2, 3], [4, 5, 6]])

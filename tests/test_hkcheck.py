@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 
+import amplehk.cli as cli
+import amplehk.colimits as colimits
+import amplehk.exact_linalg as exact_linalg
+import amplehk.ktheory as ktheory
 from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, SimplicityNotCertified, TruncationUnsound
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
@@ -196,6 +203,65 @@ class TestSerialization:
         text = report_to_text(hk_check(cyclic_group_groupoid(2)))
         assert "FAILS" in text
         assert "verdict: precondition_failed" in text
+
+
+def record_calls(monkeypatch, fn) -> list[tuple]:
+    """Arguments of every call to ``fn``, under every package name it has."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "amplehk" or name.startswith("amplehk."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+SHIFT = SftModel(M([[1, 2, 0], [1, 0, 3], [2, 1, 1]]))
+SHIFT_COMPLEX = IntMatrix.identity(3) - SHIFT.matrix.transpose()
+DIAGRAM = BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
+
+
+class TestOneEvaluationPerLeaf:
+    """hk-check evaluates each leaf's closed form once, for H and K alike."""
+
+    @pytest.mark.parametrize("command", ("hk-check", "smale-check", "fullgroup-dims"))
+    def test_shift_complex_is_eliminated_once(self, monkeypatch, capsys, tmp_path, command):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "sft", "matrix": SHIFT.matrix.to_rows()}))
+        eliminated = record_calls(monkeypatch, exact_linalg._smith_diagonal)
+        assert cli.main([command, str(path)]) == 0
+        assert [args[0] for args in eliminated].count(SHIFT_COMPLEX) == 1
+
+    def test_af_colimit_is_computed_once(self, monkeypatch):
+        colimit_calls = record_calls(monkeypatch, colimits.colimit_invariants)
+        report = hk_check(DIAGRAM)
+        assert report.verdict == VERDICT_MATCH
+        assert len(colimit_calls) == 1
+
+    def test_product_evaluates_each_factor_once(self, monkeypatch):
+        eliminated = record_calls(monkeypatch, exact_linalg._smith_diagonal)
+        colimit_calls = record_calls(monkeypatch, colimits.colimit_invariants)
+        report = hk_check(ProductModel(SHIFT, DIAGRAM))
+        assert report.verdict == VERDICT_MATCH
+        assert [args[0] for args in eliminated].count(SHIFT_COMPLEX) == 1
+        assert len(colimit_calls) == 1
+
+    def test_nonprincipal_factor_computes_no_k(self, monkeypatch):
+        k_calls = [
+            record_calls(monkeypatch, fn)
+            for fn in (ktheory.k_of_leaf, ktheory.k_product, ktheory.k_finite_principal)
+        ]
+        colimit_calls = record_calls(monkeypatch, colimits.colimit_invariants)
+        report = hk_check(ProductModel(cyclic_group_groupoid(2), DIAGRAM), max_degree=2)
+        assert report.verdict == VERDICT_PRECONDITION_FAILED
+        assert report.ktheory is None
+        assert k_calls == [[], [], []]
+        assert len(colimit_calls) == 1
 
 
 class TestEngineCrossChecks:

@@ -9,9 +9,11 @@ import pytest
 from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, NotPrincipal
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
-from amplehk.homology import homology_sft
+import amplehk.homology as homology
+from amplehk.homology import homology_of_model, homology_sft
 from amplehk.ktheory import (
     KPair,
+    homology_and_ktheory,
     k_finite_principal,
     k_product,
     ktheory_of_model,
@@ -152,3 +154,37 @@ class TestDispatch:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             ktheory_of_model(42)
+
+
+class TestOneWalk:
+    MODELS = (
+        SftModel(M([[3]])),
+        SftModel(M([[1, 2], [2, 1]])),
+        BratteliModel((1,), (), M([[2]])),
+        CantorZModel(BratteliModel((1,), (), M([[2]]))),
+        pair_groupoid(2),
+        ProductModel(SftModel(M([[3]])), SftModel(M([[1, 2], [2, 1]]))),
+        ProductModel(SftModel(M([[3]])), BratteliModel((1,), (), M([[2]]))),
+        ProductModel(pair_groupoid(2), ProductModel(SftModel(M([[1]])), SftModel(M([[3]])))),
+    )
+
+    @pytest.mark.parametrize("rational_only", (False, True))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_agrees_with_the_separate_walks(self, model, rational_only):
+        h, k = homology_and_ktheory(model, max_degree=2, rational_only=rational_only)
+        assert h == homology_of_model(model, max_degree=2, rational_only=rational_only)
+        assert k == ktheory_of_model(model, rational_only=rational_only)
+
+    def test_without_k(self):
+        model = ProductModel(cyclic_group_groupoid(2), SftModel(M([[3]])))
+        h, k = homology_and_ktheory(model, max_degree=2, with_k=False)
+        assert h == homology_of_model(model, max_degree=2)
+        assert k is None
+
+    def test_ktheory_of_a_finite_groupoid_builds_no_nerve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("nerve built")
+
+        monkeypatch.setattr(homology, "nerve_levels", refused)
+        model = ProductModel(pair_groupoid(3), SftModel(M([[1]])))
+        assert ktheory_of_model(model) == KPair(Z(1), Z(1))

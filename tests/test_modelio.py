@@ -10,6 +10,7 @@ import pytest
 from amplehk.errors import ModelInvalid, ParseError, SchemaError
 from amplehk.exact_linalg import IntMatrix
 from amplehk.modelio import (
+    MAX_INT_DIGITS,
     load_json,
     parse_model,
     parse_span,
@@ -40,6 +41,21 @@ class TestLoadJson:
         assert exc.value.line == 2
         assert exc.value.column is not None
         assert "line 2" in str(exc.value)
+
+    def test_long_digit_runs_outside_integers_are_kept(self):
+        run = "9" * (MAX_INT_DIGITS + 1)
+        doc = load_json(f'["u{run}", {run[:4000]}.{run}]')
+        assert doc[0] == f"u{run}"
+        assert isinstance(doc[1], float)
+
+    @pytest.mark.parametrize("sign", ("", "-"))
+    def test_integer_literal_past_the_digit_cap(self, sign):
+        digits = MAX_INT_DIGITS + 1
+        with pytest.raises(ParseError) as exc:
+            load_json(f'{{"matrix": [[1, {sign}{"7" * digits}]]}}')
+        assert str(exc.value) == (
+            f"an integer literal has {digits:,} digits, more than the limit of {MAX_INT_DIGITS:,}"
+        )
 
 
 class TestParseModel:
@@ -117,6 +133,18 @@ class TestSchemaPointers:
         with pytest.raises(SchemaError) as exc:
             parse_model({"model": "sft", "matrix": [[True]]})
         assert exc.value.pointer == "/matrix/0/0"
+
+    @pytest.mark.parametrize("bad", (1.5, False, "7"))
+    def test_first_non_integer_entry_is_located(self, bad):
+        rows = [[r * 10 + c for c in range(9)] for r in range(5)]
+        rows[3][7] = bad
+        rows[4][2] = 2.5
+        with pytest.raises(SchemaError) as exc:
+            parse_model({"model": "product", "factors": [
+                {"model": "sft", "matrix": [[1]]}, {"model": "sft", "matrix": rows},
+            ]})
+        assert exc.value.pointer == "/factors/1/matrix/3/7"
+        assert str(exc.value) == f"/factors/1/matrix/3/7: expected an integer, got {bad!r}"
 
     def test_ragged_matrix(self):
         with pytest.raises(SchemaError) as exc:
