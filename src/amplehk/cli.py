@@ -253,40 +253,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # The options every subcommand takes, declared once and inherited.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("path", help="JSON document to read")
+    common.add_argument("--max-degree", type=int, default=3, dest="max_degree",
+                        help="top homology degree for truncated computations "
+                             f"(default 3, at most {MAX_DEGREE})")
+    common.add_argument("--telescope-depth", type=int, default=None, dest="telescope_depth",
+                        help="override the telescoping depth of cantor_z models")
+    common.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND, dest="size_bound",
+                        help="exit 3 when a level of the reduced finite-groupoid complex (the "
+                             f"nerve of one unit per orbit) outgrows this (default {DEFAULT_SIZE_BOUND})")
+    common.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format (default text)")
+    common.add_argument("--rational-only", action="store_true", dest="rational_only",
+                        help="drop torsion bookkeeping and compare ranks only")
+
     parser = _Parser(
         prog="amplehk",
         description="Exact homology / K-theory invariants of ample groupoid models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, with_words: bool = False) -> None:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("path", help="JSON document to read")
-        p.add_argument("--max-degree", type=int, default=3, dest="max_degree",
-                       help="top homology degree for truncated computations "
-                            f"(default 3, at most {MAX_DEGREE})")
-        p.add_argument("--telescope-depth", type=int, default=None, dest="telescope_depth",
-                       help="override the telescoping depth of cantor_z models")
-        p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND, dest="size_bound",
-                       help="exit 3 when a level of the reduced finite-groupoid complex (the "
-                            f"nerve of one unit per orbit) outgrows this (default {DEFAULT_SIZE_BOUND})")
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output format (default text)")
-        p.add_argument("--rational-only", action="store_true", dest="rational_only",
-                       help="drop torsion bookkeeping and compare ranks only")
-        if with_words:
-            p.add_argument("--words", type=int, default=6,
-                           help=f"top word length for graded dimensions (default 6, at most {MAX_WORDS})")
-        p.set_defaults(handler=handler)
-
-    add("homology", _cmd_homology, "graded homology of a model")
-    add("ktheory", _cmd_ktheory, "K-theory pair of a model")
-    add("hk-check", _cmd_hk_check, "compare periodicized homology ranks with K-theory")
-    add("smale-check", _cmd_smale_check, "the same comparison in Smale-space terms")
-    add("span-check", _cmd_span_check, "transfer matrices and composition of spans")
-    add("fullgroup-dims", _cmd_fullgroup_dims,
-        "graded dimensions of the enveloping full group's rational homology",
-        with_words=True)
+    for name, handler, help_text in (
+        ("homology", _cmd_homology, "graded homology of a model"),
+        ("ktheory", _cmd_ktheory, "K-theory pair of a model"),
+        ("hk-check", _cmd_hk_check, "compare periodicized homology ranks with K-theory"),
+        ("smale-check", _cmd_smale_check, "the same comparison in Smale-space terms"),
+        ("span-check", _cmd_span_check, "transfer matrices and composition of spans"),
+        ("fullgroup-dims", _cmd_fullgroup_dims,
+         "graded dimensions of the enveloping full group's rational homology"),
+    ):
+        sub.add_parser(name, help=help_text, parents=[common]).set_defaults(handler=handler)
+    sub.choices["fullgroup-dims"].add_argument(
+        "--words", type=int, default=6,
+        help=f"top word length for graded dimensions (default 6, at most {MAX_WORDS})")
     return parser
 
 
@@ -310,9 +310,9 @@ def _run(argv: list[str] | None) -> int:
     except _UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT
-    for flag, cap in (("max_degree", MAX_DEGREE), ("words", MAX_WORDS)):
+    for flag, cap in (("max_degree", MAX_DEGREE), ("size_bound", None), ("words", MAX_WORDS)):
         value = getattr(args, flag, 0)
-        if not 0 <= value <= cap:
+        if value < 0 or (cap is not None and value > cap):
             problem = "must be nonnegative" if value < 0 else f"must be at most {cap}"
             sys.stderr.write(f"error: --{flag.replace('_', '-')} {problem}\n")
             return _EXIT_INPUT

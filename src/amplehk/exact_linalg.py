@@ -203,91 +203,166 @@ class SnfResult:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
+def _euclid(x: int, y: int) -> tuple[int, int, int, int]:
+    """Euclid's algorithm on x != 0 and y, with remainders nearest to zero,
+    as a unimodular (a, b, c, d): a*x + b*y = +-gcd(x, y) and c*x + d*y = 0.
+
+    b == 0 exactly when x divides y, and then (a, b, c, d) = (1, 0, -y/x, 1).
+    """
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        # Halves round up, so |remainder| <= |divisor| / 2.
+        q = (2 * y + x) // (2 * x)
+        if q:
+            y -= q * x
+            c -= q * a
+            d -= q * b
+        if not y:
+            return a, b, c, d
+        q = (2 * x + y) // (2 * y)
+        x -= q * y
+        a -= q * c
+        b -= q * d
+        if not x:
+            return c, d, a, b
+
+
+def _clear_column(a: list[list[int]], t: int, m: int) -> None:
+    """Row operations that zero column t of ``a`` below row t, up to row m.
+
+    Euclid runs on (t, t) and the least other nonzero entry of the column,
+    and its 2 x 2 transform combines their two rows at once, leaving the
+    gcd at (t, t); one sweep then reduces every other row of the column by
+    it.  A sweep that leaves remainders (at most half the pivot) starts
+    another round with the least of them.
+    """
+    r = None
+    low = 0
+    for i in range(t + 1, m):
+        x = a[i][t]
+        if x and (r is None or abs(x) < low):
+            r, low = i, abs(x)
+    while r is not None:
+        p, s = a[t], a[r]
+        pp, ps, sp, ss = _euclid(p[t], s[t])
+        if ps:
+            a[r] = [sp * x + ss * y for x, y in zip(p, s)]
+            a[t] = p = [pp * x + ps * y for x, y in zip(p, s)]
+        else:
+            a[r] = [y + sp * x for x, y in zip(p, s)]
+        d = p[t]
+        r = None
+        for i in range(t + 1, m):
+            x = a[i][t]
+            if x:
+                q = (2 * x + d) // (2 * d)
+                if q:
+                    row = a[i] = [u - q * v for u, v in zip(a[i], p)]
+                    x = row[t]
+                if x and (r is None or abs(x) < low):
+                    r, low = i, abs(x)
+
+
+def _clear_row(a: list[list[int]], t: int, n: int) -> bool:
+    """Column operations that zero row t of ``a`` right of column t, up to
+    column n: ``_clear_column`` with rows and columns exchanged.
+
+    The operations act on every row of ``a``.  Returns whether column t
+    changed, which happens only when the pivot shrinks; it may then have
+    entries below the pivot again.
+    """
+    pivot_row = a[t]
+    refilled = False
+    r = None
+    low = 0
+    for j in range(t + 1, n):
+        x = pivot_row[j]
+        if x and (r is None or abs(x) < low):
+            r, low = j, abs(x)
+    while r is not None:
+        pp, ps, sp, ss = _euclid(pivot_row[t], pivot_row[r])
+        if ps:
+            refilled = True
+            for row in a:
+                x, y = row[t], row[r]
+                if x or y:
+                    row[t], row[r] = pp * x + ps * y, sp * x + ss * y
+        else:
+            for row in a:
+                if row[t]:
+                    row[r] += sp * row[t]
+        d = pivot_row[t]
+        # Only rows with an entry in column t change under the sweep.
+        touched = [row for row in a if row[t]]
+        r = None
+        for j in range(t + 1, n):
+            x = pivot_row[j]
+            if x:
+                q = (2 * x + d) // (2 * d)
+                if q:
+                    for row in touched:
+                        row[j] -= q * row[t]
+                    x = pivot_row[j]
+                if x and (r is None or abs(x) < low):
+                    r, low = j, abs(x)
+    return refilled
+
+
 def _reduce(a: list[list[int]], m: int, n: int) -> None:
     """Bring the leading m x n block of ``a`` to Smith form, in place.
 
     Row operations act on whole rows of ``a`` and column operations on whole
     columns, so rows past m and columns past n, when present, record the
-    column and row operations.  Pivots are chosen by minimal absolute value
-    with the lowest (row, col) index breaking ties; this keeps intermediate
-    entries small and makes the reduction deterministic.
+    column and row operations.
 
-    Only a new t searches the whole trailing block for its pivot.  A pass
-    that leaves remainders leaves them in row t and column t, so the next
-    pivot is sought there alone.  Remainders are taken nearest to zero, at
-    most half the pivot in absolute value, so each pivot at one t is at
-    most half the last and the loop ends; the same search follows a row
-    added to fix divisibility, whose column operations leave remainders.
-
-    A column operation adds a multiple of the pivot column, so it changes
-    only the rows with a nonzero entry there; once the pivot's own column is
-    cleared that is usually the pivot row alone (plus, when transforms are
-    carried, the rows of V).  A pivot of 1 divides everything, so the
-    trailing block needs no divisibility scan after it.
+    Each t takes as its pivot the nonzero entry of least absolute value in
+    the trailing block, lowest (row, col) first; this keeps intermediate
+    entries small and makes the reduction deterministic.  Column t is then
+    cleared with one Euclid pair and one sweep: Euclid runs on the pivot and
+    the least other entry of the column, and its 2 x 2 unimodular transform
+    combines their two rows into the gcd row and a row with a zero there;
+    one sweep then reduces every other row by its nearest quotient, leaving
+    remainders of at most half the pivot, which start another round.  Row t
+    is cleared the same way with column operations.  Clearing row t changes
+    column t only when the pivot strictly shrinks, so the two clears
+    alternate finitely often.  Last, the pivot must divide the trailing
+    block: a row that it does not divide is added to row t, and clearing
+    row t again shrinks the pivot.  A pivot of 1 divides everything and
+    needs no scan.
     """
-    t = 0
     bound = min(m, n)
-    fresh = True
-    while t < bound:
-        # The nonzero entry of least absolute value in the trailing block,
-        # or in row t and column t after a pass at this t.
+    for t in range(bound):
         best: tuple[int, int] | None = None
-        best_abs = 0
-        for i in range(t, m) if fresh else (t,):
+        low = 0
+        for i in range(t, m):
             row = a[i]
             for j in range(t, n):
                 x = row[j]
-                if x != 0 and (best is None or abs(x) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(x)
-        if not fresh:
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x != 0 and abs(x) < best_abs:
-                    best = (i, t)
-                    best_abs = abs(x)
+                if x and (best is None or abs(x) < low):
+                    best, low = (i, j), abs(x)
         if best is None:
-            break
-        fresh = False
+            return
         bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        d = a[t][t]
-
-        # q is minus the nearest quotient, so |remainder| <= d / 2.
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = -((2 * a[i][t] + d) // (2 * d))
-                a[i] = [x + q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    dirty = True
-        touched = [row for row in a if row[t]]
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = -((2 * a[t][j] + d) // (2 * d))
-                for row in touched:
-                    row[j] += q * row[t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # Row and column are clear; enforce that d divides the trailing block.
-        if d != 1:
-            culprit = next(
-                (i for i in range(t + 1, m) if any(a[i][j] % d for j in range(t + 1, n))), None
-            )
-            if culprit is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+        while True:
+            _clear_column(a, t, m)
+            if _clear_row(a, t, n):
                 continue
-        t += 1
-        fresh = True
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            d = a[t][t]
+            if d != 1 and t + 1 < bound:
+                culprit = next(
+                    (i for i in range(t + 1, m) if any(x % d for x in a[i][t + 1 : n])), None
+                )
+                if culprit is not None:
+                    a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+                    continue
+            break
 
 
 def _cheapest_unit(row: dict[int, int], cols: list[set[int]]) -> tuple[int, int] | None:

@@ -406,6 +406,21 @@ class TestFullgroupDimsCommand:
         assert code == 0
         assert f"H_{cli.MAX_DEGREE} = 0\ntruncated at degree {cli.MAX_DEGREE}\n" in out
 
+    @pytest.mark.parametrize("name", ["pair2.json", "fibonacci.json"])
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_negative_size_bound_exits_three(self, capsys, command, name):
+        # Rejected before the document is read, whether or not it has a
+        # finite part whose nerve the bound would limit.
+        code, out, err = run(capsys, command, model_path(name), "--size-bound", "-1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: --size-bound must be nonnegative\n"
+
+    def test_zero_size_bound_is_a_bound(self, capsys):
+        code, out, _ = run(capsys, "homology", model_path("fibonacci.json"), "--size-bound", "0")
+        assert code == 0
+        assert "H_0 = " in out
+
 
 class TestOneExitPerDocument:
     """Models check their axioms when the document is read, so a malformed

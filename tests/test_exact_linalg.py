@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -172,6 +173,68 @@ class TestSparseUnitPivots:
             ]
             assert (a @ b).entries == tuple(expected)
         assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+
+
+def sft_relation_matrix(rng: random.Random, n: int) -> IntMatrix:
+    """I - A^T for a seeded n x n shift matrix A with entries 0..3, the
+    relation matrix whose cokernel is H_0 and K_0 of a Cuntz-Krieger
+    groupoid."""
+    a = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+    return IntMatrix.from_rows([[int(i == j) - a[j][i] for j in range(n)] for i in range(n)])
+
+
+def sympy_invariant_factors(sympy, mat: IntMatrix) -> list[int]:
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    sm = sympy_snf(sympy.Matrix(mat.to_rows()))
+    return [abs(sm[i, i]) for i in range(min(sm.rows, sm.cols)) if sm[i, i] != 0]
+
+
+class TestDenseReduction:
+    """The dense kernel: a Euclid pair and one sweep per column and row."""
+
+    def test_sft_relation_matrices_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        for n in (10, 14, 18, 22, 26, 30):
+            mat = sft_relation_matrix(rng, n)
+            theirs = sympy_invariant_factors(sympy, mat)
+            assert invariant_factors(mat) == theirs
+            # The whole matrix through the dense reduction, with transforms.
+            assert [d for d in smith_normal_form(mat).diagonal() if d] == theirs
+
+    def test_dense_matrices_without_units_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(67)
+        values = (2, -2, 3, -4, 6, 9, -10, 15, 2**20 + 7, -(2**33))
+        for _ in range(40):
+            rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+            mat = IntMatrix(rows, cols, tuple(rng.choice(values) for _ in range(rows * cols)))
+            assert invariant_factors(mat) == sympy_invariant_factors(sympy, mat)
+
+    def test_forty_bit_entries_keep_transforms_valid(self):
+        rng = random.Random(71)
+        top = 2**40
+        for _ in range(150):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            density = rng.uniform(0.3, 1.0)
+            mat = IntMatrix(
+                rows, cols,
+                tuple(rng.randint(-top, top) if rng.random() < density else 0 for _ in range(rows * cols)),
+            )
+            diag = assert_valid_snf(mat)
+            assert invariant_factors(mat) == [d for d in diag if d]
+
+    def test_consecutive_fibonacci_numbers(self):
+        # Euclid's worst case: every quotient is 1 under floor division.
+        fib = [0, 1]
+        while len(fib) < 302:
+            fib.append(fib[-1] + fib[-2])
+        mat = M([[fib[301], fib[300]], [fib[300], fib[299]]])
+        start = time.perf_counter()
+        assert invariant_factors(mat) == [1, 1]
+        assert assert_valid_snf(mat) == [1, 1]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRanksAndKernels:
