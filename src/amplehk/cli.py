@@ -12,7 +12,6 @@ Integers are exact; a document's integer literals have at most
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -41,9 +40,9 @@ from .hkcheck import (
     report_to_text,
     smale_check,
 )
-from .homology import DEFAULT_SIZE_BOUND, homology_of_model
-from .ktheory import ktheory_of_model
-from .models import CantorZModel, GroupoidModel, ProductModel, SftModel, model_summary
+from .homology import DEFAULT_SIZE_BOUND
+from .ktheory import invariants
+from .models import GroupoidModel, SftModel
 from .modelio import load_json, parse_model, parse_span_document
 from .spans import compose_spans, transfer_matrix
 
@@ -73,18 +72,6 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _override_depth(model: GroupoidModel, depth: int | None) -> GroupoidModel:
-    if depth is None:
-        return model
-    if isinstance(model, CantorZModel):
-        return dataclasses.replace(model, telescope_depth=depth)
-    if isinstance(model, ProductModel):
-        return ProductModel(
-            _override_depth(model.left, depth), _override_depth(model.right, depth)
-        )
-    return model
-
-
 def _read_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -94,24 +81,24 @@ def _read_json(path: str):
 
 
 def _read_model(args: argparse.Namespace) -> GroupoidModel:
-    model = parse_model(_read_json(args.path))
-    return _override_depth(model, args.telescope_depth)
+    return parse_model(_read_json(args.path), telescope_depth=args.telescope_depth)
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    model = _read_model(args)
-    graded = homology_of_model(
-        model,
+    found = invariants(
+        _read_model(args),
         max_degree=args.max_degree,
         size_bound=args.size_bound,
         rational_only=args.rational_only,
+        with_k=False,
     )
+    graded = found.homology
     if args.format == "json":
         sys.stdout.write(
-            _dump_json({"model": model_summary(model), "homology": _graded_to_json(graded)})
+            _dump_json({"model": found.summary, "homology": _graded_to_json(graded)})
         )
     else:
-        lines = [f"model: {model_summary(model)}"]
+        lines = [f"model: {found.summary}"]
         for d, v in enumerate(graded.by_degree):
             lines.append(f"H_{d} = {group_to_text(v)}")
         lines.append(
@@ -124,20 +111,20 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_ktheory(args: argparse.Namespace) -> int:
-    model = _read_model(args)
-    pair = ktheory_of_model(model, rational_only=args.rational_only)
+    found = invariants(_read_model(args), rational_only=args.rational_only, with_h=False)
+    pair = found.ktheory
     if args.format == "json":
         sys.stdout.write(
             _dump_json(
                 {
-                    "model": model_summary(model),
+                    "model": found.summary,
                     "ktheory": {"k0": group_to_json(pair.k0), "k1": group_to_json(pair.k1)},
                 }
             )
         )
     else:
         sys.stdout.write(
-            f"model: {model_summary(model)}\nK_0 = {group_to_text(pair.k0)}\n"
+            f"model: {found.summary}\nK_0 = {group_to_text(pair.k0)}\n"
             f"K_1 = {group_to_text(pair.k1)}\n"
         )
     return _EXIT_OK
@@ -310,12 +297,20 @@ def _run(argv: list[str] | None) -> int:
     except _UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT
-    for flag, cap in (("max_degree", MAX_DEGREE), ("size_bound", None), ("words", MAX_WORDS)):
-        value = getattr(args, flag, 0)
-        if value < 0 or (cap is not None and value > cap):
-            problem = "must be nonnegative" if value < 0 else f"must be at most {cap}"
-            sys.stderr.write(f"error: --{flag.replace('_', '-')} {problem}\n")
-            return _EXIT_INPUT
+    # Rejected before the document is read: (option, least value, cap or None).
+    for flag, low, cap in (("max_degree", 0, MAX_DEGREE), ("size_bound", 0, None),
+                           ("words", 0, MAX_WORDS), ("telescope_depth", 1, None)):
+        value = getattr(args, flag, None)
+        if value is None or (low <= value and (cap is None or value <= cap)):
+            continue
+        if value > low:
+            problem = f"must be at most {cap}"
+        elif low == 0:
+            problem = "must be nonnegative"
+        else:  # worded as the check on a document's own depth
+            problem = f"{value}: {flag.replace('_', ' ')} must be at least {low}"
+        sys.stderr.write(f"error: --{flag.replace('_', '-')} {problem}\n")
+        return _EXIT_INPUT
     try:
         return args.handler(args)
     except (ParseError, SchemaError, ModelInvalid, ShapeMismatch, OSError, SizeBoundExceeded) as e:

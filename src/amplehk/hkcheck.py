@@ -8,10 +8,11 @@ returns a full report; ``smale_check`` is the same arithmetic dressed in
 Smale-space terminology.  Reports render as text or as canonical JSON.
 
 Preconditions are handled honestly: for finite groupoids torsion-freeness of
-the isotropy is computed exactly (``models.isotropy_report``), for the
-symbolic classes it is declared with a citation, and a failing precondition
-produces a report with verdict ``precondition_failed`` rather than a rank
-verdict either way.  A truncated grading is summed over its listed degrees,
+the isotropy is computed exactly, for the symbolic classes it is declared
+with a citation, and a failing precondition produces a report with verdict
+``precondition_failed`` rather than a rank verdict either way.  Each class's
+isotropy and Baum-Connes justification come from its record in
+``ktheory.RECORDS``.  A truncated grading is summed over its listed degrees,
 and the report names the truncation degree.
 """
 
@@ -25,18 +26,8 @@ from dataclasses import dataclass
 from .errors import TruncationUnsound
 from .exact_linalg import FgAbelianGroup
 from .homology import DEFAULT_SIZE_BOUND, GradedGroup, GroupValue
-from .ktheory import KPair, homology_and_ktheory
-from .models import (
-    BratteliModel,
-    CantorZModel,
-    FiniteGroupoid,
-    GroupoidModel,
-    Precondition,
-    ProductModel,
-    SftModel,
-    isotropy_report,
-    model_summary,
-)
+from .ktheory import KPair, Precondition, invariants
+from .models import GroupoidModel, SftModel
 
 __all__ = [
     "HKReport",
@@ -107,35 +98,6 @@ def periodicize_groups(h: GradedGroup) -> tuple[FgAbelianGroup, FgAbelianGroup]:
     return even, odd
 
 
-def _baum_connes_justification(model: GroupoidModel) -> str:
-    if isinstance(model, FiniteGroupoid):
-        return (
-            "finite groupoids are amenable, and amenable groupoids satisfy the "
-            "Baum-Connes conjecture (Tu)"
-        )
-    if isinstance(model, SftModel):
-        return (
-            "shift-of-finite-type groupoids are amenable, hence satisfy Baum-Connes "
-            "(Tu); Matui established the integral comparison for this class"
-        )
-    if isinstance(model, BratteliModel):
-        return (
-            "AF groupoids are amenable, hence satisfy Baum-Connes (Tu); Matui "
-            "established the integral comparison for this class"
-        )
-    if isinstance(model, CantorZModel):
-        return (
-            "transformation groupoids of Cantor minimal Z-systems are amenable, hence "
-            "satisfy Baum-Connes (Tu); Matui established the integral comparison for "
-            "this class"
-        )
-    if isinstance(model, ProductModel):
-        return (
-            "products of amenable groupoids are amenable, hence satisfy Baum-Connes (Tu)"
-        )
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def hk_check(
     model: GroupoidModel,
     max_degree: int = 3,
@@ -147,88 +109,69 @@ def hk_check(
     Homology is always computed, even when a precondition fails, so the
     report stays informative; the rank verdict itself is refused in that
     case, and K-theory is not computed.  Both sides come from one walk over
-    the model (``homology_and_ktheory``), which reads each leaf's K-theory
-    off the homology just computed for it.  The integral comparison is
+    the model (``ktheory.invariants``), which evaluates each leaf's closed
+    form once; a first walk that computes neither side finds the isotropy,
+    so that a failed precondition computes no K.  The integral comparison is
     attempted only when every group in sight is finitely generated and the
     grading is exact, and an integral discrepancy is reported as a note,
     never as a failure of the rational statement.
     """
-    iso = isotropy_report(model)
-    preconditions = (
-        iso,
-        Precondition(
-            name="rational_baum_connes",
-            holds=True,
-            mode="declared",
-            justification=_baum_connes_justification(model),
-        ),
-    )
-
-    homology, ktheory = homology_and_ktheory(
+    iso = invariants(model, with_h=False, with_k=False).isotropy
+    found = invariants(
         model,
         max_degree=max_degree,
         size_bound=size_bound,
         rational_only=rational_only,
         with_k=iso.holds,
     )
-    summary = model_summary(model)
+    homology, ktheory = found.homology, found.ktheory
+    truncation_degree = None if homology.vanishing_above else homology.max_degree
     notes: list[str] = []
+    even = odd = rational_match = integral_match = None
 
     if not iso.holds:
         notes.append(
             "precondition failed: the comparison theorem requires the stabilizer to be "
             "a torsion-free group for all units, but " + iso.justification
         )
-        return HKReport(
-            model=summary,
-            dialect="groupoid",
-            max_degree=max_degree,
-            preconditions=preconditions,
-            homology=homology,
-            ktheory=None,
-            even_rank=None,
-            odd_rank=None,
-            rational_match=None,
-            integral_match=None,
-            truncation_degree=None if homology.vanishing_above else homology.max_degree,
-            verdict=VERDICT_PRECONDITION_FAILED,
-            notes=tuple(notes),
-        )
-
-    assert ktheory is not None
-    truncation_degree = None if homology.vanishing_above else homology.max_degree
-    if truncation_degree is not None:
-        notes.append(
-            f"bar complex truncated: rational comparison verified up to degree {truncation_degree}"
-        )
-    even, odd = periodicize(homology)
-    rational_match = ktheory.k0.rank == even and ktheory.k1.rank == odd
-
-    integral_match: bool | str
-    if (
-        homology.vanishing_above
-        and homology.all_finitely_generated()
-        and ktheory.all_finitely_generated()
-    ):
-        even_group, odd_group = periodicize_groups(homology)
-        integral_match = even_group == ktheory.k0 and odd_group == ktheory.k1
-        if not integral_match:
-            notes.append(
-                "integral comparison fails for this model; this does not contradict "
-                "the rational statement"
-            )
+        verdict = VERDICT_PRECONDITION_FAILED
     else:
-        integral_match = "not_applicable"
-        notes.append(
-            "integral comparison not applicable: a group involved is colimit-valued "
-            "or the grading is truncated"
-        )
+        assert ktheory is not None
+        if truncation_degree is not None:
+            notes.append(
+                "bar complex truncated: rational comparison verified up to degree "
+                f"{truncation_degree}"
+            )
+        even, odd = periodicize(homology)
+        rational_match = ktheory.k0.rank == even and ktheory.k1.rank == odd
+        verdict = VERDICT_MATCH if rational_match else VERDICT_MISMATCH
+        if (
+            homology.vanishing_above
+            and homology.all_finitely_generated()
+            and ktheory.all_finitely_generated()
+        ):
+            even_group, odd_group = periodicize_groups(homology)
+            integral_match = even_group == ktheory.k0 and odd_group == ktheory.k1
+            if not integral_match:
+                notes.append(
+                    "integral comparison fails for this model; this does not contradict "
+                    "the rational statement"
+                )
+        else:
+            integral_match = "not_applicable"
+            notes.append(
+                "integral comparison not applicable: a group involved is colimit-valued "
+                "or the grading is truncated"
+            )
 
     return HKReport(
-        model=summary,
+        model=found.summary,
         dialect="groupoid",
         max_degree=max_degree,
-        preconditions=preconditions,
+        preconditions=(
+            iso,
+            Precondition("rational_baum_connes", True, "declared", found.baum_connes),
+        ),
         homology=homology,
         ktheory=ktheory,
         even_rank=even,
@@ -236,7 +179,7 @@ def hk_check(
         rational_match=rational_match,
         integral_match=integral_match,
         truncation_degree=truncation_degree,
-        verdict=VERDICT_MATCH if rational_match else VERDICT_MISMATCH,
+        verdict=verdict,
         notes=tuple(notes),
     )
 

@@ -17,6 +17,10 @@ dimension-group colimit for AF models, the colimit plus one copy of Z for
 Cantor minimal Z-systems.  Products use the Kunneth formula, on presented
 groups when both factors have them and on ranks otherwise.
 
+This module holds the closed forms only.  Which one a model gets is part of
+its class's record in ``ktheory``, whose walk (``ktheory.invariants``, or
+the wrapper ``ktheory.homology_of_model``) also assembles products.
+
 Every model checked its axioms when it was built, so the engines take their
 input as valid.  The one hypothesis checked here is the simplicity
 certificate of a Cantor minimal Z-system, which a well-formed diagram can
@@ -39,9 +43,7 @@ from .models import (
     BratteliModel,
     CantorZModel,
     FiniteGroupoid,
-    GroupoidModel,
     NerveLevel,
-    ProductModel,
     SftModel,
     dimension_system,
     nerve_levels,
@@ -59,8 +61,6 @@ __all__ = [
     "homology_cantor_z",
     "homology_finite",
     "homology_of_factors",
-    "homology_of_leaf",
-    "homology_of_model",
     "homology_product",
     "homology_sft",
 ]
@@ -283,28 +283,6 @@ def homology_product(
     return GradedGroup(ranks, vanishing_above=vanishing)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def homology_of_leaf(
-    model: GroupoidModel,
-    max_degree: int = 3,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-) -> GradedGroup:
-    """Homology of a model that is not a product, by its class's closed form
-    (or, for a finite groupoid, its bar complex up to ``max_degree``)."""
-    if isinstance(model, FiniteGroupoid):
-        return homology_finite(model, max_degree, size_bound=size_bound)
-    if isinstance(model, SftModel):
-        return homology_sft(model)
-    if isinstance(model, BratteliModel):
-        return homology_af(model)
-    if isinstance(model, CantorZModel):
-        return homology_cantor_z(model)
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def homology_of_factors(
     left: GradedGroup,
     right: GradedGroup,
@@ -319,27 +297,3 @@ def homology_of_factors(
     both_vanish = left.vanishing_above and right.vanishing_above
     degree = None if both_vanish else max_degree
     return homology_product(left, right, max_degree=degree, rational_only=rational_only)
-
-
-def homology_of_model(
-    model: GroupoidModel,
-    max_degree: int = 3,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-    rational_only: bool = False,
-) -> GradedGroup:
-    """Homology of any model, dispatching on its class.
-
-    Products recurse into their factors and assemble them with
-    ``homology_of_factors``.
-    """
-    if isinstance(model, ProductModel):
-        left = homology_of_model(
-            model.left, max_degree=max_degree, size_bound=size_bound,
-            rational_only=rational_only,
-        )
-        right = homology_of_model(
-            model.right, max_degree=max_degree, size_bound=size_bound,
-            rational_only=rational_only,
-        )
-        return homology_of_factors(left, right, max_degree, rational_only=rational_only)
-    return homology_of_leaf(model, max_degree=max_degree, size_bound=size_bound)

@@ -1,22 +1,26 @@
-"""Operator K-theory of the model classes.
+"""Model-class records, operator K-theory, and the one walk over a model tree.
 
-For the symbolic classes K_0 and K_1 are the groupoid homology in degrees 0
-and 1, read off the one closed form in ``homology``: Cuntz-Krieger groups for
-shifts of finite type, the dimension group for AF algebras, the dimension
-group plus a copy of Z for crossed products of Cantor minimal Z-systems.
-Principal finite groupoids get the K-theory of a direct sum of matrix
-algebras, one per orbit.  ``k_of_leaf`` is the one place where a leaf's
-K-theory is formed.  Products use the two-periodic Kunneth formula, where the
-Tor terms shift parity by one, on presented groups when both factors have
-them and on ranks otherwise.
+Each leaf model class has one record (``ModelClass``, in ``RECORDS``): its
+document kind and summary, whether its stabilizers are torsion-free and on
+what authority, why it satisfies Baum-Connes, its homology closed form and
+its K-theory.  K_0 and K_1 are read off H_0 and H_1 by default: the
+Cuntz-Krieger groups of a shift of finite type, the dimension group of an AF
+algebra, the dimension group plus a copy of Z for a Cantor minimal
+Z-system.  Finite groupoids override it: a principal one has one matrix
+algebra per orbit, so K needs no nerve.  Adding a model class means adding
+one record here and one parser branch in ``modelio``.
 
-``homology_and_ktheory`` walks a model tree once and returns both sides of
-the rank comparison, so each leaf's closed form is evaluated once.
+``invariants`` is the one walk over a model tree.  It computes the sides it
+is asked for, evaluates each leaf's closed form once, and handles products
+once: summary, isotropy, and the Kunneth formulas for H and K (the
+two-periodic one for K, where Tor shifts parity by one), on presented
+groups when both factors have them and on ranks otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .colimits import ColimitInvariants
 from .errors import NotPrincipal
@@ -25,25 +29,50 @@ from .homology import (
     DEFAULT_SIZE_BOUND,
     GradedGroup,
     GroupValue,
+    homology_af,
+    homology_cantor_z,
+    homology_finite,
     homology_of_factors,
-    homology_of_leaf,
+    homology_sft,
 )
 from .models import (
+    BratteliModel,
+    CantorZModel,
     FiniteGroupoid,
     GroupoidModel,
     ProductModel,
+    SftModel,
     _units_with_isotropy,
     orbits,
 )
 
 __all__ = [
+    "Invariants",
     "KPair",
-    "homology_and_ktheory",
+    "ModelClass",
+    "Precondition",
+    "RECORDS",
+    "homology_of_model",
+    "invariants",
     "k_finite_principal",
-    "k_of_leaf",
     "k_product",
     "ktheory_of_model",
+    "record_of",
 ]
+
+
+@dataclass(frozen=True)
+class Precondition:
+    """One hypothesis of the comparison theorem, with its status and source.
+
+    ``mode`` is "computed" when the fact was checked on the model (finite
+    tables) and "declared" when the class carries it by citation.
+    """
+
+    name: str
+    holds: bool
+    mode: str
+    justification: str
 
 
 @dataclass(frozen=True)
@@ -93,59 +122,190 @@ def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
     return KPair(k0, k1)
 
 
-def k_of_leaf(model: GroupoidModel, h: GradedGroup | None = None) -> KPair:
-    """K-theory of a model that is not a product.
+# ---------------------------------------------------------------------------
+# one record per leaf model class
 
-    A finite groupoid takes it from its orbits (``k_finite_principal``).  The
-    symbolic classes read K_i off their homology in degree i: ``h`` when the
-    caller has already computed it, otherwise the class's closed form.
+
+@dataclass(frozen=True)
+class ModelClass:
+    """Everything class-specific about one leaf model class.
+
+    ``kind`` is the class's ``model`` tag in documents, and a model's summary
+    is ``kind(describe(model))``.  ``homology(model, max_degree, size_bound)``
+    is the closed form (a finite groupoid's bar complex up to
+    ``max_degree``).  ``ktheory`` forms K from the model alone; when it is
+    None, K_0 and K_1 are read off H_0 and H_1.
     """
-    if isinstance(model, FiniteGroupoid):
-        return k_finite_principal(model)
-    if h is None:
-        h = homology_of_leaf(model)
-    return KPair(h.entry(0), h.entry(1))
+
+    kind: str
+    describe: Callable[[Any], str]
+    isotropy: Callable[[Any], Precondition]
+    baum_connes: str
+    homology: Callable[[Any, int, int], GradedGroup]
+    ktheory: Callable[[Any], KPair] | None = None
 
 
-def ktheory_of_model(
-    model: GroupoidModel,
-    rational_only: bool = False,
-) -> KPair:
-    """K-theory of any model, dispatching on its class.
-
-    Leaves go through ``k_of_leaf``; products recurse into their factors
-    and assemble them with ``k_product``.
-    """
-    if isinstance(model, ProductModel):
-        left = ktheory_of_model(model.left, rational_only=rational_only)
-        right = ktheory_of_model(model.right, rational_only=rational_only)
-        return k_product(left, right, rational_only=rational_only)
-    return k_of_leaf(model)
+def _torsion_free(holds: bool, mode: str, justification: str) -> Precondition:
+    return Precondition("torsion_free_isotropy", holds, mode, justification)
 
 
-def homology_and_ktheory(
+def _declared(justification: str) -> Callable[[Any], Precondition]:
+    fact = _torsion_free(True, "declared", justification)
+    return lambda model: fact
+
+
+def _finite_isotropy(g: FiniteGroupoid) -> Precondition:
+    torsion_units = _units_with_isotropy(g)
+    if torsion_units:
+        listing = ", ".join(repr(u) for u in torsion_units)
+        return _torsion_free(
+            False,
+            "computed",
+            f"nontrivial finite stabilizers at units {listing}; a finite group "
+            "with more than one element has torsion",
+        )
+    return _torsion_free(
+        True, "computed", "every stabilizer is trivial (the groupoid is principal)"
+    )
+
+
+RECORDS: dict[type, ModelClass] = {
+    FiniteGroupoid: ModelClass(
+        kind="finite",
+        describe=lambda g: f"{len(g.units)} units, {len(g.arrows)} arrows",
+        isotropy=_finite_isotropy,
+        baum_connes=(
+            "finite groupoids are amenable, and amenable groupoids satisfy the "
+            "Baum-Connes conjecture (Tu)"
+        ),
+        homology=homology_finite,
+        ktheory=k_finite_principal,
+    ),
+    SftModel: ModelClass(
+        kind="sft",
+        describe=lambda m: f"{m.matrix.rows} vertices",
+        isotropy=_declared(
+            "isotropy of a one-sided shift-of-finite-type groupoid is trivial or "
+            "infinite cyclic (eventually periodic points), hence torsion-free"
+        ),
+        baum_connes=(
+            "shift-of-finite-type groupoids are amenable, hence satisfy Baum-Connes "
+            "(Tu); Matui established the integral comparison for this class"
+        ),
+        homology=lambda m, max_degree, size_bound: homology_sft(m),
+    ),
+    BratteliModel: ModelClass(
+        kind="af",
+        describe=lambda b: f"{len(b.level_sizes)} levels, tail {b.tail.rows}",
+        isotropy=_declared("AF groupoids are principal: all stabilizers are trivial"),
+        baum_connes=(
+            "AF groupoids are amenable, hence satisfy Baum-Connes (Tu); Matui "
+            "established the integral comparison for this class"
+        ),
+        homology=lambda b, max_degree, size_bound: homology_af(b),
+    ),
+    CantorZModel: ModelClass(
+        kind="cantor_z",
+        describe=lambda c: f"tail {c.diagram.tail.rows}",
+        isotropy=_declared(
+            "stabilizers of a Cantor minimal Z-system embed in Z, hence are torsion-free"
+        ),
+        baum_connes=(
+            "transformation groupoids of Cantor minimal Z-systems are amenable, hence "
+            "satisfy Baum-Connes (Tu); Matui established the integral comparison for "
+            "this class"
+        ),
+        homology=lambda c, max_degree, size_bound: homology_cantor_z(c),
+    ),
+}
+
+
+def record_of(model: GroupoidModel) -> ModelClass:
+    """The record of a leaf model's class; TypeError for anything else."""
+    try:
+        return RECORDS[type(model)]
+    except KeyError:
+        raise TypeError(f"unknown model type {type(model).__name__}") from None
+
+
+# ---------------------------------------------------------------------------
+# the walk
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """What one walk found about a model; a side not asked for is None."""
+
+    summary: str
+    isotropy: Precondition
+    baum_connes: str
+    homology: GradedGroup | None
+    ktheory: KPair | None
+
+
+def invariants(
     model: GroupoidModel,
     max_degree: int = 3,
     size_bound: int = DEFAULT_SIZE_BOUND,
     rational_only: bool = False,
+    with_h: bool = True,
     with_k: bool = True,
-) -> tuple[GradedGroup, KPair | None]:
-    """Homology of any model and, when ``with_k``, its K-theory, in one walk.
+) -> Invariants:
+    """Summary, preconditions and the asked-for sides of any model, in one walk.
 
-    Each leaf's homology is computed once and its K-theory read off it by
-    ``k_of_leaf``; products assemble the factors with ``homology_of_factors``
-    and ``k_product``.  Without ``with_k`` the K-theory is None.
+    A leaf's closed form is evaluated once, and only when H is asked for or
+    its K is read off H; a finite groupoid's K-theory builds no nerve.
+    Products assemble their factors with ``homology_of_factors`` and
+    ``k_product``.
     """
     if isinstance(model, ProductModel):
-        left_h, left_k = homology_and_ktheory(
-            model.left, max_degree, size_bound, rational_only, with_k
+        left = invariants(model.left, max_degree, size_bound, rational_only, with_h, with_k)
+        right = invariants(model.right, max_degree, size_bound, rational_only, with_h, with_k)
+        li, ri = left.isotropy, right.isotropy
+        return Invariants(
+            summary=f"product({left.summary}, {right.summary})",
+            isotropy=_torsion_free(
+                li.holds and ri.holds,
+                "computed" if li.mode == ri.mode == "computed" else "declared",
+                "stabilizers of a product are products of factor stabilizers; "
+                f"left: {li.justification}; right: {ri.justification}",
+            ),
+            baum_connes=(
+                "products of amenable groupoids are amenable, hence satisfy "
+                "Baum-Connes (Tu)"
+            ),
+            homology=(
+                homology_of_factors(left.homology, right.homology, max_degree, rational_only)
+                if with_h else None
+            ),
+            ktheory=k_product(left.ktheory, right.ktheory, rational_only) if with_k else None,
         )
-        right_h, right_k = homology_and_ktheory(
-            model.right, max_degree, size_bound, rational_only, with_k
-        )
-        h = homology_of_factors(left_h, right_h, max_degree, rational_only=rational_only)
-        if not with_k:
-            return h, None
-        return h, k_product(left_k, right_k, rational_only=rational_only)
-    h = homology_of_leaf(model, max_degree=max_degree, size_bound=size_bound)
-    return h, k_of_leaf(model, h) if with_k else None
+    record = record_of(model)
+    h = None
+    if with_h or (with_k and record.ktheory is None):
+        h = record.homology(model, max_degree, size_bound)
+    k = None
+    if with_k:
+        k = record.ktheory(model) if record.ktheory else KPair(h.entry(0), h.entry(1))
+    return Invariants(
+        summary=f"{record.kind}({record.describe(model)})",
+        isotropy=record.isotropy(model),
+        baum_connes=record.baum_connes,
+        homology=h if with_h else None,
+        ktheory=k,
+    )
+
+
+def homology_of_model(
+    model: GroupoidModel,
+    max_degree: int = 3,
+    size_bound: int = DEFAULT_SIZE_BOUND,
+    rational_only: bool = False,
+) -> GradedGroup:
+    """Homology of any model: ``invariants`` without K."""
+    return invariants(model, max_degree, size_bound, rational_only, with_k=False).homology
+
+
+def ktheory_of_model(model: GroupoidModel, rational_only: bool = False) -> KPair:
+    """K-theory of any model: ``invariants`` without H."""
+    return invariants(model, rational_only=rational_only, with_h=False).ktheory

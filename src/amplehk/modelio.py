@@ -47,7 +47,13 @@ MAX_INT_DIGITS = 20_000
 # run may lie in a string or a fraction.
 _LONG_DIGIT_RUN = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_INT_DIGITS + 1))
 
+# The kinds of the models that are not products, one parser branch each, in
+# the order the unknown-kind error lists them.  Each matches the ``kind`` of
+# one record in ``ktheory.RECORDS``.
+LEAF_KINDS = ("finite", "sft", "af", "cantor_z")
+
 __all__ = [
+    "LEAF_KINDS",
     "MAX_INT_DIGITS",
     "MAX_PRODUCT_DEPTH",
     "load_json",
@@ -167,13 +173,17 @@ def _parse_bratteli(doc: dict, pointer: str) -> BratteliModel:
     return BratteliModel(sizes, incidences, tail)
 
 
-def parse_model(doc, pointer: str = "") -> GroupoidModel:
+def parse_model(doc, pointer: str = "", telescope_depth: int | None = None) -> GroupoidModel:
     """Turn a decoded JSON document into a model, or raise SchemaError or
-    ModelInvalid."""
-    return _parse_model(doc, pointer, 0)
+    ModelInvalid.
+
+    A ``telescope_depth`` replaces the depth of every cantor_z model in the
+    document, nested ones included, once the document's own depth is checked.
+    """
+    return _parse_model(doc, pointer, 0, telescope_depth)
 
 
-def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
+def _parse_model(doc, pointer: str, depth: int, telescope_depth: int | None) -> GroupoidModel:
     """``depth`` counts the products enclosing ``doc``."""
     doc = _expect_object(doc, pointer or "/")
     kind = _expect_str(_get(doc, "model", pointer), f"{pointer}/model")
@@ -184,11 +194,11 @@ def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
         if len(factors) != 2:
             raise SchemaError(f"{pointer}/factors", f"expected exactly 2 factors, got {len(factors)}")
         return ProductModel(
-            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1),
-            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1),
+            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1, telescope_depth),
+            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1, telescope_depth),
         )
     try:
-        return _parse_leaf(kind, doc, pointer)
+        return _parse_leaf(kind, doc, pointer, telescope_depth)
     except ModelInvalid as e:
         if not pointer:
             raise
@@ -197,7 +207,7 @@ def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
         raise ModelInvalid([f"{pointer}: {first}", *rest]) from None
 
 
-def _parse_leaf(kind: str, doc: dict, pointer: str) -> GroupoidModel:
+def _parse_leaf(kind: str, doc: dict, pointer: str, telescope_depth: int | None) -> GroupoidModel:
     if kind == "finite":
         return _parse_finite(doc, pointer)
     if kind == "sft":
@@ -210,10 +220,11 @@ def _parse_leaf(kind: str, doc: dict, pointer: str) -> GroupoidModel:
             f"{pointer}/diagram",
         )
         telescope = _expect_int(doc.get("telescope_depth", 3), f"{pointer}/telescope_depth")
-        return CantorZModel(diagram, telescope_depth=telescope)
+        model = CantorZModel(diagram, telescope_depth=telescope)
+        return model if telescope_depth is None else CantorZModel(diagram, telescope_depth)
     raise SchemaError(
         f"{pointer}/model",
-        f"unknown model kind {kind!r}; expected finite, sft, af, cantor_z, or product",
+        f"unknown model kind {kind!r}; expected {', '.join(LEAF_KINDS)}, or product",
     )
 
 

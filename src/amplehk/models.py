@@ -6,6 +6,11 @@ symbolic classes describe ample groupoids too large to enumerate: one-sided
 shifts of finite type, AF groupoids presented by Bratteli data, and Cantor
 minimal Z-systems presented the same way.  Products pair any two models.
 
+This module holds the data and its axioms only.  What the engines know
+about each class (summary, isotropy, Baum-Connes, homology, K-theory) is
+the class's record in ``ktheory.RECORDS``, which imports ``homology`` and
+so cannot live here.
+
 Composition is written like function composition: ``g . d`` is defined
 exactly when ``source(g) == target(d)``, and then runs d first.  A tuple
 (g1, ..., gn) is composable when ``source(g_i) == target(g_{i+1})``; these
@@ -28,15 +33,12 @@ __all__ = [
     "FiniteGroupoid",
     "GroupoidModel",
     "NerveLevel",
-    "Precondition",
     "ProductModel",
     "SftModel",
     "cyclic_group_groupoid",
     "dimension_system",
     "disjoint_union_groupoids",
     "identity_arrows",
-    "isotropy_report",
-    "model_summary",
     "nerve_levels",
     "orbits",
     "pair_groupoid",
@@ -455,20 +457,6 @@ def orbits(g: FiniteGroupoid) -> list[set[str]]:
     return list(groups.values())
 
 
-@dataclass(frozen=True)
-class Precondition:
-    """One hypothesis of the comparison theorem, with its status and source.
-
-    ``mode`` is "computed" when the fact was checked on the model (finite
-    tables) and "declared" when the class carries it by citation.
-    """
-
-    name: str
-    holds: bool
-    mode: str
-    justification: str
-
-
 def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
     """The units with a non-identity loop, sorted.
 
@@ -478,68 +466,6 @@ def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
     return sorted(
         {src for name, src, tgt in g.arrows if src == tgt and g.compose[(name, name)] != name}
     )
-
-
-def isotropy_report(model: GroupoidModel) -> Precondition:
-    """Whether every isotropy group is torsion-free, and on what authority."""
-    if isinstance(model, FiniteGroupoid):
-        torsion_units = _units_with_isotropy(model)
-        if torsion_units:
-            listing = ", ".join(repr(u) for u in torsion_units)
-            return _torsion_free(
-                False,
-                "computed",
-                f"nontrivial finite stabilizers at units {listing}; a finite group "
-                "with more than one element has torsion",
-            )
-        return _torsion_free(
-            True, "computed", "every stabilizer is trivial (the groupoid is principal)"
-        )
-    if isinstance(model, SftModel):
-        return _torsion_free(
-            True,
-            "declared",
-            "isotropy of a one-sided shift-of-finite-type groupoid is trivial or "
-            "infinite cyclic (eventually periodic points), hence torsion-free",
-        )
-    if isinstance(model, BratteliModel):
-        return _torsion_free(
-            True, "declared", "AF groupoids are principal: all stabilizers are trivial"
-        )
-    if isinstance(model, CantorZModel):
-        return _torsion_free(
-            True,
-            "declared",
-            "stabilizers of a Cantor minimal Z-system embed in Z, hence are torsion-free",
-        )
-    if isinstance(model, ProductModel):
-        left = isotropy_report(model.left)
-        right = isotropy_report(model.right)
-        return _torsion_free(
-            left.holds and right.holds,
-            "computed" if left.mode == right.mode == "computed" else "declared",
-            "stabilizers of a product are products of factor stabilizers; "
-            f"left: {left.justification}; right: {right.justification}",
-        )
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _torsion_free(holds: bool, mode: str, justification: str) -> Precondition:
-    return Precondition("torsion_free_isotropy", holds, mode, justification)
-
-
-def model_summary(model: GroupoidModel) -> str:
-    if isinstance(model, FiniteGroupoid):
-        return f"finite({len(model.units)} units, {len(model.arrows)} arrows)"
-    if isinstance(model, SftModel):
-        return f"sft({model.matrix.rows} vertices)"
-    if isinstance(model, BratteliModel):
-        return f"af({len(model.level_sizes)} levels, tail {model.tail.rows})"
-    if isinstance(model, CantorZModel):
-        return f"cantor_z(tail {model.diagram.tail.rows})"
-    if isinstance(model, ProductModel):
-        return f"product({model_summary(model.left)}, {model_summary(model.right)})"
-    return type(model).__name__
 
 
 # ---------------------------------------------------------------------------

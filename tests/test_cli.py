@@ -272,6 +272,30 @@ class TestPreconditionExits:
         assert code == 0
         assert "verdict: match" in out
 
+    @pytest.mark.parametrize("command", ("homology", "ktheory", "hk-check", "fullgroup-dims"))
+    def test_telescope_depth_override_reaches_nested_factors(self, capsys, tmp_path, command):
+        # The Fibonacci tail needs depth 2; the document certifies depth 1
+        # only, in a factor of a factor.
+        cantor = {
+            "model": "cantor_z",
+            "diagram": {"level_sizes": [2], "incidences": [], "tail": [[1, 1], [1, 0]]},
+            "telescope_depth": 1,
+        }
+        doc = {
+            "model": "product",
+            "factors": [
+                {"model": "sft", "matrix": [[2]]},
+                {"model": "product", "factors": [{"model": "sft", "matrix": [[1]]}, cantor]},
+            ],
+        }
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err == "precondition failure: no tail power up to 1 is entrywise positive\n"
+        code, out, err = run(capsys, command, path, "--telescope-depth", "2")
+        assert code == 0 and err == ""
+        assert "cantor_z(tail 2)" in out
+
     def test_huge_telescope_depth_on_non_primitive_tail(self, capsys, tmp_path):
         # No power of [[1, 1], [0, 1]] is positive; the search must stop long
         # before the declared depth.
@@ -415,6 +439,16 @@ class TestFullgroupDimsCommand:
         assert code == 3
         assert out == ""
         assert err == "error: --size-bound must be nonnegative\n"
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("name", ["pair2.json", "fibonacci.json"])
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_telescope_depth_below_one_exits_three(self, capsys, command, name, value):
+        # Rejected before the document is read, whether or not it has a
+        # cantor_z part whose depth the flag would replace.
+        code, out, err = run(capsys, command, model_path(name), "--telescope-depth", value)
+        assert (code, out) == (3, "")
+        assert err == f"error: --telescope-depth {value}: telescope depth must be at least 1\n"
 
     def test_zero_size_bound_is_a_bound(self, capsys):
         code, out, _ = run(capsys, "homology", model_path("fibonacci.json"), "--size-bound", "0")

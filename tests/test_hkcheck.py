@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -252,16 +253,34 @@ class TestOneEvaluationPerLeaf:
         assert len(colimit_calls) == 1
 
     def test_nonprincipal_factor_computes_no_k(self, monkeypatch):
-        k_calls = [
-            record_calls(monkeypatch, fn)
-            for fn in (ktheory.k_of_leaf, ktheory.k_product, ktheory.k_finite_principal)
-        ]
+        slot_calls = record_k_slot_calls(monkeypatch)
+        product_calls = record_calls(monkeypatch, ktheory.k_product)
         colimit_calls = record_calls(monkeypatch, colimits.colimit_invariants)
-        report = hk_check(ProductModel(cyclic_group_groupoid(2), DIAGRAM), max_degree=2)
-        assert report.verdict == VERDICT_PRECONDITION_FAILED
-        assert report.ktheory is None
-        assert k_calls == [[], [], []]
-        assert len(colimit_calls) == 1
+        for model in (
+            ProductModel(cyclic_group_groupoid(2), DIAGRAM),
+            ProductModel(pair_groupoid(2), ProductModel(DIAGRAM, cyclic_group_groupoid(2))),
+        ):
+            report = hk_check(model, max_degree=2)
+            assert report.verdict == VERDICT_PRECONDITION_FAILED
+            assert report.ktheory is None
+        assert slot_calls == [] and product_calls == []
+        assert len(colimit_calls) == 2
+
+
+def record_k_slot_calls(monkeypatch) -> list:
+    """Models passed to any record's K-theory slot, for the test's duration."""
+    calls = []
+    for cls, record in list(ktheory.RECORDS.items()):
+        if record.ktheory is not None:
+
+            def recorded(model, slot=record.ktheory):
+                calls.append(model)
+                return slot(model)
+
+            monkeypatch.setitem(
+                ktheory.RECORDS, cls, dataclasses.replace(record, ktheory=recorded)
+            )
+    return calls
 
 
 class TestEngineCrossChecks:

@@ -25,10 +25,10 @@ from amplehk.homology import (
     homology_af,
     homology_cantor_z,
     homology_finite,
-    homology_of_model,
     homology_product,
     homology_sft,
 )
+from amplehk.ktheory import homology_of_model
 from amplehk.models import (
     BratteliModel,
     CantorZModel,

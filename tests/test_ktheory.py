@@ -1,26 +1,32 @@
-"""Operator K-theory of the model classes."""
+"""Operator K-theory, the model-class records, and the one walk."""
 
 from __future__ import annotations
 
 import random
+import typing
 
 import pytest
 
 from amplehk.colimits import ColimitInvariants
-from amplehk.errors import ModelInvalid, NotPrincipal
+from amplehk.errors import ModelInvalid, NotPrincipal, SchemaError
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 import amplehk.homology as homology
-from amplehk.homology import homology_of_model, homology_sft
+from amplehk.homology import GradedGroup, homology_sft
 from amplehk.ktheory import (
+    RECORDS,
     KPair,
-    homology_and_ktheory,
+    homology_of_model,
+    invariants,
     k_finite_principal,
     k_product,
     ktheory_of_model,
+    record_of,
 )
+from amplehk.modelio import LEAF_KINDS, parse_model
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
+    GroupoidModel,
     ProductModel,
     SftModel,
     cyclic_group_groupoid,
@@ -29,6 +35,7 @@ from amplehk.models import (
     transitive_groupoid,
     trivial_groupoid,
 )
+from conftest import finite_document
 
 
 def M(rows):
@@ -171,15 +178,16 @@ class TestOneWalk:
     @pytest.mark.parametrize("rational_only", (False, True))
     @pytest.mark.parametrize("model", MODELS)
     def test_agrees_with_the_separate_walks(self, model, rational_only):
-        h, k = homology_and_ktheory(model, max_degree=2, rational_only=rational_only)
+        found = invariants(model, max_degree=2, rational_only=rational_only)
+        h, k = found.homology, found.ktheory
         assert h == homology_of_model(model, max_degree=2, rational_only=rational_only)
         assert k == ktheory_of_model(model, rational_only=rational_only)
 
     def test_without_k(self):
         model = ProductModel(cyclic_group_groupoid(2), SftModel(M([[3]])))
-        h, k = homology_and_ktheory(model, max_degree=2, with_k=False)
-        assert h == homology_of_model(model, max_degree=2)
-        assert k is None
+        found = invariants(model, max_degree=2, with_k=False)
+        assert found.homology == homology_of_model(model, max_degree=2)
+        assert found.ktheory is None
 
     def test_ktheory_of_a_finite_groupoid_builds_no_nerve(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -188,3 +196,42 @@ class TestOneWalk:
         monkeypatch.setattr(homology, "nerve_levels", refused)
         model = ProductModel(pair_groupoid(3), SftModel(M([[1]])))
         assert ktheory_of_model(model) == KPair(Z(1), Z(1))
+
+
+class TestRecords:
+    """One record per leaf model class, matching modelio's leaf kinds."""
+
+    DOCUMENTS = {
+        "finite": finite_document(pair_groupoid(2)),
+        "sft": {"model": "sft", "matrix": [[3]]},
+        "af": {"model": "af", "level_sizes": [1], "incidences": [], "tail": [[2]]},
+        "cantor_z": {
+            "model": "cantor_z",
+            "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]},
+        },
+    }
+
+    def test_every_leaf_class_has_a_complete_record(self):
+        leaves = {cls for cls in typing.get_args(GroupoidModel) if cls is not ProductModel}
+        assert set(RECORDS) == leaves
+        models = [parse_model(doc) for doc in self.DOCUMENTS.values()]
+        assert {type(model) for model in models} == leaves
+        for model in models:
+            record = record_of(model)
+            assert record.kind and record.baum_connes
+            found = invariants(model, max_degree=1)
+            assert found.summary.startswith(f"{record.kind}(")
+            assert found.isotropy.name == "torsion_free_isotropy" and found.isotropy.holds
+            assert found.baum_connes == record.baum_connes
+            assert isinstance(found.homology, GradedGroup)
+            assert isinstance(found.ktheory, KPair)
+
+    def test_modelio_leaf_kinds_match_the_records_one_to_one(self):
+        kinds = [record.kind for record in RECORDS.values()]
+        assert len(set(kinds)) == len(kinds)
+        assert sorted(LEAF_KINDS) == sorted(kinds) == sorted(self.DOCUMENTS)
+        for kind in LEAF_KINDS:
+            assert record_of(parse_model(self.DOCUMENTS[kind])).kind == kind
+        with pytest.raises(SchemaError) as exc:
+            parse_model({"model": "torus"})
+        assert ", ".join(LEAF_KINDS) + ", or product" in str(exc.value)

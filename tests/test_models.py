@@ -10,6 +10,7 @@ import pytest
 from amplehk.errors import ModelInvalid, SimplicityNotCertified, SizeBoundExceeded
 from amplehk.exact_linalg import IntMatrix
 from amplehk.homology import homology_cantor_z
+from amplehk.ktheory import invariants
 from amplehk.modelio import parse_model
 from amplehk.models import (
     BratteliModel,
@@ -21,8 +22,6 @@ from amplehk.models import (
     dimension_system,
     disjoint_union_groupoids,
     identity_arrows,
-    isotropy_report,
-    model_summary,
     nerve_levels,
     orbits,
     pair_groupoid,
@@ -35,6 +34,14 @@ from amplehk.models import (
 
 def M(rows):
     return IntMatrix.from_rows(rows)
+
+
+def isotropy_report(model):
+    return invariants(model, with_h=False, with_k=False).isotropy
+
+
+def model_summary(model):
+    return invariants(model, with_h=False, with_k=False).summary
 
 
 def violations(build) -> list[str]:
