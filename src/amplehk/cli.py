@@ -85,14 +85,8 @@ def _read_model(args: argparse.Namespace) -> GroupoidModel:
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    found = invariants(
-        _read_model(args),
-        max_degree=args.max_degree,
-        size_bound=args.size_bound,
-        rational_only=args.rational_only,
-        with_k=False,
-    )
-    graded = found.homology
+    found = invariants(_read_model(args), args.max_degree, args.size_bound, args.rational_only)
+    graded = found.homology()
     if args.format == "json":
         sys.stdout.write(
             _dump_json({"model": found.summary, "homology": _graded_to_json(graded)})
@@ -111,8 +105,8 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_ktheory(args: argparse.Namespace) -> int:
-    found = invariants(_read_model(args), rational_only=args.rational_only, with_h=False)
-    pair = found.ktheory
+    found = invariants(_read_model(args), rational_only=args.rational_only)
+    pair = found.ktheory()
     if args.format == "json":
         sys.stdout.write(
             _dump_json(

@@ -12,8 +12,11 @@ the isotropy is computed exactly, for the symbolic classes it is declared
 with a citation, and a failing precondition produces a report with verdict
 ``precondition_failed`` rather than a rank verdict either way.  Each class's
 isotropy and Baum-Connes justification come from its record in
-``ktheory.RECORDS``.  A truncated grading is summed over its listed degrees,
-and the report names the truncation degree.
+``ktheory.RECORDS``.  Both sides come from one walk, and the homology is
+folded into its even and odd direct sums by ``ktheory.periodicize``, the
+same fold that reads K off H and forms the K-theory of products.  A
+truncated grading is summed over its listed degrees, and the report names
+the truncation degree.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import TruncationUnsound
 from .exact_linalg import FgAbelianGroup
 from .homology import DEFAULT_SIZE_BOUND, GradedGroup, GroupValue
-from .ktheory import KPair, Precondition, invariants
+from .ktheory import KPair, Precondition, invariants, periodicize
 from .models import GroupoidModel, SftModel
 
 __all__ = [
@@ -37,8 +39,6 @@ __all__ = [
     "free_graded_commutative_dims",
     "group_to_json",
     "hk_check",
-    "periodicize",
-    "periodicize_groups",
     "report_to_json",
     "report_to_json_text",
     "report_to_text",
@@ -69,35 +69,6 @@ class HKReport:
     notes: tuple[str, ...]
 
 
-def periodicize(h: GradedGroup) -> tuple[int, int]:
-    """Total even and odd ranks of the listed degrees of a graded group.
-
-    For a truncation these are the totals up to its top degree only;
-    ``hk_check`` reports that degree with the verdict.
-    """
-    even = sum(v.rank for v in h.by_degree[0::2])
-    odd = sum(v.rank for v in h.by_degree[1::2])
-    return even, odd
-
-
-def periodicize_groups(h: GradedGroup) -> tuple[FgAbelianGroup, FgAbelianGroup]:
-    """Even and odd direct sums as presented groups; needs all entries f.g.
-    and an exact (non-truncated) grading."""
-    if not h.vanishing_above:
-        raise TruncationUnsound("cannot form exact periodicized groups from a truncation")
-    if not h.all_finitely_generated():
-        raise TruncationUnsound("colimit-valued entries have no finite presentation to sum")
-    even = FgAbelianGroup.zero()
-    odd = FgAbelianGroup.zero()
-    for d, v in enumerate(h.by_degree):
-        assert isinstance(v, FgAbelianGroup)
-        if d % 2 == 0:
-            even = even.direct_sum(v)
-        else:
-            odd = odd.direct_sum(v)
-    return even, odd
-
-
 def hk_check(
     model: GroupoidModel,
     max_degree: int = 3,
@@ -109,22 +80,16 @@ def hk_check(
     Homology is always computed, even when a precondition fails, so the
     report stays informative; the rank verdict itself is refused in that
     case, and K-theory is not computed.  Both sides come from one walk over
-    the model (``ktheory.invariants``), which evaluates each leaf's closed
-    form once; a first walk that computes neither side finds the isotropy,
-    so that a failed precondition computes no K.  The integral comparison is
-    attempted only when every group in sight is finitely generated and the
-    grading is exact, and an integral discrepancy is reported as a note,
-    never as a failure of the rational statement.
+    the model (``ktheory.invariants``), which finds the isotropy first and
+    evaluates each leaf's closed form at most once, for H and K alike.  The
+    integral comparison is attempted only when every group in sight is
+    finitely generated and the grading is exact, and an integral discrepancy
+    is reported as a note, never as a failure of the rational statement.
     """
-    iso = invariants(model, with_h=False, with_k=False).isotropy
-    found = invariants(
-        model,
-        max_degree=max_degree,
-        size_bound=size_bound,
-        rational_only=rational_only,
-        with_k=iso.holds,
-    )
-    homology, ktheory = found.homology, found.ktheory
+    found = invariants(model, max_degree, size_bound, rational_only)
+    iso = found.isotropy
+    homology = found.homology()
+    ktheory = found.ktheory() if iso.holds else None
     truncation_degree = None if homology.vanishing_above else homology.max_degree
     notes: list[str] = []
     even = odd = rational_match = integral_match = None
@@ -142,7 +107,8 @@ def hk_check(
                 "bar complex truncated: rational comparison verified up to degree "
                 f"{truncation_degree}"
             )
-        even, odd = periodicize(homology)
+        periodic = periodicize(homology)
+        even, odd = periodic.k0.rank, periodic.k1.rank
         rational_match = ktheory.k0.rank == even and ktheory.k1.rank == odd
         verdict = VERDICT_MATCH if rational_match else VERDICT_MISMATCH
         if (
@@ -150,8 +116,7 @@ def hk_check(
             and homology.all_finitely_generated()
             and ktheory.all_finitely_generated()
         ):
-            even_group, odd_group = periodicize_groups(homology)
-            integral_match = even_group == ktheory.k0 and odd_group == ktheory.k1
+            integral_match = periodic == ktheory
             if not integral_match:
                 notes.append(
                     "integral comparison fails for this model; this does not contradict "

@@ -14,12 +14,16 @@ boundary.  ``boundary_matrix`` still gives the boundaries of the full nerve,
 which the tests use as the oracle.  The symbolic classes use their known
 closed forms: a two-term complex for shifts of finite type, the
 dimension-group colimit for AF models, the colimit plus one copy of Z for
-Cantor minimal Z-systems.  Products use the Kunneth formula, on presented
-groups when both factors have them and on ranks otherwise.
+Cantor minimal Z-systems.  Products use the Kunneth formula
+(``homology_product``), on presented groups when both factors have them and
+on ranks otherwise; it is exact when both factors are, and truncated at the
+asked-for degree otherwise.
 
 This module holds the closed forms only.  Which one a model gets is part of
 its class's record in ``ktheory``, whose walk (``ktheory.invariants``, or
-the wrapper ``ktheory.homology_of_model``) also assembles products.
+the wrapper ``ktheory.homology_of_model``) assembles products with
+``homology_product``; ``ktheory.k_product`` applies the same formula to the
+two-term groups (K_0, K_1).
 
 Every model checked its axioms when it was built, so the engines take their
 input as valid.  The one hypothesis checked here is the simplicity
@@ -60,7 +64,6 @@ __all__ = [
     "homology_af",
     "homology_cantor_z",
     "homology_finite",
-    "homology_of_factors",
     "homology_product",
     "homology_sft",
 ]
@@ -251,19 +254,19 @@ def homology_product(
     """Kunneth assembly of a product from the factors' homology.
 
     Degree n collects tensor products of factor degrees summing to n plus the
-    torsion products (Tor) of degrees summing to n - 1.  In rational-only
-    mode, or when a factor has a colimit-valued entry (no finite
-    presentation to tensor), torsion is dropped: ranks multiply and convolve,
-    Tor contributes nothing, and entries come back as ranks rather than
-    presented groups.
+    torsion products (Tor) of degrees summing to n - 1.  The product is exact
+    when both factors vanish above their listed degrees, whatever
+    ``max_degree`` says; otherwise it is truncated at ``max_degree``, which
+    must then be given.  In rational-only mode, or when a factor has a
+    colimit-valued entry (no finite presentation to tensor), torsion is
+    dropped: ranks multiply and convolve, Tor contributes nothing, and
+    entries come back as ranks rather than presented groups.
     """
     vanishing = left.vanishing_above and right.vanishing_above
-    if max_degree is None:
-        if not vanishing:
-            raise TruncationUnsound(
-                "a truncated factor needs an explicit max_degree for the product"
-            )
+    if vanishing:
         max_degree = left.max_degree + right.max_degree + 1
+    elif max_degree is None:
+        raise TruncationUnsound("a truncated factor needs an explicit max_degree for the product")
 
     if not rational_only and left.all_finitely_generated() and right.all_finitely_generated():
         entries: list[GroupValue] = []
@@ -281,19 +284,3 @@ def homology_product(
         for n in range(max_degree + 1)
     )
     return GradedGroup(ranks, vanishing_above=vanishing)
-
-
-def homology_of_factors(
-    left: GradedGroup,
-    right: GradedGroup,
-    max_degree: int,
-    rational_only: bool = False,
-) -> GradedGroup:
-    """Homology of a product node from its factors' homology.
-
-    The product is exact when both factors vanish above their listed
-    degrees and truncated at ``max_degree`` otherwise.
-    """
-    both_vanish = left.vanishing_above and right.vanishing_above
-    degree = None if both_vanish else max_degree
-    return homology_product(left, right, max_degree=degree, rational_only=rational_only)

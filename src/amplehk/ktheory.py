@@ -3,23 +3,27 @@
 Each leaf model class has one record (``ModelClass``, in ``RECORDS``): its
 document kind and summary, whether its stabilizers are torsion-free and on
 what authority, why it satisfies Baum-Connes, its homology closed form and
-its K-theory.  K_0 and K_1 are read off H_0 and H_1 by default: the
-Cuntz-Krieger groups of a shift of finite type, the dimension group of an AF
-algebra, the dimension group plus a copy of Z for a Cantor minimal
-Z-system.  Finite groupoids override it: a principal one has one matrix
+its K-theory.  K is read off H by default, as the even and odd sums of an
+exact grading that stops at degree 1: the Cuntz-Krieger groups of a shift
+of finite type, the dimension group of an AF algebra, the dimension group
+plus a copy of Z for a Cantor minimal Z-system.  Finite groupoids override it: a principal one has one matrix
 algebra per orbit, so K needs no nerve.  Adding a model class means adding
 one record here and one parser branch in ``modelio``.
 
-``invariants`` is the one walk over a model tree.  It computes the sides it
-is asked for, evaluates each leaf's closed form once, and handles products
-once: summary, isotropy, and the Kunneth formulas for H and K (the
-two-periodic one for K, where Tor shifts parity by one), on presented
-groups when both factors have them and on ranks otherwise.
+``periodicize`` folds a graded group into its even and odd direct sums.  It
+reads K off H, and it gives the two-periodic Kunneth formula for K: the fold
+of ``homology_product`` applied to the two-term groups (K_0, K_1).
+
+``invariants`` is the one walk over a model tree.  It finds each node's
+summary, isotropy and Baum-Connes justification at once, and its H and K
+when asked; each leaf's closed form runs at most once per walk, whichever
+side asks first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable
 
 from .colimits import ColimitInvariants
@@ -32,7 +36,7 @@ from .homology import (
     homology_af,
     homology_cantor_z,
     homology_finite,
-    homology_of_factors,
+    homology_product,
     homology_sft,
 )
 from .models import (
@@ -57,6 +61,7 @@ __all__ = [
     "k_finite_principal",
     "k_product",
     "ktheory_of_model",
+    "periodicize",
     "record_of",
 ]
 
@@ -100,26 +105,40 @@ def k_finite_principal(g: FiniteGroupoid) -> KPair:
     return KPair(FgAbelianGroup.free(len(orbits(g))), FgAbelianGroup.zero())
 
 
+def periodicize(h: GradedGroup) -> KPair:
+    """Direct sums of the even and of the odd listed degrees of ``h``.
+
+    A parity with a colimit-valued entry keeps only its total rank.  For a
+    truncation the sums stop at its top degree; ``hk_check`` reports that
+    degree with the verdict.
+    """
+
+    def fold(values: tuple[GroupValue, ...]) -> GroupValue:
+        if all(isinstance(v, FgAbelianGroup) for v in values):
+            total = FgAbelianGroup.zero()
+            for v in values:
+                total = total.direct_sum(v)
+            return total
+        return ColimitInvariants(rank=sum(v.rank for v in values))
+
+    return KPair(fold(h.by_degree[0::2]), fold(h.by_degree[1::2]))
+
+
 def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
     """Two-periodic Kunneth formula for the K-theory of a tensor product.
 
-    Even part: even (x) even, odd (x) odd, and Tor of opposite parities.
-    Odd part: mixed tensors and Tor of equal parities; Tor always shifts the
-    parity by one.  Rational-only mode, or a factor with colimit-valued
-    K-theory (no finite presentation to tensor), keeps just the ranks.
+    It is the parity fold of the Kunneth formula for homology applied to
+    the exact two-term groups (K_0, K_1): Tor shifts the parity by one.
+    Rational-only mode, or a factor with colimit-valued K-theory, keeps just
+    the ranks.
     """
-    if rational_only or not (left.all_finitely_generated() and right.all_finitely_generated()):
-        a0, a1 = left.k0.rank, left.k1.rank
-        b0, b1 = right.k0.rank, right.k1.rank
-        return KPair(
-            ColimitInvariants(rank=a0 * b0 + a1 * b1),
-            ColimitInvariants(rank=a0 * b1 + a1 * b0),
+    return periodicize(
+        homology_product(
+            GradedGroup((left.k0, left.k1), vanishing_above=True),
+            GradedGroup((right.k0, right.k1), vanishing_above=True),
+            rational_only=rational_only,
         )
-    a0, a1 = left.k0, left.k1
-    b0, b1 = right.k0, right.k1
-    k0 = a0.tensor(b0).direct_sum(a1.tensor(b1)).direct_sum(a0.tor(b1)).direct_sum(a1.tor(b0))
-    k1 = a0.tensor(b1).direct_sum(a1.tensor(b0)).direct_sum(a0.tor(b0)).direct_sum(a1.tor(b1))
-    return KPair(k0, k1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +153,7 @@ class ModelClass:
     is ``kind(describe(model))``.  ``homology(model, max_degree, size_bound)``
     is the closed form (a finite groupoid's bar complex up to
     ``max_degree``).  ``ktheory`` forms K from the model alone; when it is
-    None, K_0 and K_1 are read off H_0 and H_1.
+    None, K is read off H by ``periodicize``.
     """
 
     kind: str
@@ -234,13 +253,17 @@ def record_of(model: GroupoidModel) -> ModelClass:
 
 @dataclass(frozen=True)
 class Invariants:
-    """What one walk found about a model; a side not asked for is None."""
+    """What one walk found about a model.
+
+    ``homology()`` and ``ktheory()`` compute their side on first call and
+    return the same value after.
+    """
 
     summary: str
     isotropy: Precondition
     baum_connes: str
-    homology: GradedGroup | None
-    ktheory: KPair | None
+    homology: Callable[[], GradedGroup]
+    ktheory: Callable[[], KPair]
 
 
 def invariants(
@@ -248,19 +271,16 @@ def invariants(
     max_degree: int = 3,
     size_bound: int = DEFAULT_SIZE_BOUND,
     rational_only: bool = False,
-    with_h: bool = True,
-    with_k: bool = True,
 ) -> Invariants:
-    """Summary, preconditions and the asked-for sides of any model, in one walk.
+    """Summary, preconditions, and H and K on demand, of any model in one walk.
 
-    A leaf's closed form is evaluated once, and only when H is asked for or
-    its K is read off H; a finite groupoid's K-theory builds no nerve.
-    Products assemble their factors with ``homology_of_factors`` and
-    ``k_product``.
+    A leaf's closed form runs at most once, when its H is asked for or its K
+    is read off H; a finite groupoid's K-theory builds no nerve.  Products
+    assemble their factors with ``homology_product`` and ``k_product``.
     """
     if isinstance(model, ProductModel):
-        left = invariants(model.left, max_degree, size_bound, rational_only, with_h, with_k)
-        right = invariants(model.right, max_degree, size_bound, rational_only, with_h, with_k)
+        left = invariants(model.left, max_degree, size_bound, rational_only)
+        right = invariants(model.right, max_degree, size_bound, rational_only)
         li, ri = left.isotropy, right.isotropy
         return Invariants(
             summary=f"product({left.summary}, {right.summary})",
@@ -274,25 +294,23 @@ def invariants(
                 "products of amenable groupoids are amenable, hence satisfy "
                 "Baum-Connes (Tu)"
             ),
-            homology=(
-                homology_of_factors(left.homology, right.homology, max_degree, rational_only)
-                if with_h else None
+            homology=cache(
+                lambda: homology_product(
+                    left.homology(), right.homology(), max_degree, rational_only
+                )
             ),
-            ktheory=k_product(left.ktheory, right.ktheory, rational_only) if with_k else None,
+            ktheory=cache(lambda: k_product(left.ktheory(), right.ktheory(), rational_only)),
         )
     record = record_of(model)
-    h = None
-    if with_h or (with_k and record.ktheory is None):
-        h = record.homology(model, max_degree, size_bound)
-    k = None
-    if with_k:
-        k = record.ktheory(model) if record.ktheory else KPair(h.entry(0), h.entry(1))
+    homology = cache(lambda: record.homology(model, max_degree, size_bound))
     return Invariants(
         summary=f"{record.kind}({record.describe(model)})",
         isotropy=record.isotropy(model),
         baum_connes=record.baum_connes,
-        homology=h if with_h else None,
-        ktheory=k,
+        homology=homology,
+        ktheory=cache(
+            lambda: record.ktheory(model) if record.ktheory else periodicize(homology())
+        ),
     )
 
 
@@ -302,10 +320,10 @@ def homology_of_model(
     size_bound: int = DEFAULT_SIZE_BOUND,
     rational_only: bool = False,
 ) -> GradedGroup:
-    """Homology of any model: ``invariants`` without K."""
-    return invariants(model, max_degree, size_bound, rational_only, with_k=False).homology
+    """Homology of any model, from ``invariants``."""
+    return invariants(model, max_degree, size_bound, rational_only).homology()
 
 
 def ktheory_of_model(model: GroupoidModel, rational_only: bool = False) -> KPair:
-    """K-theory of any model: ``invariants`` without H."""
-    return invariants(model, rational_only=rational_only, with_h=False).ktheory
+    """K-theory of any model, from ``invariants``."""
+    return invariants(model, rational_only=rational_only).ktheory()

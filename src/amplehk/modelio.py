@@ -155,6 +155,8 @@ def _parse_finite(doc: dict, pointer: str) -> FiniteGroupoid:
         if len(entry) != 3:
             raise SchemaError(ep, "composition entries are triples [g, d, g.d]")
         g, d, gd = (_expect_str(x, f"{ep}/{j}") for j, x in enumerate(entry))
+        if (g, d) in compose:
+            raise SchemaError(ep, f"composable pair ({g!r}, {d!r}) is listed twice")
         compose[(g, d)] = gd
 
     inverse_doc = _expect_object(_get(doc, "inverse", pointer), f"{pointer}/inverse")

@@ -216,6 +216,7 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
     if bad:
         return bad
 
+    bad.extend(f"inverse entry for unknown arrow {k!r}" for k in g.inverse if k not in arrow_map)
     for name, src, tgt in g.arrows:
         if name not in g.inverse:
             bad.append(f"arrow {name!r} has no inverse entry")

@@ -172,6 +172,20 @@ class TestInputProblems:
         assert code == 3
         assert "row 0" in err
 
+    def test_composable_pair_listed_twice_exits_three(self, capsys, tmp_path):
+        doc = json.loads(Path(model_path("z2group.json")).read_text())
+        doc["compose"].insert(0, ["e", "e", "bogus"])
+        code, out, err = run(capsys, "hk-check", write_doc(tmp_path, doc))
+        assert (code, out) == (3, "")
+        assert err == "error: /compose/1: composable pair ('e', 'e') is listed twice\n"
+
+    def test_inverse_entry_for_unknown_arrow_exits_three(self, capsys, tmp_path):
+        doc = json.loads(Path(model_path("z2group.json")).read_text())
+        doc["inverse"]["zz"] = "e"
+        code, out, err = run(capsys, "hk-check", write_doc(tmp_path, doc))
+        assert (code, out) == (3, "")
+        assert "inverse entry for unknown arrow 'zz'" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -13,20 +13,19 @@ import amplehk.colimits as colimits
 import amplehk.exact_linalg as exact_linalg
 import amplehk.ktheory as ktheory
 from amplehk.colimits import ColimitInvariants
-from amplehk.errors import ModelInvalid, SimplicityNotCertified, TruncationUnsound
+from amplehk.errors import ModelInvalid, SimplicityNotCertified
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.hkcheck import (
     VERDICT_MATCH,
     VERDICT_PRECONDITION_FAILED,
     free_graded_commutative_dims,
     hk_check,
-    periodicize,
-    periodicize_groups,
     report_to_json_text,
     report_to_text,
     smale_check,
 )
 from amplehk.homology import GradedGroup, homology_sft
+from amplehk.ktheory import KPair, periodicize
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
@@ -48,32 +47,29 @@ def Z(rank):
 class TestPeriodicize:
     def test_exact_grading(self):
         h = GradedGroup((Z(1), Z(2), FgAbelianGroup.cyclic(2), Z(1)), vanishing_above=True)
-        assert periodicize(h) == (1, 3)
+        periodic = periodicize(h)
+        assert (periodic.k0.rank, periodic.k1.rank) == (1, 3)
 
     def test_truncation_sums_its_listed_degrees(self):
         h = GradedGroup((Z(1), Z(1)), vanishing_above=False)
-        assert periodicize(h) == (1, 1)
+        assert periodicize(h) == KPair(Z(1), Z(1))
 
     def test_group_level_sums(self):
         h = GradedGroup(
             (Z(1), FgAbelianGroup.cyclic(2), FgAbelianGroup(1, (3,))), vanishing_above=True
         )
-        even, odd = periodicize_groups(h)
-        assert even == FgAbelianGroup(2, (3,))
-        assert odd == FgAbelianGroup.cyclic(2)
+        assert periodicize(h) == KPair(FgAbelianGroup(2, (3,)), FgAbelianGroup.cyclic(2))
 
-    def test_group_level_refuses_truncations(self):
-        h = GradedGroup((Z(1),), vanishing_above=False)
-        with pytest.raises(TruncationUnsound):
-            periodicize_groups(h)
-
-    def test_group_level_refuses_colimit_entries(self):
+    def test_colimit_entry_keeps_only_its_paritys_rank(self):
         h = GradedGroup(
-            (ColimitInvariants(rank=1),),
+            (ColimitInvariants(rank=1), Z(2), Z(1), FgAbelianGroup.cyclic(2)),
             vanishing_above=True,
         )
-        with pytest.raises(TruncationUnsound):
-            periodicize_groups(h)
+        assert periodicize(h) == KPair(ColimitInvariants(rank=2), FgAbelianGroup(2, (2,)))
+
+    def test_empty_parity_is_zero(self):
+        h = GradedGroup((ColimitInvariants(rank=1),), vanishing_above=True)
+        assert periodicize(h) == KPair(ColimitInvariants(rank=1), FgAbelianGroup.zero())
 
 
 class TestHkCheck:
@@ -265,6 +261,26 @@ class TestOneEvaluationPerLeaf:
             assert report.ktheory is None
         assert slot_calls == [] and product_calls == []
         assert len(colimit_calls) == 2
+
+    def test_isotropy_is_evaluated_once_per_leaf(self, monkeypatch):
+        leaves = []
+        for cls, record in list(ktheory.RECORDS.items()):
+
+            def recorded(model, slot=record.isotropy):
+                leaves.append(model)
+                return slot(model)
+
+            monkeypatch.setitem(
+                ktheory.RECORDS, cls, dataclasses.replace(record, isotropy=recorded)
+            )
+        principal, torsion = pair_groupoid(2), cyclic_group_groupoid(2)
+        for model, factors in (
+            (ProductModel(SHIFT, ProductModel(DIAGRAM, principal)), [SHIFT, DIAGRAM, principal]),
+            (ProductModel(torsion, DIAGRAM), [torsion, DIAGRAM]),
+        ):
+            leaves.clear()
+            hk_check(model, max_degree=2)
+            assert leaves == factors
 
 
 def record_k_slot_calls(monkeypatch) -> list:

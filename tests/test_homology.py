@@ -307,6 +307,13 @@ class TestKunneth:
         assert groups(torus) == ["Z", "Z^2", "Z", "0"]
         assert torus.vanishing_above
 
+    def test_exact_factors_give_the_exact_product_whatever_the_degree(self):
+        circle = homology_sft(SftModel(M([[1]])))
+        torus = homology_product(circle, circle, max_degree=1)
+        assert torus == homology_product(circle, circle)
+        assert torus.vanishing_above
+        assert torus.entry(2) == Z(1)
+
     def test_torsion_product(self):
         h = homology_of_model(
             ProductModel(cyclic_group_groupoid(2), cyclic_group_groupoid(2)), max_degree=2

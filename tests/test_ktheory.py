@@ -143,6 +143,43 @@ class TestProduct:
         rat = k_product(a, b, rational_only=True)
         assert (rat.k0.rank, rat.k1.rank) == (2 * 5 + 3 * 7, 2 * 7 + 3 * 5)
 
+    def test_agrees_with_the_even_odd_formula(self):
+        rng = random.Random(61)
+
+        def group():
+            """Free, torsion or mixed, and now and then colimit-valued."""
+            if rng.random() < 0.15:
+                return ColimitInvariants(rank=rng.randint(0, 3))
+            total = Z(rng.randint(0, 2))
+            for _ in range(rng.randint(0, 2)):
+                total = total.direct_sum(FgAbelianGroup.cyclic(rng.choice((2, 3, 4, 6))))
+            return total
+
+        for _ in range(400):
+            left, right = KPair(group(), group()), KPair(group(), group())
+            for rational_only in (False, True):
+                assert k_product(left, right, rational_only) == even_odd_formula(
+                    left, right, rational_only
+                )
+
+
+def even_odd_formula(left: KPair, right: KPair, rational_only: bool) -> KPair:
+    """The two-periodic Kunneth formula with each parity's terms written out:
+    even (x) even, odd (x) odd and Tor of opposite parities in K_0; mixed
+    tensors and Tor of equal parities in K_1."""
+    if rational_only or not (left.all_finitely_generated() and right.all_finitely_generated()):
+        a0, a1 = left.k0.rank, left.k1.rank
+        b0, b1 = right.k0.rank, right.k1.rank
+        return KPair(
+            ColimitInvariants(rank=a0 * b0 + a1 * b1),
+            ColimitInvariants(rank=a0 * b1 + a1 * b0),
+        )
+    a0, a1 = left.k0, left.k1
+    b0, b1 = right.k0, right.k1
+    k0 = a0.tensor(b0).direct_sum(a1.tensor(b1)).direct_sum(a0.tor(b1)).direct_sum(a1.tor(b0))
+    k1 = a0.tensor(b1).direct_sum(a1.tensor(b0)).direct_sum(a0.tor(b0)).direct_sum(a1.tor(b1))
+    return KPair(k0, k1)
+
 
 class TestDispatch:
     def test_recursion_with_fallback(self):
@@ -179,15 +216,18 @@ class TestOneWalk:
     @pytest.mark.parametrize("model", MODELS)
     def test_agrees_with_the_separate_walks(self, model, rational_only):
         found = invariants(model, max_degree=2, rational_only=rational_only)
-        h, k = found.homology, found.ktheory
+        h, k = found.homology(), found.ktheory()
         assert h == homology_of_model(model, max_degree=2, rational_only=rational_only)
         assert k == ktheory_of_model(model, rational_only=rational_only)
 
     def test_without_k(self):
         model = ProductModel(cyclic_group_groupoid(2), SftModel(M([[3]])))
-        found = invariants(model, max_degree=2, with_k=False)
-        assert found.homology == homology_of_model(model, max_degree=2)
-        assert found.ktheory is None
+        found = invariants(model, max_degree=2)
+        assert found.homology() == homology_of_model(model, max_degree=2)
+        assert found.homology() is found.homology()
+        # K is formed only when asked for; here it is refused.
+        with pytest.raises(NotPrincipal):
+            found.ktheory()
 
     def test_ktheory_of_a_finite_groupoid_builds_no_nerve(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -223,8 +263,8 @@ class TestRecords:
             assert found.summary.startswith(f"{record.kind}(")
             assert found.isotropy.name == "torsion_free_isotropy" and found.isotropy.holds
             assert found.baum_connes == record.baum_connes
-            assert isinstance(found.homology, GradedGroup)
-            assert isinstance(found.ktheory, KPair)
+            assert isinstance(found.homology(), GradedGroup)
+            assert isinstance(found.ktheory(), KPair)
 
     def test_modelio_leaf_kinds_match_the_records_one_to_one(self):
         kinds = [record.kind for record in RECORDS.values()]

@@ -176,6 +176,14 @@ class TestSchemaPointers:
             )
         assert exc.value.pointer == "/compose/0"
 
+    def test_composable_pair_listed_twice(self):
+        doc = load_json((MODELS_DIR / "z2group.json").read_text())
+        doc["compose"].insert(0, ["e", "e", "bogus"])
+        with pytest.raises(SchemaError) as exc:
+            parse_model(doc)
+        assert exc.value.pointer == "/compose/1"
+        assert "('e', 'e') is listed twice" in str(exc.value)
+
     def test_product_arity(self):
         with pytest.raises(SchemaError) as exc:
             parse_model({"model": "product", "factors": [{"model": "sft", "matrix": [[1]]}]})

@@ -37,11 +37,11 @@ def M(rows):
 
 
 def isotropy_report(model):
-    return invariants(model, with_h=False, with_k=False).isotropy
+    return invariants(model).isotropy
 
 
 def model_summary(model):
-    return invariants(model, with_h=False, with_k=False).summary
+    return invariants(model).summary
 
 
 def violations(build) -> list[str]:
@@ -114,6 +114,11 @@ class TestFiniteValidation:
         g = cyclic_group_groupoid(2)
         bad = violations(lambda: dataclasses.replace(g, inverse={"g0": "g0"}))
         assert any("no inverse entry" in v for v in bad)
+
+    def test_inverse_entry_for_unknown_arrow(self):
+        g = cyclic_group_groupoid(2)
+        bad = violations(lambda: dataclasses.replace(g, inverse={**g.inverse, "zz": "g0"}))
+        assert bad == ["inverse entry for unknown arrow 'zz'"]
 
     def test_inverse_with_wrong_endpoints(self):
         g = pair_groupoid(2)
