@@ -81,7 +81,7 @@ def _read_json(path: str):
 
 
 def _read_model(args: argparse.Namespace) -> GroupoidModel:
-    return parse_model(_read_json(args.path), telescope_depth=args.telescope_depth)
+    return parse_model(_read_json(args.path))
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
@@ -240,8 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=3, dest="max_degree",
                         help="top homology degree for truncated computations "
                              f"(default 3, at most {MAX_DEGREE})")
-    common.add_argument("--telescope-depth", type=int, default=None, dest="telescope_depth",
-                        help="override the telescoping depth of cantor_z models")
     common.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND, dest="size_bound",
                         help="exit 3 when a level of the reduced finite-groupoid complex (the "
                              f"nerve of one unit per orbit) outgrows this (default {DEFAULT_SIZE_BOUND})")
@@ -291,18 +289,12 @@ def _run(argv: list[str] | None) -> int:
     except _UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT
-    # Rejected before the document is read: (option, least value, cap or None).
-    for flag, low, cap in (("max_degree", 0, MAX_DEGREE), ("size_bound", 0, None),
-                           ("words", 0, MAX_WORDS), ("telescope_depth", 1, None)):
+    # Rejected before the document is read: (option, cap or None).
+    for flag, cap in (("max_degree", MAX_DEGREE), ("size_bound", None), ("words", MAX_WORDS)):
         value = getattr(args, flag, None)
-        if value is None or (low <= value and (cap is None or value <= cap)):
+        if value is None or (0 <= value and (cap is None or value <= cap)):
             continue
-        if value > low:
-            problem = f"must be at most {cap}"
-        elif low == 0:
-            problem = "must be nonnegative"
-        else:  # worded as the check on a document's own depth
-            problem = f"{value}: {flag.replace('_', ' ')} must be at least {low}"
+        problem = "must be nonnegative" if value < 0 else f"must be at most {cap}"
         sys.stderr.write(f"error: --{flag.replace('_', '-')} {problem}\n")
         return _EXIT_INPUT
     try:

@@ -14,7 +14,6 @@ without a finite presentation is no error: products fall back to ranks.
 from __future__ import annotations
 
 __all__ = [
-    "BoundaryMismatch",
     "CommutationFailure",
     "DimensionMismatch",
     "ModelInvalid",
@@ -50,7 +49,7 @@ class SizeBoundExceeded(RuntimeError):
 
 
 class SimplicityNotCertified(ValueError):
-    """Telescoping failed to certify a Bratteli diagram as simple with Cantor path space."""
+    """A Bratteli diagram's tail is not primitive, or its path space is a single point."""
 
 
 class NotPrincipal(ValueError):
@@ -59,10 +58,6 @@ class NotPrincipal(ValueError):
 
 class TruncationUnsound(ValueError):
     """A computation needs degrees or exactness that a truncated graded group lacks."""
-
-
-class BoundaryMismatch(ValueError):
-    """Signed face transfers disagree with the boundary matrix they must reproduce."""
 
 
 class ModelInvalid(ValueError):

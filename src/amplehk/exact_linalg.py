@@ -98,14 +98,13 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(flat))
 
     @staticmethod
-    def diagonal(diag: Iterable[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
+    def diagonal(diag: Iterable[int]) -> "IntMatrix":
         d = list(diag)
-        r = len(d) if rows is None else rows
-        c = len(d) if cols is None else cols
-        flat = [0] * (r * c)
+        n = len(d)
+        flat = [0] * (n * n)
         for i, x in enumerate(d):
-            flat[i * c + i] = x
-        return IntMatrix(r, c, tuple(flat))
+            flat[i * n + i] = x
+        return IntMatrix(n, n, tuple(flat))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]

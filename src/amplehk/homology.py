@@ -231,10 +231,10 @@ def homology_cantor_z(model: CantorZModel) -> GradedGroup:
     Degree 0 is the dimension-group colimit (the coinvariants of the action);
     degree 1 is a single copy of Z, the class of the invariant: minimality
     makes the only invariant functions the constants.  Raises
-    SimplicityNotCertified when telescoping to the model's depth does not
-    certify the diagram.
+    SimplicityNotCertified when the diagram is not simple (its tail is not
+    primitive) or its path space is a single point.
     """
-    ok, why = simplicity_certificate(model.diagram.tail, model.telescope_depth)
+    ok, why = simplicity_certificate(model.diagram.tail)
     if not ok:
         raise SimplicityNotCertified(why)
     h0 = colimit_invariants(dimension_system(model.diagram))

@@ -4,8 +4,8 @@ The document schema mirrors the model dataclasses.  Every model document has
 a ``model`` tag naming the class; matrices are row-major arrays of arrays of
 integers.  Parse failures carry location information: malformed JSON reports
 line and column, schema violations report a JSON pointer to the offending
-value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep, and an integer
-literal has at most ``MAX_INT_DIGITS`` digits.
+value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep, an integer
+literal has at most ``MAX_INT_DIGITS`` digits, and no object repeats a key.
 
 Each model checks its axioms when it is built, so a document that parses is
 a valid model, and a malformed one raises ModelInvalid before any engine
@@ -72,10 +72,23 @@ def _capped_int(literal: str) -> int:
     return int(literal)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # JSON leaves repeated keys to the reader; taking the last one would run
+    # a document on an entry its author may not have meant.
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"an object repeats the key {json.dumps(key)}")
+            seen.add(key)
+    return doc
+
+
 def load_json(text: str):
     parse_int = _capped_int if _LONG_DIGIT_RUN.search(text) else None
     try:
-        return json.loads(text, parse_int=parse_int)
+        return json.loads(text, parse_int=parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
@@ -175,17 +188,18 @@ def _parse_bratteli(doc: dict, pointer: str) -> BratteliModel:
     return BratteliModel(sizes, incidences, tail)
 
 
-def parse_model(doc, pointer: str = "", telescope_depth: int | None = None) -> GroupoidModel:
+def parse_model(doc, pointer: str = "") -> GroupoidModel:
     """Turn a decoded JSON document into a model, or raise SchemaError or
     ModelInvalid.
 
-    A ``telescope_depth`` replaces the depth of every cantor_z model in the
-    document, nested ones included, once the document's own depth is checked.
+    Keys the schema does not name are ignored, among them the
+    ``telescope_depth`` of older cantor_z documents: simplicity is decided
+    from the tail alone.
     """
-    return _parse_model(doc, pointer, 0, telescope_depth)
+    return _parse_model(doc, pointer, 0)
 
 
-def _parse_model(doc, pointer: str, depth: int, telescope_depth: int | None) -> GroupoidModel:
+def _parse_model(doc, pointer: str, depth: int) -> GroupoidModel:
     """``depth`` counts the products enclosing ``doc``."""
     doc = _expect_object(doc, pointer or "/")
     kind = _expect_str(_get(doc, "model", pointer), f"{pointer}/model")
@@ -196,11 +210,11 @@ def _parse_model(doc, pointer: str, depth: int, telescope_depth: int | None) -> 
         if len(factors) != 2:
             raise SchemaError(f"{pointer}/factors", f"expected exactly 2 factors, got {len(factors)}")
         return ProductModel(
-            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1, telescope_depth),
-            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1, telescope_depth),
+            _parse_model(factors[0], f"{pointer}/factors/0", depth + 1),
+            _parse_model(factors[1], f"{pointer}/factors/1", depth + 1),
         )
     try:
-        return _parse_leaf(kind, doc, pointer, telescope_depth)
+        return _parse_leaf(kind, doc, pointer)
     except ModelInvalid as e:
         if not pointer:
             raise
@@ -209,7 +223,7 @@ def _parse_model(doc, pointer: str, depth: int, telescope_depth: int | None) -> 
         raise ModelInvalid([f"{pointer}: {first}", *rest]) from None
 
 
-def _parse_leaf(kind: str, doc: dict, pointer: str, telescope_depth: int | None) -> GroupoidModel:
+def _parse_leaf(kind: str, doc: dict, pointer: str) -> GroupoidModel:
     if kind == "finite":
         return _parse_finite(doc, pointer)
     if kind == "sft":
@@ -217,13 +231,10 @@ def _parse_leaf(kind: str, doc: dict, pointer: str, telescope_depth: int | None)
     if kind == "af":
         return _parse_bratteli(doc, pointer)
     if kind == "cantor_z":
-        diagram = _parse_bratteli(
+        return CantorZModel(_parse_bratteli(
             _expect_object(_get(doc, "diagram", pointer), f"{pointer}/diagram"),
             f"{pointer}/diagram",
-        )
-        telescope = _expect_int(doc.get("telescope_depth", 3), f"{pointer}/telescope_depth")
-        model = CantorZModel(diagram, telescope_depth=telescope)
-        return model if telescope_depth is None else CantorZModel(diagram, telescope_depth)
+        ))
     raise SchemaError(
         f"{pointer}/model",
         f"unknown model kind {kind!r}; expected {', '.join(LEAF_KINDS)}, or product",

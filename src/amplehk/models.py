@@ -120,20 +120,14 @@ class BratteliModel:
 class CantorZModel:
     """Minimal Z-action on a Cantor set, presented by a Bratteli diagram.
 
-    Simplicity (minimality of the action, with genuinely infinite path space)
-    is certified by telescoping: some power of the tail up to
-    ``telescope_depth`` must have all entries positive, and the path space
-    must branch.  Building the model checks only that the depth is at least
-    1; a diagram that fails the certificate is well formed, and the homology
-    engine refuses it as a failed hypothesis (SimplicityNotCertified).
+    The action is minimal, with genuinely infinite path space, exactly when
+    the diagram's stationary tail is primitive and the path space branches;
+    ``simplicity_certificate`` decides both from the tail.  A diagram that
+    fails is well formed, and the homology engine refuses it as a failed
+    hypothesis (SimplicityNotCertified).
     """
 
     diagram: BratteliModel
-    telescope_depth: int = 3
-
-    def __post_init__(self) -> None:
-        if self.telescope_depth < 1:
-            raise ModelInvalid(["telescope depth must be at least 1"])
 
 
 @dataclass(frozen=True)
@@ -303,41 +297,36 @@ def _validate_bratteli(b: BratteliModel) -> list[str]:
     return bad
 
 
-def simplicity_certificate(tail: IntMatrix, depth: int) -> tuple[bool, str]:
-    """Try to certify a stationary diagram as simple with Cantor path space.
+def simplicity_certificate(tail: IntMatrix) -> tuple[bool, str]:
+    """Decide whether a stationary diagram is simple with Cantor path space.
 
-    Telescoping k levels multiplies k copies of the tail; if some power up to
-    ``depth`` is entrywise positive the telescoped diagram has full
-    connections, which forces simplicity.  A genuinely Cantor path space also
-    needs branching: a 1x1 tail of [1] describes a single path, not a Cantor
-    set.
-
-    The tail is nonnegative, so only the 0/1 pattern of each power matters.
-    An n x n pattern with a positive power has one by (n-1)^2 + 1 (Wielandt),
-    so the search stops there even when ``depth`` is larger.
+    The diagram is simple exactly when its tail is primitive: some power is
+    entrywise positive.  The tail is nonnegative, so only the 0/1 pattern of
+    each power matters.  An n x n pattern with a positive power has one by
+    (n-1)^2 + 1 (Wielandt), and every later power is positive too, so
+    squaring the pattern until the exponent passes that bound decides it.
+    A genuinely Cantor path space also needs branching: a 1x1 tail of [1]
+    describes a single path, not a Cantor set.
     """
     if tail.rows != tail.cols or tail.rows == 0:
         return False, "tail is not a nonempty square matrix"
     n = tail.rows
     # Row i of a pattern is a bit mask of the columns j with a positive entry.
-    step = [sum(1 << j for j in range(n) if tail.entry(i, j) > 0) for i in range(n)]
+    power = [sum(1 << j for j in range(n) if tail.entry(i, j) > 0) for i in range(n)]
     full = (1 << n) - 1
-    power = step
-    positive_at = None
-    for k in range(1, min(max(depth, 1), (n - 1) ** 2 + 1) + 1):
-        if all(r == full for r in power):
-            positive_at = k
-            break
-        power = [_next_pattern_row(r, step) for r in power]
-    if positive_at is None:
-        return False, f"no tail power up to {depth} is entrywise positive"
-    if tail.rows == 1 and tail.entry(0, 0) == 1:
+    squarings = 0
+    while any(r != full for r in power):
+        if squarings == ((n - 1) ** 2).bit_length():
+            return False, "no power of the tail is entrywise positive"
+        power = [_next_pattern_row(r, power) for r in power]
+        squarings += 1
+    if n == 1 and tail.entry(0, 0) == 1:
         return False, "path space is a single point, not a Cantor set"
-    return True, f"tail power {positive_at} is entrywise positive"
+    return True, f"tail power {2 ** squarings} is entrywise positive"
 
 
 def _next_pattern_row(row: int, step: list[int]) -> int:
-    """Row of (pattern x tail pattern): the union of the tail rows ``row`` reaches."""
+    """Row of (pattern x ``step``): the union of the rows of ``step`` that ``row`` reaches."""
     out = 0
     for j, s in enumerate(step):
         if row >> j & 1:

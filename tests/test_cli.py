@@ -179,6 +179,23 @@ class TestInputProblems:
         assert (code, out) == (3, "")
         assert err == "error: /compose/1: composable pair ('e', 'e') is listed twice\n"
 
+    def test_repeated_inverse_key_exits_three(self, capsys, tmp_path):
+        # The last "g" is the right inverse; the first must not be dropped.
+        doc = json.loads(Path(model_path("z2group.json")).read_text())
+        doc["inverse"] = "INVERSE"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"INVERSE"', '{"g": "bogus", "e": "e", "g": "g"}'))
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (3, "")
+        assert err == 'error: an object repeats the key "g"\n'
+
+    def test_repeated_matrix_key_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"model": "sft", "matrix": [[0]], "matrix": [[2]]}')
+        code, out, err = run(capsys, "ktheory", str(path))
+        assert (code, out) == (3, "")
+        assert err == 'error: an object repeats the key "matrix"\n'
+
     def test_inverse_entry_for_unknown_arrow_exits_three(self, capsys, tmp_path):
         doc = json.loads(Path(model_path("z2group.json")).read_text())
         doc["inverse"]["zz"] = "e"
@@ -273,58 +290,56 @@ class TestPreconditionExits:
         assert code == 2
         assert "precondition failure:" in err
 
-    def test_telescope_depth_override(self, capsys, tmp_path):
-        doc = {
-            "model": "cantor_z",
-            "diagram": {"level_sizes": [2], "incidences": [], "tail": [[1, 1], [1, 0]]},
-            "telescope_depth": 1,
-        }
-        path = write_doc(tmp_path, doc)
-        code, _, err = run(capsys, "hk-check", path)
-        assert code == 2
-        code, out, _ = run(capsys, "hk-check", path, "--telescope-depth", "2")
-        assert code == 0
-        assert "verdict: match" in out
-
     @pytest.mark.parametrize("command", ("homology", "ktheory", "hk-check", "fullgroup-dims"))
-    def test_telescope_depth_override_reaches_nested_factors(self, capsys, tmp_path, command):
-        # The Fibonacci tail needs depth 2; the document certifies depth 1
-        # only, in a factor of a factor.
+    def test_primitive_tail_is_certified_whatever_depth_the_document_gives(
+        self, capsys, tmp_path, command
+    ):
+        # The Fibonacci tail first turns positive at power 2; the document's
+        # depth of 1 is ignored, at the top level and in a factor of a factor.
         cantor = {
             "model": "cantor_z",
             "diagram": {"level_sizes": [2], "incidences": [], "tail": [[1, 1], [1, 0]]},
             "telescope_depth": 1,
         }
-        doc = {
+        nested = {
             "model": "product",
             "factors": [
                 {"model": "sft", "matrix": [[2]]},
                 {"model": "product", "factors": [{"model": "sft", "matrix": [[1]]}, cantor]},
             ],
         }
-        path = write_doc(tmp_path, doc)
-        code, out, err = run(capsys, command, path)
-        assert (code, out) == (2, "")
-        assert err == "precondition failure: no tail power up to 1 is entrywise positive\n"
-        code, out, err = run(capsys, command, path, "--telescope-depth", "2")
-        assert code == 0 and err == ""
-        assert "cantor_z(tail 2)" in out
+        for doc in (cantor, nested):
+            code, out, err = run(capsys, command, write_doc(tmp_path, doc))
+            assert code == 0 and err == ""
+            assert "cantor_z(tail 2)" in out
 
-    def test_huge_telescope_depth_on_non_primitive_tail(self, capsys, tmp_path):
-        # No power of [[1, 1], [0, 1]] is positive; the search must stop long
-        # before the declared depth.
+    def test_large_non_primitive_tail_is_refused_quickly(self, capsys, tmp_path):
+        n = 200
         doc = {
             "model": "cantor_z",
-            "diagram": {"level_sizes": [2], "incidences": [], "tail": [[1, 1], [0, 1]]},
+            "diagram": {"level_sizes": [n], "incidences": [],
+                        "tail": [[int(i == j) for j in range(n)] for i in range(n)]},
             "telescope_depth": 100000000,
         }
+        path = write_doc(tmp_path, doc)
         started = time.perf_counter()
-        code, _, err = run(capsys, "hk-check", write_doc(tmp_path, doc))
+        code, out, err = run(capsys, "hk-check", path)
         assert time.perf_counter() - started < 1.0
-        assert code == 2
-        assert err == (
-            "precondition failure: no tail power up to 100000000 is entrywise positive\n"
-        )
+        assert (code, out) == (2, "")
+        assert err == "precondition failure: no power of the tail is entrywise positive\n"
+
+    def test_large_wielandt_tail_is_certified_quickly(self, capsys, tmp_path):
+        # First positive at power 59^2 + 1 = 3482.
+        n = 60
+        tail = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+        tail.append([1, 1] + [0] * (n - 2))
+        doc = {"model": "cantor_z", "diagram": {"level_sizes": [n], "incidences": [], "tail": tail}}
+        path = write_doc(tmp_path, doc)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "hk-check", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 0 and err == ""
+        assert "verdict: match" in out
 
     def test_principal_ktheory_refuses_isotropy(self, capsys):
         code, _, err = run(capsys, "ktheory", model_path("z2group.json"))
@@ -376,6 +391,16 @@ class TestSpanCheckCommand:
         code, out, _ = run(capsys, "span-check", write_doc(tmp_path, doc), "--format", "json")
         assert code == 0
         assert json.loads(out)["transfer"] == [[2, 1]]
+
+    def test_repeated_leg_key_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "span.json"
+        path.write_text(
+            '{"span": {"left": ["x1", "x2"], "mid": ["m1"], "right": ["y"], '
+            '"left_leg": {"m1": "x1", "m1": "x2"}, "right_leg": {"m1": "y"}}}'
+        )
+        code, out, err = run(capsys, "span-check", str(path))
+        assert (code, out) == (3, "")
+        assert err == 'error: an object repeats the key "m1"\n'
 
     def test_mismatched_boundaries_exit_three(self, capsys, tmp_path):
         span_a = {
@@ -454,15 +479,12 @@ class TestFullgroupDimsCommand:
         assert out == ""
         assert err == "error: --size-bound must be nonnegative\n"
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    @pytest.mark.parametrize("name", ["pair2.json", "fibonacci.json"])
     @pytest.mark.parametrize("command", ALL_COMMANDS)
-    def test_telescope_depth_below_one_exits_three(self, capsys, command, name, value):
-        # Rejected before the document is read, whether or not it has a
-        # cantor_z part whose depth the flag would replace.
-        code, out, err = run(capsys, command, model_path(name), "--telescope-depth", value)
+    def test_removed_telescope_depth_flag_exits_three(self, capsys, command):
+        code, out, err = run(capsys, command, model_path("dyadic_odometer.json"),
+                             "--telescope-depth", "2")
         assert (code, out) == (3, "")
-        assert err == f"error: --telescope-depth {value}: telescope depth must be at least 1\n"
+        assert err == "error: unrecognized arguments: --telescope-depth 2\n"
 
     def test_zero_size_bound_is_a_bound(self, capsys):
         code, out, _ = run(capsys, "homology", model_path("fibonacci.json"), "--size-bound", "0")
@@ -478,11 +500,6 @@ class TestOneExitPerDocument:
 
     @staticmethod
     def cases(tmp_path: Path) -> dict[str, tuple[list[str], str]]:
-        shallow = {
-            "model": "cantor_z",
-            "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]},
-            "telescope_depth": 0,
-        }
         product = {
             "model": "product",
             "factors": [
@@ -491,21 +508,16 @@ class TestOneExitPerDocument:
                 {"model": "sft", "matrix": [[0]]},
             ],
         }
-        shallow_path = tmp_path / "shallow.json"
-        shallow_path.write_text(json.dumps(shallow))
+        repeated_path = tmp_path / "repeated.json"
+        repeated_path.write_text('{"model": "sft", "matrix": [[1]], "matrix": [[0]]}')
         product_path = tmp_path / "product.json"
         product_path.write_text(json.dumps(product))
         return {
-            "depth_zero_document": ([str(shallow_path)], "telescope depth must be at least 1"),
-            "depth_zero_override": (
-                [model_path("dyadic_odometer.json"), "--telescope-depth", "0"],
-                "telescope depth must be at least 1",
-            ),
+            "repeated_key": ([str(repeated_path)], 'an object repeats the key "matrix"'),
             "uncertified_times_zero_row": ([str(product_path)], "/factors/1: row 0 "),
         }
 
-    @pytest.mark.parametrize("case", ["depth_zero_document", "depth_zero_override",
-                                      "uncertified_times_zero_row"])
+    @pytest.mark.parametrize("case", ["repeated_key", "uncertified_times_zero_row"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_malformed_exits_three_everywhere(self, capsys, tmp_path, case, command):
         argv, message = self.cases(tmp_path)[case]

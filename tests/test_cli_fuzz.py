@@ -60,7 +60,9 @@ FINITE = {
 MISSING = str(MODELS_DIR / "no_such_model.json")
 HUGE = st.sampled_from(["10" + "0" * 30, str(2**64), str(-(2**64))])
 NOT_AN_INT = st.sampled_from(["x", "1.5", "", "0x10", "--", "3e2"])
-UNKNOWN = st.sampled_from([["--stage", "3"], ["--bogus"], ["-x"], ["--max-degree"], ["extra"]])
+# Unknown or removed flags, and a flag without its value.
+UNKNOWN = st.sampled_from([["--stage", "3"], ["--telescope-depth", "3"], ["--bogus"], ["-x"],
+                           ["--max-degree"], ["extra"]])
 
 
 def rarely(draw) -> bool:
@@ -100,13 +102,10 @@ def argvs(draw, pool: dict[str, tuple[str, ...]]) -> list[str]:
     argv = [command] + ([] if path is None else [path])
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(st.sampled_from(
-            ["--max-degree", "--telescope-depth", "--size-bound", "--words", "--format",
-             "--rational-only", "unknown"]
+            ["--max-degree", "--size-bound", "--words", "--format", "--rational-only", "unknown"]
         ))
         if flag == "--max-degree":
             argv += [flag, mostly(draw, st.integers(-1, 4).map(str), NOT_AN_INT)]
-        elif flag == "--telescope-depth":
-            argv += [flag, mostly(draw, st.integers(-2, 40).map(str), st.one_of(HUGE, NOT_AN_INT))]
         elif flag == "--size-bound":
             argv += [flag, mostly(draw, st.integers(-2, 40).map(str), st.one_of(HUGE, NOT_AN_INT))]
         elif flag == "--words" and command == "fullgroup-dims":

@@ -4,7 +4,8 @@
 a fixed list of bad command lines are stored in
 ``tests/golden/cli_help.json`` with their exit codes.  A change to the
 parser's construction must leave all of them byte-identical.  ``COLUMNS`` is
-pinned to 80 so that argparse wraps the same way on every terminal.
+pinned to 100 so that argparse wraps the same way on every terminal and on
+Python 3.10 to 3.13 (at 80, 3.13 wraps the top-level usage line differently).
 
 Invalid-choice errors are not in the list: the way argparse quotes the
 choices in that message differs between Python versions.
@@ -27,7 +28,7 @@ import pytest
 import amplehk.cli as cli
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "cli_help.json"
-COLUMNS = "80"
+COLUMNS = "100"
 
 SUBCOMMANDS = ("homology", "ktheory", "hk-check", "smale-check", "span-check", "fullgroup-dims")
 

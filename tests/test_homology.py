@@ -276,7 +276,7 @@ class TestAfHomology:
 
 class TestCantorZHomology:
     def odometer(self) -> CantorZModel:
-        return CantorZModel(BratteliModel((1,), (), M([[2]])), telescope_depth=3)
+        return CantorZModel(BratteliModel((1,), (), M([[2]])))
 
     def test_odometer(self):
         h = homology_cantor_z(self.odometer())
@@ -292,12 +292,9 @@ class TestCantorZHomology:
         with pytest.raises(SimplicityNotCertified):
             homology_cantor_z(never)
 
-    def test_depth_unlocks_certificate(self):
-        fib_tail = CantorZModel(BratteliModel((2,), (), M([[1, 1], [1, 0]])), telescope_depth=1)
-        with pytest.raises(SimplicityNotCertified):
-            homology_cantor_z(fib_tail)
-        deeper = CantorZModel(BratteliModel((2,), (), M([[1, 1], [1, 0]])), telescope_depth=2)
-        assert homology_cantor_z(deeper).rank(0) == 2
+    def test_primitive_tail_with_a_zero_entry_is_certified(self):
+        fib_tail = CantorZModel(BratteliModel((2,), (), M([[1, 1], [1, 0]])))
+        assert homology_cantor_z(fib_tail).rank(0) == 2
 
 
 class TestKunneth:

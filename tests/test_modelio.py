@@ -57,6 +57,19 @@ class TestLoadJson:
             f"an integer literal has {digits:,} digits, more than the limit of {MAX_INT_DIGITS:,}"
         )
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"model": "sft", "matrix": [[1]], "matrix": [[2]]}', "matrix"),
+        ('{"inverse": {"g": "bogus", "e": "e", "g": "g"}}', "g"),
+        ('[{"left_leg": {"m": "x", "n": "x", "m": "y"}}]', "m"),
+    ])
+    def test_repeated_key(self, text, key):
+        with pytest.raises(ParseError) as exc:
+            load_json(text)
+        assert str(exc.value) == f'an object repeats the key "{key}"'
+
+    def test_a_key_may_recur_in_different_objects(self):
+        assert load_json('[{"a": 1}, {"a": {"a": 2}}]') == [{"a": 1}, {"a": {"a": 2}}]
+
 
 class TestParseModel:
     def test_sft(self):
@@ -69,12 +82,13 @@ class TestParseModel:
         )
         assert model == BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
 
-    def test_cantor_z_with_default_depth(self):
-        model = parse_model(
-            {"model": "cantor_z", "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]}}
-        )
-        assert isinstance(model, CantorZModel)
-        assert model.telescope_depth == 3
+    @pytest.mark.parametrize("depth", [None, 1, 0, True, "deep"])
+    def test_cantor_z_ignores_a_telescope_depth(self, depth):
+        # Older documents carry a depth; simplicity is decided from the tail.
+        doc = {"model": "cantor_z", "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]}}
+        if depth is not None:
+            doc["telescope_depth"] = depth
+        assert parse_model(doc) == CantorZModel(BratteliModel((1,), (), M([[2]])))
 
     def test_finite(self):
         doc = {
@@ -201,15 +215,6 @@ class TestSchemaPointers:
             parse_model(doc)
         assert exc.value.pointer == "/factors/1/matrix/0/1"
 
-    def test_telescope_depth_type(self):
-        doc = {
-            "model": "cantor_z",
-            "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]},
-            "telescope_depth": True,
-        }
-        with pytest.raises(SchemaError) as exc:
-            parse_model(doc)
-        assert exc.value.pointer == "/telescope_depth"
 
 
 class TestModelViolations:
@@ -246,16 +251,6 @@ class TestModelViolations:
             "/factors/1/factors/0: row 0 of the transition matrix is zero; "
             "column 0 of the transition matrix is zero"
         )
-
-    def test_cantor_depth_below_one(self):
-        doc = {
-            "model": "cantor_z",
-            "diagram": {"level_sizes": [1], "incidences": [], "tail": [[2]]},
-            "telescope_depth": 0,
-        }
-        with pytest.raises(ModelInvalid) as exc:
-            parse_model(doc)
-        assert exc.value.violations == ["telescope depth must be at least 1"]
 
 
 class TestSpanDocuments:

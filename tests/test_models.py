@@ -188,54 +188,84 @@ class TestBratteliValidation:
         assert any("tail is 1x1" in v for v in bad)
 
 
+def wielandt(n: int) -> IntMatrix:
+    """The n x n Wielandt matrix, whose first positive power is (n-1)^2 + 1."""
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 2))
+    return M(rows)
+
+
+def brute_force_primitive(rows: list[list[int]]) -> bool:
+    """Some power up to Wielandt's bound (n-1)^2 + 1 is entrywise positive,
+    found by multiplying one power at a time."""
+    n = len(rows)
+    step = [[x > 0 for x in row] for row in rows]
+    power = step
+    for _ in range((n - 1) ** 2 + 1):
+        if all(all(row) for row in power):
+            return True
+        power = [[any(power[i][t] and step[t][j] for t in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return False
+
+
 class TestSimplicity:
     def test_positive_tail(self):
-        ok, why = simplicity_certificate(M([[2]]), 1)
+        ok, why = simplicity_certificate(M([[2]]))
         assert ok and "power 1" in why
 
     def test_single_point_path_space(self):
-        ok, why = simplicity_certificate(M([[1]]), 3)
+        ok, why = simplicity_certificate(M([[1]]))
         assert not ok and "single point" in why
 
     def test_never_positive(self):
-        ok, why = simplicity_certificate(M([[1, 1], [0, 1]]), 5)
-        assert not ok and "no tail power up to 5" in why
+        assert simplicity_certificate(M([[1, 1], [0, 1]])) == (
+            False, "no power of the tail is entrywise positive"
+        )
 
     def test_positive_after_telescoping(self):
-        ok, why = simplicity_certificate(M([[1, 1], [1, 0]]), 3)
+        ok, why = simplicity_certificate(M([[1, 1], [1, 0]]))
         assert ok and "power 2" in why
 
-    def test_depth_matters(self):
-        ok, _ = simplicity_certificate(M([[1, 1], [1, 0]]), 1)
-        assert not ok
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_wielandt_matrices_are_certified(self, n):
+        # Their exponent meets the bound, so the squaring must reach it.
+        ok, why = simplicity_certificate(wielandt(n))
+        assert ok, why
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cycles_are_refused(self, n):
+        # The Wielandt matrix without its chord: irreducible, period n.
+        cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        assert simplicity_certificate(M(cycle)) == (
+            False, "no power of the tail is entrywise positive"
+        )
 
     def test_wielandt_matrix_needs_the_full_bound(self):
-        # The n x n Wielandt matrix first turns positive at power (n-1)^2 + 1.
-        n = 5
-        rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-        rows.append([1, 1] + [0] * (n - 2))
-        assert simplicity_certificate(M(rows), 100) == (True, "tail power 17 is entrywise positive")
-        assert simplicity_certificate(M(rows), 16) == (
-            False, "no tail power up to 16 is entrywise positive"
-        )
+        # 5 x 5: first positive at power 17, so 5 squarings reach power 32.
+        assert simplicity_certificate(wielandt(5)) == (True, "tail power 32 is entrywise positive")
 
-    def test_periodic_tail_stops_at_any_depth(self):
-        ok, why = simplicity_certificate(M([[0, 1], [1, 0]]), 10**12)
-        assert not ok and why == f"no tail power up to {10**12} is entrywise positive"
+    def test_periodic_tail_is_refused(self):
+        # Irreducible but of period 2: the powers alternate forever.
+        ok, why = simplicity_certificate(M([[0, 1], [1, 0]]))
+        assert not ok and why == "no power of the tail is entrywise positive"
 
-    def test_shape_violations_leaves_certificate_aside(self):
-        model = CantorZModel(
-            BratteliModel((2,), (), M([[1, 1], [0, 1]])), telescope_depth=4
-        )
+    def test_agrees_with_a_power_search(self):
+        rng = random.Random(14)
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            density = rng.choice((0.2, 0.35, 0.5, 0.8))
+            rows = [[rng.randint(1, 3) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(n)]
+            ok, why = simplicity_certificate(M(rows))
+            expected = brute_force_primitive(rows) and rows != [[1]]
+            assert ok == expected, (rows, why)
+
+    def test_engine_refuses_a_non_primitive_tail(self):
+        model = CantorZModel(BratteliModel((2,), (), M([[1, 1], [0, 1]])))
         with pytest.raises(SimplicityNotCertified) as exc:
             homology_cantor_z(model)
-        assert str(exc.value) == "no tail power up to 4 is entrywise positive"
-
-    def test_depth_below_one_is_malformed(self):
-        diagram = BratteliModel((1,), (), M([[2]]))
-        assert violations(lambda: CantorZModel(diagram, telescope_depth=0)) == [
-            "telescope depth must be at least 1"
-        ]
+        assert str(exc.value) == "no power of the tail is entrywise positive"
 
 
 class TestProductValidation:
