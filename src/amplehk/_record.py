@@ -1,0 +1,78 @@
+"""Immutable records: the shared behaviour of the package's value classes.
+
+A record class lists its fields in ``__slots__``, in constructor order, and
+writes its own ``__init__``: it checks the arguments and stores each field
+with ``setfield(self, name, value)``.  This base adds field-by-field equality
+within one class, the hash of the field tuple, a ``Name(field=value, ...)``
+repr, and refuses assignment and deletion after construction.  ``replace``
+builds a copy with some fields changed through the constructor, so the copy
+is checked like any other instance.
+
+The standard library's frozen data classes behave the same, but importing
+their module and generating their methods cost tens of milliseconds per
+process, more than a typical document takes to compute.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+from typing import TypeVar
+
+__all__ = ["Record", "replace", "setfield"]
+
+R = TypeVar("R", bound="Record")
+
+# Stores a field from ``__init__``; the record's own ``__setattr__`` refuses.
+setfield = object.__setattr__
+
+
+class Record:
+    """Base of an immutable record whose fields are its ``__slots__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls._fields = cls.__slots__
+        if len(fields) == 1:
+            one = attrgetter(fields[0])
+
+            def values(obj: Record) -> tuple:
+                return (one(obj),)
+
+        else:
+            values = attrgetter(*fields)
+
+        def __eq__(self: Record, other: object):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self: Record) -> int:
+            return hash(values(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(obj: R, **changes: object) -> R:
+    """A copy of the record ``obj`` with the named fields changed.
+
+    The copy goes through the class's constructor, so it is validated like
+    any other instance; an unknown field name raises TypeError.
+    """
+    for name in obj._fields:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return obj.__class__(**changes)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import NoReturn
 
@@ -233,7 +234,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: building takes about twenty times as long as a
+    # parse, and a parse leaves the parser unchanged (it fills a new
+    # namespace, and help is formatted when it is printed).
+
     # The options every subcommand takes, declared once and inherited.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("path", help="JSON document to read")

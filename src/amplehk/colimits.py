@@ -21,8 +21,7 @@ are eliminated, while M^n of an n x n tail can carry entries of a hundred bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import CommutationFailure, ShapeMismatch
 from .exact_linalg import IntMatrix, kernel_basis, matrix_rank
 
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InductiveSystem:
+class InductiveSystem(Record):
     """Finitely presented run of a colimit diagram with a stationary tail.
 
     ``stage_dims[i]`` is the rank of the i-th free group; ``connecting[i]``
@@ -44,31 +42,32 @@ class InductiveSystem:
     and repeats beyond the listed stages.
     """
 
-    stage_dims: tuple[int, ...]
-    connecting: tuple[IntMatrix, ...]
-    tail: IntMatrix
+    __slots__ = ("stage_dims", "connecting", "tail")
 
-    def __post_init__(self) -> None:
-        if not self.stage_dims:
+    def __init__(
+        self, stage_dims: tuple[int, ...], connecting: tuple[IntMatrix, ...], tail: IntMatrix
+    ) -> None:
+        if not stage_dims:
             raise ShapeMismatch("a system needs at least one stage")
-        if any(d < 0 for d in self.stage_dims):
+        if any(d < 0 for d in stage_dims):
             raise ShapeMismatch("negative stage dimension")
-        if len(self.connecting) != len(self.stage_dims) - 1:
+        if len(connecting) != len(stage_dims) - 1:
             raise ShapeMismatch(
-                f"{len(self.stage_dims)} stages need {len(self.stage_dims) - 1} "
-                f"connecting maps, got {len(self.connecting)}"
+                f"{len(stage_dims)} stages need {len(stage_dims) - 1} "
+                f"connecting maps, got {len(connecting)}"
             )
-        for i, mat in enumerate(self.connecting):
-            if (mat.rows, mat.cols) != (self.stage_dims[i + 1], self.stage_dims[i]):
+        for i, mat in enumerate(connecting):
+            if (mat.rows, mat.cols) != (stage_dims[i + 1], stage_dims[i]):
                 raise ShapeMismatch(
                     f"connecting map {i} is {mat.rows}x{mat.cols}, expected "
-                    f"{self.stage_dims[i + 1]}x{self.stage_dims[i]}"
+                    f"{stage_dims[i + 1]}x{stage_dims[i]}"
                 )
-        last = self.stage_dims[-1]
-        if (self.tail.rows, self.tail.cols) != (last, last):
-            raise ShapeMismatch(
-                f"tail is {self.tail.rows}x{self.tail.cols}, expected {last}x{last}"
-            )
+        last = stage_dims[-1]
+        if (tail.rows, tail.cols) != (last, last):
+            raise ShapeMismatch(f"tail is {tail.rows}x{tail.cols}, expected {last}x{last}")
+        setfield(self, "stage_dims", stage_dims)
+        setfield(self, "connecting", connecting)
+        setfield(self, "tail", tail)
 
     @staticmethod
     def stationary(tail: IntMatrix) -> "InductiveSystem":
@@ -77,12 +76,14 @@ class InductiveSystem:
         return InductiveSystem((tail.rows,), (), tail)
 
 
-@dataclass(frozen=True)
-class ColimitInvariants:
+class ColimitInvariants(Record):
     """A group known only by its rank: a colimit that need not be finitely
     generated, or a rational-only value whose torsion was dropped."""
 
-    rank: int
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int) -> None:
+        setfield(self, "rank", rank)
 
 
 def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:

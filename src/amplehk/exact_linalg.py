@@ -23,10 +23,10 @@ efficient sparse integer matrix Smith normal form computations", 2001).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
+from ._record import Record, setfield
 from .errors import DimensionMismatch, NotAComplex, ShapeMismatch
 
 __all__ = [
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix stored row-major as a flat tuple.
 
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -54,21 +53,21 @@ class IntMatrix:
     True
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeMismatch(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch(f"negative shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ShapeMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        if not set(map(type, self.entries)) <= {int}:
-            bad = next(x for x in self.entries if type(x) is not int)
+        if not set(map(type, entries)) <= {int}:
+            bad = next(x for x in entries if type(x) is not int)
             raise ShapeMismatch(f"non-integer entry {bad!r}")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -182,17 +181,19 @@ class IntMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith decomposition U @ M @ V == D.
 
     ``U`` and ``V`` are unimodular, ``D`` is diagonal with nonnegative entries
     satisfying the divisibility chain d1 | d2 | ... .
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
+        setfield(self, "U", U)
+        setfield(self, "D", D)
+        setfield(self, "V", V)
 
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
@@ -534,8 +535,7 @@ def _canonical_torsion(orders: Iterable[int]) -> tuple[int, ...]:
     return cokernel(IntMatrix.diagonal(relevant)).torsion if relevant else ()
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Finitely generated abelian group in canonical form.
 
     ``rank`` counts the free summands; ``torsion`` lists invariant factors,
@@ -546,19 +546,20 @@ class FgAbelianGroup:
     (2, 12)
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"negative rank {self.rank}")
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        if rank < 0:
+            raise ValueError(f"negative rank {rank}")
         previous = None
-        for t in self.torsion:
+        for t in torsion:
             if type(t) is not int or t < 2:
                 raise ValueError(f"invariant factor {t!r} must be an integer >= 2")
             if previous is not None and t % previous:
                 raise ValueError(f"invariant factors {previous}, {t} break the divisibility chain")
             previous = t
+        setfield(self, "rank", rank)
+        setfield(self, "torsion", torsion)
 
     @staticmethod
     def zero() -> "FgAbelianGroup":

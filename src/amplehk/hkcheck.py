@@ -21,11 +21,10 @@ the truncation degree.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
+from ._record import Record, replace, setfield
 from .exact_linalg import FgAbelianGroup
 from .homology import DEFAULT_SIZE_BOUND, GradedGroup, GroupValue
 from .ktheory import KPair, Precondition, invariants, periodicize
@@ -50,23 +49,54 @@ VERDICT_MISMATCH = "mismatch"
 VERDICT_PRECONDITION_FAILED = "precondition_failed"
 
 
-@dataclass(frozen=True)
-class HKReport:
+class HKReport(Record):
     """Everything ``hk_check`` established about one model."""
 
-    model: str
-    dialect: str
-    max_degree: int
-    preconditions: tuple[Precondition, ...]
-    homology: GradedGroup
-    ktheory: KPair | None
-    even_rank: int | None
-    odd_rank: int | None
-    rational_match: bool | None
-    integral_match: bool | str | None
-    truncation_degree: int | None
-    verdict: str
-    notes: tuple[str, ...]
+    __slots__ = (
+        "model",
+        "dialect",
+        "max_degree",
+        "preconditions",
+        "homology",
+        "ktheory",
+        "even_rank",
+        "odd_rank",
+        "rational_match",
+        "integral_match",
+        "truncation_degree",
+        "verdict",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        model: str,
+        dialect: str,
+        max_degree: int,
+        preconditions: tuple[Precondition, ...],
+        homology: GradedGroup,
+        ktheory: KPair | None,
+        even_rank: int | None,
+        odd_rank: int | None,
+        rational_match: bool | None,
+        integral_match: bool | str | None,
+        truncation_degree: int | None,
+        verdict: str,
+        notes: tuple[str, ...],
+    ) -> None:
+        setfield(self, "model", model)
+        setfield(self, "dialect", dialect)
+        setfield(self, "max_degree", max_degree)
+        setfield(self, "preconditions", preconditions)
+        setfield(self, "homology", homology)
+        setfield(self, "ktheory", ktheory)
+        setfield(self, "even_rank", even_rank)
+        setfield(self, "odd_rank", odd_rank)
+        setfield(self, "rational_match", rational_match)
+        setfield(self, "integral_match", integral_match)
+        setfield(self, "truncation_degree", truncation_degree)
+        setfield(self, "verdict", verdict)
+        setfield(self, "notes", notes)
 
 
 def hk_check(
@@ -162,9 +192,7 @@ def smale_check(model: SftModel, max_degree: int = 3) -> HKReport:
         "Smale reading: H^s_n is the homology of the unstable groupoid and the ranks "
         "are compared against K_*(unstable algebra)",
     )
-    return dataclasses.replace(
-        report, model=f"smale({report.model})", dialect="smale", notes=notes
-    )
+    return replace(report, model=f"smale({report.model})", dialect="smale", notes=notes)
 
 
 # ---------------------------------------------------------------------------

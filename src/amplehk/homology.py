@@ -37,9 +37,9 @@ was dropped in rational-only mode, values known only by their rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record, setfield
 from .colimits import ColimitInvariants, colimit_invariants
 from .errors import SimplicityNotCertified, TruncationUnsound
 from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel, complex_homology
@@ -73,8 +73,7 @@ GroupValue = Union[FgAbelianGroup, ColimitInvariants]
 DEFAULT_SIZE_BOUND = 200_000
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Record):
     """Graded abelian group, one entry per degree starting at 0.
 
     ``vanishing_above`` asserts that every degree past the listed ones is
@@ -82,8 +81,11 @@ class GradedGroup:
     finite-groupoid computations, which are truncations.
     """
 
-    by_degree: tuple[GroupValue, ...]
-    vanishing_above: bool
+    __slots__ = ("by_degree", "vanishing_above")
+
+    def __init__(self, by_degree: tuple[GroupValue, ...], vanishing_above: bool) -> None:
+        setfield(self, "by_degree", by_degree)
+        setfield(self, "vanishing_above", vanishing_above)
 
     @property
     def max_degree(self) -> int:

@@ -22,10 +22,10 @@ side asks first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable
 
+from ._record import Record, setfield
 from .colimits import ColimitInvariants
 from .errors import NotPrincipal
 from .exact_linalg import FgAbelianGroup
@@ -66,26 +66,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precondition:
+class Precondition(Record):
     """One hypothesis of the comparison theorem, with its status and source.
 
     ``mode`` is "computed" when the fact was checked on the model (finite
     tables) and "declared" when the class carries it by citation.
     """
 
-    name: str
-    holds: bool
-    mode: str
-    justification: str
+    __slots__ = ("name", "holds", "mode", "justification")
+
+    def __init__(self, name: str, holds: bool, mode: str, justification: str) -> None:
+        setfield(self, "name", name)
+        setfield(self, "holds", holds)
+        setfield(self, "mode", mode)
+        setfield(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class KPair:
+class KPair(Record):
     """K_0 and K_1 of a model's reduced groupoid C*-algebra."""
 
-    k0: GroupValue
-    k1: GroupValue
+    __slots__ = ("k0", "k1")
+
+    def __init__(self, k0: GroupValue, k1: GroupValue) -> None:
+        setfield(self, "k0", k0)
+        setfield(self, "k1", k1)
 
     def all_finitely_generated(self) -> bool:
         return isinstance(self.k0, FgAbelianGroup) and isinstance(self.k1, FgAbelianGroup)
@@ -145,8 +149,7 @@ def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
 # one record per leaf model class
 
 
-@dataclass(frozen=True)
-class ModelClass:
+class ModelClass(Record):
     """Everything class-specific about one leaf model class.
 
     ``kind`` is the class's ``model`` tag in documents, and a model's summary
@@ -156,12 +159,23 @@ class ModelClass:
     None, K is read off H by ``periodicize``.
     """
 
-    kind: str
-    describe: Callable[[Any], str]
-    isotropy: Callable[[Any], Precondition]
-    baum_connes: str
-    homology: Callable[[Any, int, int], GradedGroup]
-    ktheory: Callable[[Any], KPair] | None = None
+    __slots__ = ("kind", "describe", "isotropy", "baum_connes", "homology", "ktheory")
+
+    def __init__(
+        self,
+        kind: str,
+        describe: Callable[[Any], str],
+        isotropy: Callable[[Any], Precondition],
+        baum_connes: str,
+        homology: Callable[[Any, int, int], GradedGroup],
+        ktheory: Callable[[Any], KPair] | None = None,
+    ) -> None:
+        setfield(self, "kind", kind)
+        setfield(self, "describe", describe)
+        setfield(self, "isotropy", isotropy)
+        setfield(self, "baum_connes", baum_connes)
+        setfield(self, "homology", homology)
+        setfield(self, "ktheory", ktheory)
 
 
 def _torsion_free(holds: bool, mode: str, justification: str) -> Precondition:
@@ -251,19 +265,28 @@ def record_of(model: GroupoidModel) -> ModelClass:
 # the walk
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(Record):
     """What one walk found about a model.
 
     ``homology()`` and ``ktheory()`` compute their side on first call and
     return the same value after.
     """
 
-    summary: str
-    isotropy: Precondition
-    baum_connes: str
-    homology: Callable[[], GradedGroup]
-    ktheory: Callable[[], KPair]
+    __slots__ = ("summary", "isotropy", "baum_connes", "homology", "ktheory")
+
+    def __init__(
+        self,
+        summary: str,
+        isotropy: Precondition,
+        baum_connes: str,
+        homology: Callable[[], GradedGroup],
+        ktheory: Callable[[], KPair],
+    ) -> None:
+        setfield(self, "summary", summary)
+        setfield(self, "isotropy", isotropy)
+        setfield(self, "baum_connes", baum_connes)
+        setfield(self, "homology", homology)
+        setfield(self, "ktheory", ktheory)
 
 
 def invariants(

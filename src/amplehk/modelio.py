@@ -1,8 +1,8 @@
 """Parsing of JSON model and span documents.
 
-The document schema mirrors the model dataclasses.  Every model document has
-a ``model`` tag naming the class; matrices are row-major arrays of arrays of
-integers.  Parse failures carry location information: malformed JSON reports
+The document schema mirrors the model classes in ``models``.  Every model
+document has a ``model`` tag naming the class; matrices are row-major arrays
+of arrays of integers.  Parse failures carry location information: malformed JSON reports
 line and column, schema violations report a JSON pointer to the offending
 value.  Products nest at most ``MAX_PRODUCT_DEPTH`` deep, an integer
 literal has at most ``MAX_INT_DIGITS`` digits, and no object repeats a key.

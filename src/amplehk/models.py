@@ -19,10 +19,9 @@ tuples are the n-cells of the nerve.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+from ._record import Record, setfield
 from .colimits import InductiveSystem
 from .errors import ModelInvalid, SizeBoundExceeded
 from .exact_linalg import IntMatrix
@@ -42,15 +41,13 @@ __all__ = [
     "nerve_levels",
     "orbits",
     "pair_groupoid",
-    "random_finite_groupoid",
     "simplicity_certificate",
     "transitive_groupoid",
     "trivial_groupoid",
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class FiniteGroupoid(Record):
     """A groupoid on finitely many arrows, given by explicit tables.
 
     ``arrows`` maps arrow name to its (source, target) pair of units.  The
@@ -69,12 +66,19 @@ class FiniteGroupoid:
     amplehk.errors.ModelInvalid: composition ('e', 'e') required but missing
     """
 
-    units: tuple[str, ...]
-    arrows: tuple[tuple[str, str, str], ...]  # (name, source, target)
-    compose: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    inverse: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("units", "arrows", "compose", "inverse")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        units: tuple[str, ...],
+        arrows: tuple[tuple[str, str, str], ...],  # (name, source, target)
+        compose: Mapping[tuple[str, str], str] | None = None,
+        inverse: Mapping[str, str] | None = None,
+    ) -> None:
+        setfield(self, "units", units)
+        setfield(self, "arrows", arrows)
+        setfield(self, "compose", {} if compose is None else compose)
+        setfield(self, "inverse", {} if inverse is None else inverse)
         _reject(_validate_finite(self))
 
     def arrow_names(self) -> list[str]:
@@ -90,34 +94,35 @@ class FiniteGroupoid:
         return {name: (src, tgt) for name, src, tgt in self.arrows}
 
 
-@dataclass(frozen=True)
-class SftModel:
+class SftModel(Record):
     """One-sided shift of finite type with the given nonnegative square matrix."""
 
-    matrix: IntMatrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, matrix: IntMatrix) -> None:
+        setfield(self, "matrix", matrix)
         _reject(_validate_sft(self))
 
 
-@dataclass(frozen=True)
-class BratteliModel:
+class BratteliModel(Record):
     """AF groupoid presented by a Bratteli diagram with a periodic tail.
 
     ``incidences[i]`` has ``level_sizes[i+1]`` rows and ``level_sizes[i]``
     columns; ``tail`` is square of the final level size and repeats forever.
     """
 
-    level_sizes: tuple[int, ...]
-    incidences: tuple[IntMatrix, ...]
-    tail: IntMatrix
+    __slots__ = ("level_sizes", "incidences", "tail")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, level_sizes: tuple[int, ...], incidences: tuple[IntMatrix, ...], tail: IntMatrix
+    ) -> None:
+        setfield(self, "level_sizes", level_sizes)
+        setfield(self, "incidences", incidences)
+        setfield(self, "tail", tail)
         _reject(_validate_bratteli(self))
 
 
-@dataclass(frozen=True)
-class CantorZModel:
+class CantorZModel(Record):
     """Minimal Z-action on a Cantor set, presented by a Bratteli diagram.
 
     The action is minimal, with genuinely infinite path space, exactly when
@@ -127,15 +132,20 @@ class CantorZModel:
     hypothesis (SimplicityNotCertified).
     """
 
-    diagram: BratteliModel
+    __slots__ = ("diagram",)
+
+    def __init__(self, diagram: BratteliModel) -> None:
+        setfield(self, "diagram", diagram)
 
 
-@dataclass(frozen=True)
-class ProductModel:
+class ProductModel(Record):
     """Product of two groupoid models; factors may themselves be products."""
 
-    left: "GroupoidModel"
-    right: "GroupoidModel"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: GroupoidModel, right: GroupoidModel) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 GroupoidModel = Union[FiniteGroupoid, SftModel, BratteliModel, CantorZModel, ProductModel]
@@ -144,7 +154,7 @@ GroupoidModel = Union[FiniteGroupoid, SftModel, BratteliModel, CantorZModel, Pro
 # ---------------------------------------------------------------------------
 # validation
 #
-# Each model class runs its checker from ``__post_init__``, so a model that
+# Each model class runs its checker from ``__init__``, so a model that
 # exists satisfies its axioms and no engine checks again.  A checker returns
 # every violation it finds, in a fixed order; ``_reject`` raises them as one
 # ModelInvalid.  A product has no axioms of its own: its factors were checked
@@ -343,8 +353,7 @@ def dimension_system(b: BratteliModel) -> InductiveSystem:
 # nerve
 
 
-@dataclass(frozen=True)
-class NerveLevel:
+class NerveLevel(Record):
     """One level of the nerve with its face maps down one level.
 
     ``cells`` lists the composable tuples of arrow indices (level 0 lists the
@@ -352,9 +361,12 @@ class NerveLevel:
     below of the i-th face of cell t.
     """
 
-    degree: int
-    cells: tuple
-    faces: tuple[tuple[int, ...], ...]
+    __slots__ = ("degree", "cells", "faces")
+
+    def __init__(self, degree: int, cells: tuple, faces: tuple[tuple[int, ...], ...]) -> None:
+        setfield(self, "degree", degree)
+        setfield(self, "cells", cells)
+        setfield(self, "faces", faces)
 
     def size(self) -> int:
         return len(self.cells)
@@ -537,27 +549,3 @@ def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGrou
     inverse = {tag("L", x): tag("L", y) for x, y in a.inverse.items()}
     inverse.update({tag("R", x): tag("R", y) for x, y in b.inverse.items()})
     return FiniteGroupoid(units, arrows, compose, inverse)
-
-
-def random_finite_groupoid(rng: random.Random, max_arrows: int = 30) -> FiniteGroupoid:
-    """A random disjoint union of transitive blocks, at most ``max_arrows`` arrows.
-
-    Every finite groupoid is a disjoint union of transitive ones, and for
-    homological purposes cyclic isotropy already exercises the torsion cases,
-    so blocks are (pair groupoid on m units) x (Z/k).
-    """
-    result: FiniteGroupoid | None = None
-    arrows_used = 0
-    blocks = rng.randint(1, 3)
-    for b in range(blocks):
-        m = rng.randint(1, 3)
-        k = rng.choice([1, 1, 2, 3])
-        cost = m * m * k
-        if arrows_used + cost > max_arrows:
-            continue
-        arrows_used += cost
-        block = transitive_groupoid(m, k, prefix=f"b{b}u")
-        result = block if result is None else disjoint_union_groupoids(result, block)
-    if result is None:
-        result = trivial_groupoid(1)
-    return result

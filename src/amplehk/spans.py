@@ -12,9 +12,9 @@ sums of face transfers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
+from ._record import Record, setfield
 from .errors import ShapeMismatch
 from .exact_linalg import IntMatrix
 from .models import FiniteGroupoid, nerve_levels
@@ -31,34 +31,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteSpan:
+class FiniteSpan(Record):
     """left <- mid -> right with total leg functions.
 
     Elements are arbitrary hashable labels; the element lists fix the basis
     order used by ``transfer_matrix``.
     """
 
-    left: tuple[Hashable, ...]
-    mid: tuple[Hashable, ...]
-    right: tuple[Hashable, ...]
-    left_leg: Mapping[Hashable, Hashable]
-    right_leg: Mapping[Hashable, Hashable]
+    __slots__ = ("left", "mid", "right", "left_leg", "right_leg")
 
-    def __post_init__(self) -> None:
-        for part, name in ((self.left, "left"), (self.mid, "mid"), (self.right, "right")):
+    def __init__(
+        self,
+        left: tuple[Hashable, ...],
+        mid: tuple[Hashable, ...],
+        right: tuple[Hashable, ...],
+        left_leg: Mapping[Hashable, Hashable],
+        right_leg: Mapping[Hashable, Hashable],
+    ) -> None:
+        for part, name in ((left, "left"), (mid, "mid"), (right, "right")):
             if len(set(part)) != len(part):
                 raise ShapeMismatch(f"duplicate elements in {name} set")
-        left_set, right_set = set(self.left), set(self.right)
-        for z in self.mid:
-            if z not in self.left_leg:
+        left_set, right_set = set(left), set(right)
+        for z in mid:
+            if z not in left_leg:
                 raise ShapeMismatch(f"left leg undefined on {z!r}")
-            if z not in self.right_leg:
+            if z not in right_leg:
                 raise ShapeMismatch(f"right leg undefined on {z!r}")
-            if self.left_leg[z] not in left_set:
+            if left_leg[z] not in left_set:
                 raise ShapeMismatch(f"left leg of {z!r} leaves the left set")
-            if self.right_leg[z] not in right_set:
+            if right_leg[z] not in right_set:
                 raise ShapeMismatch(f"right leg of {z!r} leaves the right set")
+        setfield(self, "left", left)
+        setfield(self, "mid", mid)
+        setfield(self, "right", right)
+        setfield(self, "left_leg", left_leg)
+        setfield(self, "right_leg", right_leg)
 
 
 def identity_span(elements: Sequence[Hashable]) -> FiniteSpan:

@@ -1,4 +1,4 @@
-"""Shared fixtures: groupoid corpora and the Smith-form oracle."""
+"""Shared fixtures: groupoid corpora, random groupoids and the Smith-form oracle."""
 
 from __future__ import annotations
 
@@ -60,6 +60,30 @@ def finite_document(g: FiniteGroupoid) -> dict:
         "compose": [[x, y, z] for (x, y), z in g.compose.items()],
         "inverse": dict(g.inverse),
     }
+
+
+def random_finite_groupoid(rng: random.Random, max_arrows: int = 30) -> FiniteGroupoid:
+    """A random disjoint union of transitive blocks, at most ``max_arrows`` arrows.
+
+    Every finite groupoid is a disjoint union of transitive ones, and for
+    homological purposes cyclic isotropy already exercises the torsion cases,
+    so blocks are (pair groupoid on m units) x (Z/k).
+    """
+    result: FiniteGroupoid | None = None
+    arrows_used = 0
+    blocks = rng.randint(1, 3)
+    for b in range(blocks):
+        m = rng.randint(1, 3)
+        k = rng.choice([1, 1, 2, 3])
+        cost = m * m * k
+        if arrows_used + cost > max_arrows:
+            continue
+        arrows_used += cost
+        block = transitive_groupoid(m, k, prefix=f"b{b}u")
+        result = block if result is None else disjoint_union_groupoids(result, block)
+    if result is None:
+        result = trivial_groupoid(1)
+    return result
 
 
 def _gcd(a: int, b: int) -> int:

@@ -32,11 +32,10 @@ from amplehk.models import (
     SftModel,
     nerve_levels,
     orbits,
-    random_finite_groupoid,
 )
 from amplehk.spans import compose_spans, disjoint_union_spans, transfer_matrix
 
-from conftest import assert_valid_snf, random_int_matrix
+from conftest import assert_valid_snf, random_finite_groupoid, random_int_matrix
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

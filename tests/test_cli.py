@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import pytest
 
 import amplehk.cli as cli
 import amplehk.models as models
+from amplehk import replace
 from amplehk.exact_linalg import IntMatrix
 from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json
 from amplehk.modelio import MAX_INT_DIGITS, MAX_PRODUCT_DEPTH
@@ -135,7 +138,7 @@ class TestHkCheckCommand:
 
     def test_mismatch_verdict_exits_one(self, capsys, monkeypatch):
         real = hk_check(SftModel(IntMatrix.from_rows([[2]])))
-        doctored = dataclasses.replace(real, verdict=VERDICT_MISMATCH, rational_match=False)
+        doctored = replace(real, verdict=VERDICT_MISMATCH, rational_match=False)
         monkeypatch.setattr(cli, "hk_check", lambda model, **kw: doctored)
         code, out, _ = run(capsys, "hk-check", model_path("o2.json"))
         assert code == 1
@@ -632,3 +635,67 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "K_0 = Z/2" in proc.stdout
+
+
+SRC_DIR = Path(cli.__file__).resolve().parent.parent
+
+# One call per row, in this order, all in one process: a usage error, help,
+# a rejected option value, then each subcommand on a shipped document.
+REUSE_CASES: list[list[str]] = [
+    ["homology", "--bogus"],
+    ["--help"],
+    ["homology", model_path("o3.json"), "--max-degree", "65"],
+] + [
+    [command, model_path(name)] + fmt
+    for command, name in (
+        ("homology", "product_fixed_points.json"),
+        ("ktheory", "cantor_af.json"),
+        ("hk-check", "z2group.json"),
+        ("smale-check", "fibonacci.json"),
+        ("span-check", "span_pair.json"),
+        ("fullgroup-dims", "dyadic_odometer.json"),
+    )
+    for fmt in ([], ["--format", "json"])
+]
+
+
+class TestOneParserPerProcess:
+    """The parser is built once per process and reused by every call."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_matches_a_fresh_process(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
+        codes = []
+        for argv in REUSE_CASES:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as e:
+                    code = e.code
+            fresh = subprocess.run(
+                [sys.executable, "-m", "amplehk.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert (code, out.getvalue(), err.getvalue()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            codes.append(code)
+        assert codes[:3] == [3, 0, 3]
+
+
+def test_import_leaves_out_slow_standard_modules():
+    """Importing the command line loads none of these: each costs
+    milliseconds per process and the package has no use for it."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC_DIR)!r}); import amplehk.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -27,10 +27,9 @@ import amplehk.cli as cli  # noqa: E402
 from amplehk.models import (  # noqa: E402
     disjoint_union_groupoids,
     pair_groupoid,
-    random_finite_groupoid,
     transitive_groupoid,
 )
-from conftest import finite_document  # noqa: E402
+from conftest import finite_document, random_finite_groupoid  # noqa: E402
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 MODELS = sorted(str(p) for p in MODELS_DIR.glob("*.json"))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 
@@ -12,6 +11,7 @@ import amplehk.cli as cli
 import amplehk.colimits as colimits
 import amplehk.exact_linalg as exact_linalg
 import amplehk.ktheory as ktheory
+from amplehk import replace
 from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, SimplicityNotCertified
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
@@ -271,7 +271,7 @@ class TestOneEvaluationPerLeaf:
                 return slot(model)
 
             monkeypatch.setitem(
-                ktheory.RECORDS, cls, dataclasses.replace(record, isotropy=recorded)
+                ktheory.RECORDS, cls, replace(record, isotropy=recorded)
             )
         principal, torsion = pair_groupoid(2), cyclic_group_groupoid(2)
         for model, factors in (
@@ -294,7 +294,7 @@ def record_k_slot_calls(monkeypatch) -> list:
                 return slot(model)
 
             monkeypatch.setitem(
-                ktheory.RECORDS, cls, dataclasses.replace(record, ktheory=recorded)
+                ktheory.RECORDS, cls, replace(record, ktheory=recorded)
             )
     return calls
 

@@ -40,10 +40,11 @@ from amplehk.models import (
     nerve_levels,
     orbits,
     pair_groupoid,
-    random_finite_groupoid,
     transitive_groupoid,
     trivial_groupoid,
 )
+
+from conftest import random_finite_groupoid
 
 
 def M(rows):

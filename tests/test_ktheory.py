@@ -7,6 +7,7 @@ import typing
 
 import pytest
 
+from amplehk import replace
 from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, NotPrincipal, SchemaError
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
@@ -61,10 +62,8 @@ class TestFinitePrincipal:
             k_finite_principal(transitive_groupoid(2, 3))
 
     def test_invalid_model_rejected(self):
-        import dataclasses
-
         with pytest.raises(ModelInvalid):
-            k_finite_principal(dataclasses.replace(pair_groupoid(2), inverse={}))
+            k_finite_principal(replace(pair_groupoid(2), inverse={}))
 
 
 class TestSft:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import pytest
 
+from amplehk import replace
 from amplehk.errors import ModelInvalid, ParseError, SchemaError
 from amplehk.exact_linalg import IntMatrix
 from amplehk.modelio import (
@@ -105,7 +105,7 @@ class TestParseModel:
         assert isinstance(model, FiniteGroupoid)
         assert model.units == ("x",)
         assert model.compose[("g", "g")] == "e"
-        assert dataclasses.replace(model) == model
+        assert replace(model) == model
 
     def test_product(self):
         doc = {
@@ -123,7 +123,7 @@ class TestParseModel:
             if path.name == "span_pair.json":
                 continue
             model = parse_model(load_json(path.read_text()))
-            assert dataclasses.replace(model) == model
+            assert replace(model) == model
 
 
 class TestSchemaPointers:

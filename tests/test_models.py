@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
+from amplehk import replace
 from amplehk.errors import ModelInvalid, SimplicityNotCertified, SizeBoundExceeded
 from amplehk.exact_linalg import IntMatrix
 from amplehk.homology import homology_cantor_z
@@ -25,11 +25,12 @@ from amplehk.models import (
     nerve_levels,
     orbits,
     pair_groupoid,
-    random_finite_groupoid,
     simplicity_certificate,
     transitive_groupoid,
     trivial_groupoid,
 )
+
+from conftest import random_finite_groupoid
 
 
 def M(rows):
@@ -54,34 +55,34 @@ def violations(build) -> list[str]:
 class TestFiniteValidation:
     def test_corpus_is_clean(self, wide_corpus):
         for g in wide_corpus:
-            assert dataclasses.replace(g) == g
+            assert replace(g) == g
 
     def test_duplicate_units(self):
         g = trivial_groupoid(1)
-        bad = violations(lambda: dataclasses.replace(g, units=("u0", "u0")))
+        bad = violations(lambda: replace(g, units=("u0", "u0")))
         assert any("duplicate unit" in v for v in bad)
 
     def test_duplicate_arrows(self):
         g = trivial_groupoid(1)
-        bad = violations(lambda: dataclasses.replace(g, arrows=g.arrows + g.arrows))
+        bad = violations(lambda: replace(g, arrows=g.arrows + g.arrows))
         assert any("duplicate arrow" in v for v in bad)
 
     def test_unknown_endpoint(self):
         g = trivial_groupoid(1)
-        bad = violations(lambda: dataclasses.replace(g, arrows=(("id_u0", "u0", "ghost"),)))
+        bad = violations(lambda: replace(g, arrows=(("id_u0", "u0", "ghost"),)))
         assert any("unknown target" in v for v in bad)
 
     def test_composition_of_non_composable_pair(self):
         g = trivial_groupoid(2)
         extra = dict(g.compose)
         extra[("id_u0", "id_u1")] = "id_u0"
-        bad = violations(lambda: dataclasses.replace(g, compose=extra))
+        bad = violations(lambda: replace(g, compose=extra))
         assert any("source/target do not match" in v for v in bad)
 
     def test_missing_composition(self):
         g = cyclic_group_groupoid(2)
         pruned = {k: v for k, v in g.compose.items() if k != ("g1", "g1")}
-        bad = violations(lambda: dataclasses.replace(g, compose=pruned))
+        bad = violations(lambda: replace(g, compose=pruned))
         assert any("required but missing" in v for v in bad)
 
     def test_wrong_composite_endpoints(self):
@@ -89,14 +90,14 @@ class TestFiniteValidation:
         tampered = dict(g.compose)
         # u0<u1 . u1<u0 lands at (u0, u0); redirect it to a cross arrow.
         tampered[("u0<u1", "u1<u0")] = "u1<u0"
-        bad = violations(lambda: dataclasses.replace(g, compose=tampered))
+        bad = violations(lambda: replace(g, compose=tampered))
         assert any("wrong endpoints" in v for v in bad)
 
     def test_associativity_checked(self):
         g = cyclic_group_groupoid(3)
         tampered = dict(g.compose)
         tampered[("g2", "g2")] = "g2"
-        bad = violations(lambda: dataclasses.replace(g, compose=tampered))
+        bad = violations(lambda: replace(g, compose=tampered))
         assert any("associativity fails" in v for v in bad)
 
     def test_missing_identity(self):
@@ -112,26 +113,26 @@ class TestFiniteValidation:
 
     def test_missing_inverse_entry(self):
         g = cyclic_group_groupoid(2)
-        bad = violations(lambda: dataclasses.replace(g, inverse={"g0": "g0"}))
+        bad = violations(lambda: replace(g, inverse={"g0": "g0"}))
         assert any("no inverse entry" in v for v in bad)
 
     def test_inverse_entry_for_unknown_arrow(self):
         g = cyclic_group_groupoid(2)
-        bad = violations(lambda: dataclasses.replace(g, inverse={**g.inverse, "zz": "g0"}))
+        bad = violations(lambda: replace(g, inverse={**g.inverse, "zz": "g0"}))
         assert bad == ["inverse entry for unknown arrow 'zz'"]
 
     def test_inverse_with_wrong_endpoints(self):
         g = pair_groupoid(2)
         tampered = dict(g.inverse)
         tampered["u0<u1"] = "u0<u1"
-        bad = violations(lambda: dataclasses.replace(g, inverse=tampered))
+        bad = violations(lambda: replace(g, inverse=tampered))
         assert any("wrong endpoints" in v for v in bad)
 
     def test_inverse_not_composing_to_identity(self):
         g = cyclic_group_groupoid(3)
         tampered = dict(g.inverse)
         tampered["g1"], tampered["g2"] = "g1", "g2"
-        bad = violations(lambda: dataclasses.replace(g, inverse=tampered))
+        bad = violations(lambda: replace(g, inverse=tampered))
         assert any("does not compose to the identities" in v for v in bad)
 
     def test_identity_arrows_found(self):
@@ -168,23 +169,23 @@ class TestBratteliValidation:
         assert self.good().level_sizes == (1, 2)
 
     def test_level_sizes_positive(self):
-        bad = violations(lambda: dataclasses.replace(self.good(), level_sizes=(0, 2)))
+        bad = violations(lambda: replace(self.good(), level_sizes=(0, 2)))
         assert any("positive" in v for v in bad)
 
     def test_incidence_count(self):
-        bad = violations(lambda: dataclasses.replace(self.good(), incidences=()))
+        bad = violations(lambda: replace(self.good(), incidences=()))
         assert any("incidence" in v for v in bad)
 
     def test_incidence_shape(self):
-        bad = violations(lambda: dataclasses.replace(self.good(), incidences=(M([[1, 1]]),)))
+        bad = violations(lambda: replace(self.good(), incidences=(M([[1, 1]]),)))
         assert any("expected 2x1" in v for v in bad)
 
     def test_negative_entries(self):
-        bad = violations(lambda: dataclasses.replace(self.good(), tail=M([[1, -1], [0, 1]])))
+        bad = violations(lambda: replace(self.good(), tail=M([[1, -1], [0, 1]])))
         assert any("negative" in v for v in bad)
 
     def test_tail_shape(self):
-        bad = violations(lambda: dataclasses.replace(self.good(), tail=M([[1]])))
+        bad = violations(lambda: replace(self.good(), tail=M([[1]])))
         assert any("tail is 1x1" in v for v in bad)
 
 
@@ -397,7 +398,7 @@ class TestBuilders:
             transitive_groupoid(3, 4),
             disjoint_union_groupoids(pair_groupoid(2), transitive_groupoid(2, 3)),
         ):
-            assert dataclasses.replace(g) == g
+            assert replace(g) == g
 
     def test_transitive_shape(self):
         g = transitive_groupoid(3, 2)
@@ -409,7 +410,7 @@ class TestBuilders:
         for _ in range(60):
             g = random_finite_groupoid(rng, max_arrows=30)
             assert len(g.arrows) <= 30
-            assert dataclasses.replace(g) == g
+            assert replace(g) == g
 
     def test_dimension_system_mirrors_diagram(self):
         b = BratteliModel((1, 2), (M([[1], [2]]),), M([[1, 1], [1, 1]]))

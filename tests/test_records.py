@@ -1,0 +1,152 @@
+"""The value classes behave as immutable records: fixed fields, equality and
+hash by field within one class, a ``Name(field=value)`` repr, and a
+``replace`` that goes through the checking constructor."""
+
+from __future__ import annotations
+
+import pytest
+
+from amplehk import replace
+from amplehk.colimits import ColimitInvariants, InductiveSystem
+from amplehk.errors import ModelInvalid, ShapeMismatch
+from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, SnfResult
+from amplehk.hkcheck import HKReport, hk_check
+from amplehk.homology import GradedGroup
+from amplehk.ktheory import RECORDS, Invariants, KPair, ModelClass, Precondition
+from amplehk.models import (
+    BratteliModel,
+    CantorZModel,
+    FiniteGroupoid,
+    NerveLevel,
+    ProductModel,
+    SftModel,
+    nerve_levels,
+    pair_groupoid,
+)
+from amplehk.spans import FiniteSpan, identity_span
+
+M = IntMatrix.from_rows
+DIAGRAM = BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
+
+
+def instances() -> list:
+    """One instance of every record class."""
+    shift = SftModel(M([[1, 1], [1, 0]]))
+    return [
+        M([[1, 2], [3, 4]]),
+        SnfResult(IntMatrix.identity(1), M([[2]]), IntMatrix.identity(1)),
+        FgAbelianGroup(2, (2, 4)),
+        ColimitInvariants(3),
+        InductiveSystem.stationary(M([[2]])),
+        pair_groupoid(2),
+        shift,
+        DIAGRAM,
+        CantorZModel(DIAGRAM),
+        ProductModel(shift, DIAGRAM),
+        nerve_levels(pair_groupoid(2), 1)[1],
+        identity_span(("a", "b")),
+        GradedGroup((FgAbelianGroup(1),), vanishing_above=True),
+        Precondition("p", True, "computed", "why"),
+        KPair(FgAbelianGroup(1), ColimitInvariants(0)),
+        RECORDS[SftModel],
+        Invariants("s", Precondition("p", True, "computed", "why"), "bc", int, int),
+        hk_check(shift),
+    ]
+
+
+RECORD_CLASSES = [
+    IntMatrix, SnfResult, FgAbelianGroup, ColimitInvariants, InductiveSystem, FiniteGroupoid,
+    SftModel, BratteliModel, CantorZModel, ProductModel, NerveLevel, FiniteSpan, GradedGroup,
+    Precondition, KPair, ModelClass, Invariants, HKReport,
+]
+
+
+def test_every_record_class_is_covered():
+    assert [type(r) for r in instances()] == RECORD_CLASSES
+
+
+@pytest.mark.parametrize("record", instances(), ids=lambda r: type(r).__name__)
+class TestEveryRecord:
+    def test_assignment_raises(self, record):
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    def test_replace_without_changes_is_equal(self, record):
+        copy = replace(record)
+        assert copy is not record and copy == record
+
+    def test_hash_is_the_field_tuple_hash(self, record):
+        values = tuple(getattr(record, f) for f in record._fields)
+        try:
+            expected = hash(values)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    def test_repr_lists_the_fields(self, record):
+        body = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+        assert repr(record) == f"{type(record).__name__}({body})"
+
+    def test_unknown_field_is_refused(self, record):
+        with pytest.raises(TypeError):
+            replace(record, no_such_field=1)
+
+
+class TestSemantics:
+    def test_repr(self):
+        assert repr(FgAbelianGroup(2, (2, 4))) == "FgAbelianGroup(rank=2, torsion=(2, 4))"
+        assert repr(KPair(FgAbelianGroup(1), ColimitInvariants(0))) == (
+            "KPair(k0=FgAbelianGroup(rank=1, torsion=()), k1=ColimitInvariants(rank=0))"
+        )
+        assert repr(M([[1, 2]])) == "IntMatrix(rows=1, cols=2, entries=(1, 2))"
+
+    def test_classes_with_equal_fields_differ(self):
+        assert FgAbelianGroup(1, ()) != ColimitInvariants(1)
+        assert ColimitInvariants(1) != FgAbelianGroup(1, ())
+        assert FgAbelianGroup(1) != (1, ())
+
+    def test_changed_field_breaks_equality(self):
+        g = FgAbelianGroup(2, (2, 4))
+        assert replace(g, rank=3) == FgAbelianGroup(3, (2, 4))
+        assert replace(g, rank=3) != g
+
+    def test_replace_revalidates_a_matrix(self):
+        m = M([[1, 2]])
+        with pytest.raises(ShapeMismatch, match="non-integer entry 2.0"):
+            replace(m, entries=(1, 2.0))
+        with pytest.raises(ShapeMismatch, match="needs 2 entries"):
+            replace(m, entries=(1,))
+
+    def test_replace_revalidates_a_groupoid(self):
+        with pytest.raises(ModelInvalid, match="duplicate unit names"):
+            replace(pair_groupoid(2), units=("u0", "u0"))
+
+    def test_replace_revalidates_a_group(self):
+        with pytest.raises(ValueError, match="divisibility chain"):
+            replace(FgAbelianGroup(0, (2, 4)), torsion=(4, 6))
+
+    def test_defaults(self):
+        assert FgAbelianGroup(2) == FgAbelianGroup(2, ())
+        assert RECORDS[SftModel].ktheory is None
+        one = FiniteGroupoid(("x",), (("e", "x", "x"),), inverse={"e": "e"}, compose={("e", "e"): "e"})
+        assert one.compose == {("e", "e"): "e"}
+        with pytest.raises(ModelInvalid, match="required but missing"):
+            FiniteGroupoid(("x",), (("e", "x", "x"),))
+
+    def test_default_tables_are_not_shared(self):
+        a = FiniteGroupoid((), ())
+        b = FiniteGroupoid((), ())
+        assert a.compose == {} and a.inverse == {}
+        assert a.compose is not b.compose and a.inverse is not b.inverse
+
+    def test_keyword_construction(self):
+        assert KPair(k1=FgAbelianGroup(0), k0=FgAbelianGroup(1)) == KPair(
+            FgAbelianGroup(1), FgAbelianGroup(0)
+        )
