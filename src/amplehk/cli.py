@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 from typing import NoReturn
 
 from .errors import (
@@ -75,7 +74,8 @@ def _dump_json(doc) -> str:
 
 def _read_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
     return load_json(text)

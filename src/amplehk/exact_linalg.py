@@ -12,12 +12,16 @@ cokernels read only the diagonal it leaves, so they never build transforms;
 boundary.  ``smith_normal_form`` and ``kernel_basis`` are the only callers
 that also carry the unimodular transforms U and V along.
 
-The diagonal readers first eliminate unit pivots on a sparse copy: each +-1
-entry, taken in Markowitz order, clears its column by row operations and
+The diagonal readers share one kernel, ``_smith_factors``, which takes a
+matrix as sparse rows and first eliminates its unit pivots: each +-1 entry,
+taken in Markowitz order, clears its column by row operations and
 contributes an invariant factor 1.  Bar-complex boundaries have a few +-1
 entries per column, so this leaves a small residue without units, and only
 that residue goes to the dense reduction (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", 2001).
+An ``IntMatrix`` reaches the kernel through ``_smith_diagonal``, which reads
+off its nonzeros; ``sparse_complex_homology`` takes boundaries as sparse
+columns and hands them over with no dense matrix at all.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "kernel_basis",
     "matrix_rank",
     "smith_normal_form",
+    "sparse_complex_homology",
 ]
 
 
@@ -371,24 +376,22 @@ def _cheapest_unit(row: dict[int, int], cols: list[set[int]]) -> tuple[int, int]
     return min(((len(cols[j]), j) for j, x in row.items() if x == 1 or x == -1), default=None)
 
 
-def _smith_diagonal(mat: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form of ``mat``, without the transforms.
+def _smith_factors(rows: dict[int, dict[int, int]], n: int) -> list[int]:
+    """Nonzero Smith invariant factors, in divisibility order, of the matrix
+    with n columns whose row i has the nonzero entries ``rows[i]``
+    ({column: value}); ``rows`` is consumed.
 
     A unit pivot contributes an invariant factor 1, and clearing its column
     with row operations leaves the Smith form of the rest.  So the +-1
-    entries are eliminated first, on sparse rows, always at the lowest
+    entries are eliminated first, on the sparse rows, always at the lowest
     Markowitz cost (row entries - 1) * (column entries - 1), then lowest
     row, then lowest column.  Only the residue left when no unit remains is
     densified and handed to ``_reduce``.
     """
-    m, n = mat.rows, mat.cols
-    rows: dict[int, dict[int, int]] = {i: {} for i in range(m)}
     cols: list[set[int]] = [set() for _ in range(n)]
-    entries = mat.entries
-    for k in compress(range(m * n), entries):
-        i, j = divmod(k, n)
-        rows[i][j] = entries[k]
-        cols[j].add(i)
+    for i, ri in rows.items():
+        for j in ri:
+            cols[j].add(i)
 
     # best[i] is the key (column entries, column) of row i's cheapest unit,
     # or a lower bound on it when i is in ``loose``; keys only change in the
@@ -455,7 +458,18 @@ def _smith_diagonal(mat: IntMatrix) -> list[int]:
     used = sorted({j for ri in live for j in ri})
     a = [[ri.get(j, 0) for j in used] for ri in live]
     _reduce(a, len(a), len(used))
-    diag = [1] * units + [a[t][t] for t in range(min(len(a), len(used))) if a[t][t]]
+    return [1] * units + [a[t][t] for t in range(min(len(a), len(used))) if a[t][t]]
+
+
+def _smith_diagonal(mat: IntMatrix) -> list[int]:
+    """Diagonal of the Smith form of ``mat``, without the transforms: the
+    nonzeros of ``mat.entries`` go to ``_smith_factors`` as sparse rows."""
+    m, n = mat.rows, mat.cols
+    rows: dict[int, dict[int, int]] = {}
+    for i in range(m):
+        row = mat.row(i)
+        rows[i] = {j: row[j] for j in compress(range(n), row)}
+    diag = _smith_factors(rows, n)
     return diag + [0] * (min(m, n) - len(diag))
 
 
@@ -527,12 +541,17 @@ def determinant(mat: IntMatrix) -> int:
 def _canonical_torsion(orders: Iterable[int]) -> tuple[int, ...]:
     """Invariant factors of the direct sum of cyclic groups Z/o for o in orders.
 
-    Computed as the cokernel of the diagonal matrix of the orders, which
-    recombines arbitrary cyclic orders into a divisibility chain without any
-    integer factorization.
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so replacing each pair (a_i, a_j),
+    i < j, by (gcd, lcm) in turn leaves a_i dividing every later entry, and
+    the whole list a divisibility chain with its 1s in front; no integer
+    factorization is needed.
     """
-    relevant = [o for o in orders if o > 1]
-    return cokernel(IntMatrix.diagonal(relevant)).torsion if relevant else ()
+    a = [o for o in orders if o > 1]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = math.gcd(a[i], a[j])
+            a[i], a[j] = g, a[i] // g * a[j]
+    return tuple(o for o in a if o > 1)
 
 
 class FgAbelianGroup(Record):
@@ -643,8 +662,49 @@ def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
             )
         if not (d_in @ d_out).is_zero():
             raise NotAComplex("composite of consecutive boundaries is nonzero")
-    cokernels = [cokernel(d) for d in boundaries]
+    return _homology([cokernel(d) for d in boundaries], [d.rows for d in boundaries])
+
+
+def sparse_complex_homology(
+    rows: int, boundaries: Sequence[Sequence[dict[int, int]]]
+) -> list[FgAbelianGroup]:
+    """``complex_homology`` of boundaries given as sparse columns.
+
+    ``boundaries[n - 1]`` lists the columns of d_n, column t as
+    {row: coefficient} with no zero coefficient; d_1 has ``rows`` rows and
+    d_(n+1) one row per column of d_n.  The composites are checked on the
+    columns, and each boundary reaches ``_smith_factors`` as sparse rows,
+    without a dense intermediate.
+
+    >>> [str(h) for h in sparse_complex_homology(1, [[{}], [{0: 2}]])]
+    ['Z', 'Z/2']
+    """
+    if not boundaries:
+        raise ValueError("a chain complex needs at least one boundary")
+    for d_in, d_out in zip(boundaries, boundaries[1:]):
+        for column in d_out:
+            image: dict[int, int] = {}
+            for s, c in column.items():
+                for r, x in d_in[s].items():
+                    image[r] = image.get(r, 0) + c * x
+            if any(image.values()):
+                raise NotAComplex("composite of consecutive boundaries is nonzero")
+    heights = [rows] + [len(d) for d in boundaries[:-1]]
+    cokernels = []
+    for d, m in zip(boundaries, heights):
+        sparse: dict[int, dict[int, int]] = {i: {} for i in range(m)}
+        for t, column in enumerate(d):
+            for r, x in column.items():
+                sparse[r][t] = x
+        factors = _smith_factors(sparse, len(d))
+        cokernels.append(FgAbelianGroup(m - len(factors), tuple(f for f in factors if f > 1)))
+    return _homology(cokernels, heights)
+
+
+def _homology(cokernels: list[FgAbelianGroup], heights: list[int]) -> list[FgAbelianGroup]:
+    """H_0 .. H_(k-1) from coker d_1 .. coker d_k and the row counts of
+    d_1 .. d_k, as ``complex_homology`` explains."""
     out = [cokernels[0]]
-    for d_in, below, above in zip(boundaries, cokernels, cokernels[1:]):
-        out.append(FgAbelianGroup(above.rank - (d_in.rows - below.rank), above.torsion))
+    for m, below, above in zip(heights, cokernels, cokernels[1:]):
+        out.append(FgAbelianGroup(above.rank - (m - below.rank), above.torsion))
     return out

@@ -6,18 +6,23 @@ same homology.  Groupoid homology is invariant under equivalence (Matui,
 disconnected spaces", Proc. LMS 2012; Crainic and Moerdijk, "A homology
 theory for etale groupoids", Crelle 2000), so the groupoid is first cut down
 to its skeleton, one unit per orbit, whose homology is the direct sum of the
-isotropy groups' homology.  Its nerve is then normalized: cells containing an
-identity arrow span an acyclic subcomplex and are dropped.  Boundary matrices
-are alternating sums of the remaining face maps, and
-``exact_linalg.complex_homology`` reads every degree off one cokernel per
-boundary.  ``boundary_matrix`` still gives the boundaries of the full nerve,
-which the tests use as the oracle.  The symbolic classes use their known
-closed forms: a two-term complex for shifts of finite type, the
-dimension-group colimit for AF models, the colimit plus one copy of Z for
-Cantor minimal Z-systems.  Products use the Kunneth formula
-(``homology_product``), on presented groups when both factors have them and
-on ranks otherwise; it is exact when both factors are, and truncated at the
-asked-for degree otherwise.
+isotropy groups' homology.  Each group's bar complex is then normalized:
+cells containing an identity arrow span an acyclic subcomplex and are never
+built.  The remaining cells are enumerated straight from the group's
+multiplication table, each boundary comes out as sparse columns (the
+alternating sums of the face maps), and
+``exact_linalg.sparse_complex_homology`` checks d.d = 0 on them and reads
+every degree off one sparse elimination per boundary, without a dense
+matrix.  ``nerve_levels``, ``boundary_matrix`` and
+``boundary_matrix_from_levels`` still give the dense boundaries of the full
+nerve, the small-size API the tests use as the oracle.
+
+The symbolic classes use their known closed forms: a two-term complex for
+shifts of finite type, the dimension-group colimit for AF models, the
+colimit plus one copy of Z for Cantor minimal Z-systems.  Products use the
+Kunneth formula (``homology_product``), on presented groups when both
+factors have them and on ranks otherwise; it is exact when both factors
+are, and truncated at the asked-for degree otherwise.
 
 This module holds the closed forms only.  Which one a model gets is part of
 its class's record in ``ktheory``, whose walk (``ktheory.invariants``, or
@@ -41,8 +46,8 @@ from typing import Union
 
 from ._record import Record, setfield
 from .colimits import ColimitInvariants, colimit_invariants
-from .errors import SimplicityNotCertified, TruncationUnsound
-from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel, complex_homology
+from .errors import SimplicityNotCertified, SizeBoundExceeded, TruncationUnsound
+from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel, sparse_complex_homology
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -140,40 +145,74 @@ def boundary_matrix(g: FiniteGroupoid, n: int) -> IntMatrix:
     return boundary_matrix_from_levels(nerve_levels(g, n), n)
 
 
-def _skeleton(g: FiniteGroupoid) -> FiniteGroupoid:
-    """The full subgroupoid on the first unit of each orbit, in ``g.units``
-    order: one isotropy group per orbit, equivalent to ``g``."""
+def _isotropy_tables(g: FiniteGroupoid) -> list[list[list[int]]]:
+    """For the first unit of each orbit, in ``g.units`` order, the
+    multiplication table of its isotropy group without the identity.
+
+    The non-identity loops at a unit are numbered 0, 1, ... in arrow order,
+    and ``table[a][b]`` is the number of the composite a.b, or -1 when a.b
+    is the identity.  In a groupoid the identities are exactly the arrows e
+    with e.e = e.
+    """
     position = {u: i for i, u in enumerate(g.units)}
     reps = {min(orbit, key=position.__getitem__) for orbit in orbits(g)}
-    arrows = tuple(a for a in g.arrows if a[1] in reps and a[2] in reps)
-    kept = {a[0] for a in arrows}
-    return FiniteGroupoid(
-        tuple(u for u in g.units if u in reps),
-        arrows,
-        {pair: c for pair, c in g.compose.items() if pair[0] in kept and pair[1] in kept},
-        {a: b for a, b in g.inverse.items() if a in kept},
-    )
+    units = tuple(u for u in g.units if u in reps)
+    loops: dict[str, list[str]] = {u: [] for u in units}
+    for name, src, tgt in g.arrows:
+        if src == tgt and src in loops and g.compose[(name, name)] != name:
+            loops[src].append(name)
+    tables = []
+    for u in units:
+        number = {a: i for i, a in enumerate(loops[u])}
+        tables.append([[number.get(g.compose[(a, b)], -1) for b in loops[u]] for a in loops[u]])
+    return tables
 
 
-def _normalized(levels: list[NerveLevel], g: FiniteGroupoid) -> list[NerveLevel]:
-    """The levels without the cells that contain an identity arrow.
+def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[int, int]]]:
+    """Boundaries d_1 .. d_top of the normalized bar complex of one group,
+    as sparse columns {row: coefficient}.
 
-    Faces are re-indexed into the kept cells of the level below; a face that
-    lands on a dropped cell becomes -1.  In a groupoid the identities are
-    exactly the arrows e with e.e = e.
+    ``table`` is the group's multiplication table without the identity, as
+    ``_isotropy_tables`` gives it, on k = len(table) elements.  The n-cells
+    are the tuples (a_1, ..., a_n) of non-identity elements, the one 0-cell
+    is the empty tuple, and cell (a_1, ..., a_n) has index sum a_i k^(n-i):
+    the order of the full nerve, with the cells that hold an identity left
+    out.  Face 0 drops a_1, face n drops a_n, and inner face i replaces
+    a_i, a_(i+1) by their product, a face that is zero in the complex when
+    the product is the identity.  A column is the alternating sum of its
+    cell's faces.
+
+    The cells of degree n are the (c, j) for c of degree n - 1.  Face i < n - 1
+    of (c, j) is (face i of c, j), face n - 1 is (c without its last element
+    a, a.j) and face n is c, so each level's faces come from the level
+    below's and no cell is spelled out.
     """
-    names = g.arrow_names()
-    identities = {i for i, a in enumerate(names) if g.compose.get((a, a)) == a}
-    out = [levels[0]]
-    index = list(range(levels[0].size()))
-    for level in levels[1:]:
-        keep = [t for t, cell in enumerate(level.cells) if identities.isdisjoint(cell)]
-        faces = tuple(tuple(index[face[t]] for t in keep) for face in level.faces)
-        index = [-1] * level.size()
-        for new, t in enumerate(keep):
-            index[t] = new
-        out.append(NerveLevel(level.degree, tuple(level.cells[t] for t in keep), faces))
-    return out
+    k = len(table)
+    # Both faces of a loop are its unit, so d_1 is zero.
+    boundaries: list[list[dict[int, int]]] = [[{} for _ in range(k)]]
+    faces: list[list[int]] = [[0, 0]] * k
+    for n in range(2, top + 1):
+        signs = [(-1) ** i for i in range(n + 1)]
+        columns: list[dict[int, int]] = []
+        above: list[list[int]] = []
+        for c, below in enumerate(faces):
+            # A zero face has a negative index, and f * k + j stays negative.
+            shifted = [f * k for f in below[:-1]]
+            head = c - c % k
+            for j, product in enumerate(table[c % k]):
+                cell = [f + j for f in shifted]
+                cell += (head + product if product >= 0 else -1, c)
+                column: dict[int, int] = {}
+                for f, sign in zip(cell, signs):
+                    if f >= 0:
+                        column[f] = column.get(f, 0) + sign
+                if 0 in column.values():
+                    column = {f: x for f, x in column.items() if x}
+                columns.append(column)
+                above.append(cell)
+        boundaries.append(columns)
+        faces = above
+    return boundaries
 
 
 def homology_finite(
@@ -188,17 +227,28 @@ def homology_finite(
     identity arrow.  Both steps keep the homology: it is invariant under
     groupoid equivalence (Matui, Proc. LMS 2012; Crainic and Moerdijk, Crelle
     2000), and the degenerate cells span an acyclic subcomplex.  The
-    skeleton's nerve levels up to max_degree + 1 are built; raises
-    SizeBoundExceeded when one of them outgrows ``size_bound``.  The result
-    is a truncation: finite groupoids can have homology in arbitrarily high
-    degrees.
+    skeleton's complex is the direct sum of one complex per orbit, on the
+    isotropy group of its unit, so each is built and eliminated on its own
+    and the homology is the direct sum.
+
+    Level n >= 2 of the skeleton's full nerve has sum |G_u|^n cells over
+    the isotropy groups G_u; raises SizeBoundExceeded, before building
+    anything, when one of the levels up to max_degree + 1 outgrows
+    ``size_bound``.  The result is a truncation: finite groupoids can have
+    homology in arbitrarily high degrees.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    skeleton = _skeleton(g)
-    levels = _normalized(nerve_levels(skeleton, max_degree + 1, size_bound=size_bound), skeleton)
-    boundaries = [boundary_matrix_from_levels(levels, n) for n in range(1, max_degree + 2)]
-    return GradedGroup(tuple(complex_homology(boundaries)), vanishing_above=False)
+    top = max_degree + 1
+    tables = _isotropy_tables(g)
+    for n in range(2, top + 1):
+        if sum((len(table) + 1) ** n for table in tables) > size_bound:
+            raise SizeBoundExceeded(f"nerve level {n} exceeds size bound {size_bound}")
+    total = [FgAbelianGroup.zero()] * top
+    for table in tables:
+        h = sparse_complex_homology(1, _normalized_boundaries(table, top))
+        total = [x.direct_sum(y) for x, y in zip(total, h)]
+    return GradedGroup(tuple(total), vanishing_above=False)
 
 
 # ---------------------------------------------------------------------------

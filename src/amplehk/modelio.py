@@ -144,39 +144,57 @@ def _parse_matrix(doc, pointer: str) -> IntMatrix:
 
 
 def _parse_finite(doc: dict, pointer: str) -> FiniteGroupoid:
+    # Each element's shape and types are checked in one pass; pointers are
+    # built only to locate an element that fails, as in ``_parse_matrix``.
     units_doc = _expect_list(_get(doc, "units", pointer), f"{pointer}/units")
-    units = tuple(_expect_str(u, f"{pointer}/units/{i}") for i, u in enumerate(units_doc))
+    if not set(map(type, units_doc)) <= {str}:
+        for i, u in enumerate(units_doc):
+            _expect_str(u, f"{pointer}/units/{i}")
+    units = tuple(units_doc)
 
     arrows_doc = _expect_list(_get(doc, "arrows", pointer), f"{pointer}/arrows")
     arrows = []
     for i, a in enumerate(arrows_doc):
-        ap = f"{pointer}/arrows/{i}"
-        a = _expect_object(a, ap)
-        arrows.append(
-            (
-                _expect_str(_get(a, "id", ap), f"{ap}/id"),
-                _expect_str(_get(a, "source", ap), f"{ap}/source"),
-                _expect_str(_get(a, "target", ap), f"{ap}/target"),
-            )
-        )
+        if type(a) is dict:
+            arrow = (a.get("id"), a.get("source"), a.get("target"))
+            if set(map(type, arrow)) == {str}:
+                arrows.append(arrow)
+                continue
+        arrows.append(_parse_arrow(a, f"{pointer}/arrows/{i}"))
 
     compose_doc = _expect_list(_get(doc, "compose", pointer), f"{pointer}/compose")
     compose = {}
     for i, entry in enumerate(compose_doc):
-        ep = f"{pointer}/compose/{i}"
-        entry = _expect_list(entry, ep)
-        if len(entry) != 3:
-            raise SchemaError(ep, "composition entries are triples [g, d, g.d]")
-        g, d, gd = (_expect_str(x, f"{ep}/{j}") for j, x in enumerate(entry))
+        if type(entry) is list and len(entry) == 3 and set(map(type, entry)) == {str}:
+            g, d, gd = entry
+        else:
+            g, d, gd = _parse_compose_entry(entry, f"{pointer}/compose/{i}")
         if (g, d) in compose:
-            raise SchemaError(ep, f"composable pair ({g!r}, {d!r}) is listed twice")
+            raise SchemaError(f"{pointer}/compose/{i}", f"composable pair ({g!r}, {d!r}) is listed twice")
         compose[(g, d)] = gd
 
-    inverse_doc = _expect_object(_get(doc, "inverse", pointer), f"{pointer}/inverse")
-    inverse = {
-        k: _expect_str(v, f"{pointer}/inverse/{k}") for k, v in inverse_doc.items()
-    }
-    return FiniteGroupoid(units, tuple(arrows), compose, inverse)
+    inverse = _expect_object(_get(doc, "inverse", pointer), f"{pointer}/inverse")
+    if not set(map(type, inverse.values())) <= {str}:
+        for k, v in inverse.items():
+            _expect_str(v, f"{pointer}/inverse/{k}")
+    return FiniteGroupoid(units, tuple(arrows), compose, dict(inverse))
+
+
+def _parse_arrow(a, ap: str) -> tuple[str, str, str]:
+    a = _expect_object(a, ap)
+    return (
+        _expect_str(_get(a, "id", ap), f"{ap}/id"),
+        _expect_str(_get(a, "source", ap), f"{ap}/source"),
+        _expect_str(_get(a, "target", ap), f"{ap}/target"),
+    )
+
+
+def _parse_compose_entry(entry, ep: str) -> tuple[str, str, str]:
+    entry = _expect_list(entry, ep)
+    if len(entry) != 3:
+        raise SchemaError(ep, "composition entries are triples [g, d, g.d]")
+    g, d, gd = (_expect_str(x, f"{ep}/{j}") for j, x in enumerate(entry))
+    return g, d, gd
 
 
 def _parse_bratteli(doc: dict, pointer: str) -> BratteliModel:

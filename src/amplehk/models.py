@@ -195,22 +195,25 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
             tgt = arrow_map[gname][1]
             if arrow_map[result] != (src, tgt):
                 bad.append(f"composite {result!r} of ({gname!r}, {dname!r}) has wrong endpoints")
-    for gname, (gsrc, _) in arrow_map.items():
-        for dname, (_, dtgt) in arrow_map.items():
-            if gsrc == dtgt and (gname, dname) not in g.compose:
+    # The arrows d with target u, in arrow order: the d composable with an
+    # arrow g of source u, as g.d.
+    into: dict[str, list[str]] = {u: [] for u in unit_set}
+    for name, _, tgt in g.arrows:
+        into[tgt].append(name)
+    for gname, src, _ in g.arrows:
+        for dname in into[src]:
+            if (gname, dname) not in g.compose:
                 bad.append(f"composition ({gname!r}, {dname!r}) required but missing")
     if bad:
         return bad
 
-    comp = dict(g.compose)
-    for a in names:
-        for b in names:
-            if (a, b) not in comp:
-                continue
-            for c in names:
-                if (b, c) not in comp:
-                    continue
-                if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]:
+    # Now the table holds exactly the composable pairs.
+    comp = g.compose
+    for a, src, _ in g.arrows:
+        for b in into[src]:
+            ab = comp[(a, b)]
+            for c in into[arrow_map[b][0]]:
+                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
                     bad.append(f"associativity fails on ({a!r}, {b!r}, {c!r})")
 
     idents = identity_arrows(g)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from errno import EISDIR, ENOENT
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,13 @@ class TestInputProblems:
         code, _, err = run(capsys, "hk-check", "no_such_file.json")
         assert code == 3
         assert "error:" in err
+
+    def test_unreadable_path_is_named(self, capsys, tmp_path):
+        missing = str(tmp_path / "no_such_file.json")
+        for path, errno in ((missing, ENOENT), (str(tmp_path), EISDIR)):
+            code, out, err = run(capsys, "homology", path)
+            assert (code, out) == (3, "")
+            assert err == f"error: [Errno {errno}] {os.strerror(errno)}: {path!r}\n"
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -693,7 +701,7 @@ def test_import_leaves_out_slow_standard_modules():
     milliseconds per process and the package has no use for it."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC_DIR)!r}); import amplehk.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib', 'random'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True

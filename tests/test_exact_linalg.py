@@ -18,7 +18,9 @@ from amplehk.exact_linalg import (
     kernel_basis,
     matrix_rank,
     smith_normal_form,
+    sparse_complex_homology,
 )
+from amplehk.exact_linalg import _canonical_torsion
 from amplehk.homology import boundary_matrix
 from amplehk.models import cyclic_group_groupoid, transitive_groupoid
 
@@ -334,6 +336,37 @@ class TestChainHomology:
             assert h.rank == basis.cols - matrix_rank(combo)
 
 
+def columns(mat: IntMatrix) -> list[dict[int, int]]:
+    return [
+        {i: mat.entry(i, j) for i in range(mat.rows) if mat.entry(i, j)} for j in range(mat.cols)
+    ]
+
+
+class TestSparseChainHomology:
+    def test_agrees_with_the_dense_complex(self):
+        rng = random.Random(59)
+        for _ in range(50):
+            b = random_int_matrix(rng, 4, -3, 3)
+            basis = kernel_basis(b)
+            k = rng.randint(0, 3)
+            combo = IntMatrix(basis.cols, k, tuple(rng.randint(-2, 2) for _ in range(basis.cols * k)))
+            c = basis @ combo
+            assert sparse_complex_homology(b.rows, [columns(b), columns(c)]) == complex_homology([b, c])
+
+    def test_real_projective_plane(self):
+        assert sparse_complex_homology(1, [[{}], [{0: 2}], []]) == [
+            FgAbelianGroup.free(1), FgAbelianGroup.cyclic(2), FgAbelianGroup.zero()
+        ]
+
+    def test_not_a_complex(self):
+        with pytest.raises(NotAComplex, match="composite of consecutive boundaries is nonzero"):
+            sparse_complex_homology(1, [[{0: 1}, {}], [{0: 1}, {1: 1}]])
+
+    def test_needs_a_boundary(self):
+        with pytest.raises(ValueError):
+            sparse_complex_homology(1, [])
+
+
 class TestDeterminant:
     def test_examples(self):
         assert determinant(IntMatrix.identity(3)) == 1
@@ -375,6 +408,14 @@ class TestFgAbelianGroup:
         a = FgAbelianGroup.cyclic(6)
         b = FgAbelianGroup.cyclic(4)
         assert a.direct_sum(b) == FgAbelianGroup(0, (2, 12))
+
+    def test_canonical_torsion_matches_the_diagonal_cokernel(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            choices = (1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 2**40, 3**25)
+            orders = [rng.choice(choices) for _ in range(rng.randint(0, 7))]
+            relevant = [o for o in orders if o > 1]
+            assert _canonical_torsion(orders) == cokernel(IntMatrix.diagonal(relevant)).torsion, orders
 
     def test_tensor(self):
         a = FgAbelianGroup(1, (2,))

@@ -33,6 +33,7 @@ from amplehk.models import (
     BratteliModel,
     CantorZModel,
     FiniteGroupoid,
+    NerveLevel,
     ProductModel,
     SftModel,
     cyclic_group_groupoid,
@@ -44,7 +45,7 @@ from amplehk.models import (
     trivial_groupoid,
 )
 
-from conftest import random_finite_groupoid
+from conftest import random_finite_groupoid, symmetric_group_groupoid
 
 
 def M(rows):
@@ -136,27 +137,28 @@ class TestFiniteHomology:
 
     def test_one_elimination_per_boundary(self, monkeypatch):
         calls = []
-        real = exact_linalg.cokernel
+        real = exact_linalg._smith_factors
 
-        def counted(mat):
-            calls.append((mat.rows, mat.cols, mat.entries))
-            return real(mat)
+        def counted(rows, n):
+            calls.append((n, tuple((i, tuple(r.items())) for i, r in rows.items())))
+            return real(rows, n)
 
-        monkeypatch.setattr(exact_linalg, "cokernel", counted)
+        monkeypatch.setattr(exact_linalg, "_smith_factors", counted)
         h = homology_finite(cyclic_group_groupoid(3), 3)
         assert groups(h) == ["Z", "Z/3", "0", "Z/3"]
         assert len(calls) == 4 and len(set(calls)) == 4
 
     def test_nonzero_composite_is_not_a_complex(self, monkeypatch):
-        # An all-ones d_1 meets d_2, whose columns each sum to 1 (three faces
-        # with signs + - +), in a nonzero composite.
-        real = homology.boundary_matrix_from_levels
+        # An all-ones d_1 meets d_2, whose one column is 2 (the outer faces
+        # of (g, g) with signs + and +, the inner one the identity), in a
+        # nonzero composite.
+        real = homology._normalized_boundaries
 
-        def broken(levels, n):
-            d = real(levels, n)
-            return IntMatrix(d.rows, d.cols, (1,) * len(d.entries)) if n == 1 else d
+        def broken(table, top):
+            d = real(table, top)
+            return [[{0: 1} for _ in d[0]]] + d[1:]
 
-        monkeypatch.setattr(homology, "boundary_matrix_from_levels", broken)
+        monkeypatch.setattr(homology, "_normalized_boundaries", broken)
         with pytest.raises(NotAComplex, match="composite of consecutive boundaries is nonzero"):
             homology_finite(cyclic_group_groupoid(2), 1)
 
@@ -179,6 +181,100 @@ def full_nerve_homology(g: FiniteGroupoid, max_degree: int) -> tuple[FgAbelianGr
     return tuple(out)
 
 
+def skeleton(g: FiniteGroupoid) -> FiniteGroupoid:
+    """Oracle: the full subgroupoid on the first unit of each orbit."""
+    reps = {min(orbit, key=g.units.index) for orbit in orbits(g)}
+    arrows = tuple(a for a in g.arrows if a[1] in reps and a[2] in reps)
+    kept = {a[0] for a in arrows}
+    return FiniteGroupoid(
+        tuple(u for u in g.units if u in reps),
+        arrows,
+        {pair: c for pair, c in g.compose.items() if kept.issuperset(pair)},
+        {a: b for a, b in g.inverse.items() if a in kept},
+    )
+
+
+def vertex_group(g: FiniteGroupoid, u: str) -> FiniteGroupoid:
+    """Oracle: the isotropy group of unit u as a one-unit groupoid."""
+    loops = {a for a, src, tgt in g.arrows if src == tgt == u}
+    return FiniteGroupoid(
+        (u,),
+        tuple(a for a in g.arrows if a[0] in loops),
+        {pair: c for pair, c in g.compose.items() if loops.issuperset(pair)},
+        {a: b for a, b in g.inverse.items() if a in loops},
+    )
+
+
+def normalized(levels: list[NerveLevel], g: FiniteGroupoid) -> list[NerveLevel]:
+    """Oracle: the nerve levels without the cells that hold an identity
+    arrow; a face landing on a dropped cell becomes -1."""
+    names = g.arrow_names()
+    identities = {i for i, a in enumerate(names) if g.compose[(a, a)] == a}
+    out = [levels[0]]
+    index = list(range(levels[0].size()))
+    for level in levels[1:]:
+        keep = [t for t, cell in enumerate(level.cells) if identities.isdisjoint(cell)]
+        faces = tuple(tuple(index[face[t]] for t in keep) for face in level.faces)
+        index = [-1] * level.size()
+        for new, t in enumerate(keep):
+            index[t] = new
+        out.append(NerveLevel(level.degree, tuple(level.cells[t] for t in keep), faces))
+    return out
+
+
+def densified(columns: list[dict[int, int]], rows: int) -> IntMatrix:
+    flat = [0] * (rows * len(columns))
+    for t, column in enumerate(columns):
+        for r, x in column.items():
+            flat[r * len(columns) + t] = x
+    return IntMatrix(rows, len(columns), tuple(flat))
+
+
+def sparse_corpus() -> list[FiniteGroupoid]:
+    rng = random.Random(53)
+    return [
+        cyclic_group_groupoid(4),
+        cyclic_group_groupoid(5),
+        symmetric_group_groupoid(3),
+        transitive_groupoid(2, 2),
+    ] + [random_finite_groupoid(rng, max_arrows=12) for _ in range(25)]
+
+
+class TestSparseBoundaries:
+    """The sparse columns of each orbit's complex against the dense
+    boundaries of the normalized nerve of its unit's isotropy group."""
+
+    def test_match_the_dense_normalized_boundaries(self):
+        top = 4
+        for g in sparse_corpus():
+            units = skeleton(g).units
+            tables = homology._isotropy_tables(g)
+            assert len(tables) == len(units)
+            for u, table in zip(units, tables):
+                group = vertex_group(g, u)
+                levels = normalized(nerve_levels(group, top), group)
+                sparse = homology._normalized_boundaries(table, top)
+                for n in range(1, top + 1):
+                    dense = boundary_matrix_from_levels(levels, n)
+                    assert densified(sparse[n - 1], dense.rows) == dense, (g.units, u, n)
+
+    def test_size_bound_counts_the_skeleton_nerve(self):
+        # The bound and its message are those of the skeleton's full nerve.
+        for g in sparse_corpus():
+            for bound in (0, 5, 30, 200):
+                try:
+                    nerve_levels(skeleton(g), 4, size_bound=bound)
+                    expected = None
+                except SizeBoundExceeded as e:
+                    expected = str(e)
+                try:
+                    homology_finite(g, 3, size_bound=bound)
+                    found = None
+                except SizeBoundExceeded as e:
+                    found = str(e)
+                assert found == expected, (g.units, bound)
+
+
 class TestReducedComplex:
     """``homology_finite`` works on the normalized bar complex of a skeleton;
     the full nerve is the oracle."""
@@ -191,8 +287,9 @@ class TestReducedComplex:
             transitive_groupoid(2, 2),
             transitive_groupoid(2, 3),
             disjoint_union_groupoids(transitive_groupoid(2, 2), cyclic_group_groupoid(3)),
+            symmetric_group_groupoid(3),
         ],
-        ids=["Z4", "Z5", "T2x2", "T2x3", "T2x2+Z3"],
+        ids=["Z4", "Z5", "T2x2", "T2x3", "T2x2+Z3", "S3"],
     )
     def test_agrees_with_the_full_nerve(self, g):
         assert homology_finite(g, 3).by_degree == full_nerve_homology(g, 3)
@@ -204,27 +301,30 @@ class TestReducedComplex:
             assert homology_finite(g, 3).by_degree == full_nerve_homology(g, 3), g.units
 
     def test_builds_the_nerve_of_one_unit_per_orbit(self, monkeypatch):
-        seen = []
-        real = homology.nerve_levels
+        orders = []
+        real = homology._normalized_boundaries
 
-        def recorded(g, top, size_bound=None):
-            seen.append(g.units)
-            return real(g, top, size_bound=size_bound)
+        def recorded(table, top):
+            orders.append(len(table) + 1)
+            return real(table, top)
 
-        monkeypatch.setattr(homology, "nerve_levels", recorded)
+        monkeypatch.setattr(homology, "_normalized_boundaries", recorded)
         g = disjoint_union_groupoids(pair_groupoid(3), transitive_groupoid(2, 2))
         homology_finite(g, 2)
-        assert seen == [("L.u0", "R.u0")]
+        # One complex per orbit, on the isotropy group of one unit: the
+        # trivial group of the pair groupoid's, then Z/2.
+        assert orders == [1, 2]
 
     def test_degenerate_cells_are_dropped(self, monkeypatch):
         sizes = []
-        real = homology.boundary_matrix_from_levels
+        real = homology._normalized_boundaries
 
-        def recorded(levels, n):
-            sizes.append(levels[n].size())
-            return real(levels, n)
+        def recorded(table, top):
+            d = real(table, top)
+            sizes.extend(len(columns) for columns in d)
+            return d
 
-        monkeypatch.setattr(homology, "boundary_matrix_from_levels", recorded)
+        monkeypatch.setattr(homology, "_normalized_boundaries", recorded)
         homology_finite(cyclic_group_groupoid(4), 3)
         # (k - 1)^n cells of Z/k in degree n, against k^n in the full nerve.
         assert sizes == [3, 9, 27, 81]

@@ -100,6 +100,34 @@ class TestFiniteValidation:
         bad = violations(lambda: replace(g, compose=tampered))
         assert any("associativity fails" in v for v in bad)
 
+    def test_violations_are_listed_in_arrow_order(self):
+        # Two units with isotropy Z/2; arrow names read target<element<source.
+        g = transitive_groupoid(2, 2)
+        dropped = {("u1<1<u0", "u0<0<u1"), ("u0<1<u0", "u0<1<u0")}
+        missing = {k: v for k, v in g.compose.items() if k not in dropped}
+        tampered = {**g.compose, ("u1<1<u1", "u1<1<u1"): "u1<1<u1"}
+        pairs = [
+            "composition ('u0<1<u0', 'u0<1<u0') required but missing",
+            "composition ('u1<1<u0', 'u0<0<u1') required but missing",
+        ]
+        assert violations(lambda: replace(g, compose=missing)) == pairs
+        assert violations(lambda: replace(g, compose=tampered)) == [
+            f"associativity fails on {triple}"
+            for triple in (
+                ("u0<0<u1", "u1<1<u1", "u1<1<u1"),
+                ("u0<1<u1", "u1<1<u1", "u1<1<u1"),
+                ("u1<0<u0", "u0<1<u1", "u1<1<u1"),
+                ("u1<1<u0", "u0<0<u1", "u1<1<u1"),
+                ("u1<1<u1", "u1<0<u0", "u0<1<u1"),
+                ("u1<1<u1", "u1<1<u0", "u0<0<u1"),
+                ("u1<1<u1", "u1<1<u1", "u1<0<u0"),
+                ("u1<1<u1", "u1<1<u1", "u1<1<u0"),
+            )
+        ]
+        # A missing pair is reported alone: associativity needs a full table.
+        both = {k: v for k, v in tampered.items() if k not in dropped}
+        assert violations(lambda: replace(g, compose=both)) == pairs
+
     def test_missing_identity(self):
         bad = violations(
             lambda: FiniteGroupoid(
