@@ -11,7 +11,6 @@ arithmetic.
 from ._record import replace
 from .colimits import (
     ColimitInvariants,
-    InductiveSystem,
     colimit_invariants,
     map_on_colimit_rank,
 )
@@ -61,11 +60,9 @@ from .homology import (
 from .ktheory import (
     KPair,
     Precondition,
-    homology_of_model,
     invariants,
     k_finite_principal,
     k_product,
-    ktheory_of_model,
     periodicize,
 )
 from .models import (
@@ -107,7 +104,6 @@ __all__ = [
     "GradedGroup",
     "GroupoidModel",
     "HKReport",
-    "InductiveSystem",
     "IntMatrix",
     "KPair",
     "ModelInvalid",
@@ -139,7 +135,6 @@ __all__ = [
     "homology_af",
     "homology_cantor_z",
     "homology_finite",
-    "homology_of_model",
     "homology_product",
     "homology_sft",
     "identity_span",
@@ -148,7 +143,6 @@ __all__ = [
     "k_finite_principal",
     "k_product",
     "kernel_basis",
-    "ktheory_of_model",
     "map_on_colimit_rank",
     "matrix_rank",
     "orbits",

@@ -1,16 +1,16 @@
 """Colimits of inductive systems of free abelian groups.
 
 A system here is a finite run of free abelian groups and connecting integer
-matrices, followed by a periodic tail: one square matrix applied forever.
-Such colimits (dimension groups of Bratteli diagrams, for instance) need not
-be finitely generated, so they are never materialized.  Instead we report
-their rank, the rational dimension of the colimit.  A colimit of free abelian
-groups is torsion-free (an element of finite order already dies at a finite
-stage), so rationally the rank describes it completely.
+matrices, followed by a periodic tail: one square matrix applied forever
+(a Bratteli diagram, whose colimit is its dimension group).  Such colimits
+need not be finitely generated, so they are never materialized.  Instead we
+report their rank, the rational dimension of the colimit.  A colimit of free
+abelian groups is torsion-free (an element of finite order already dies at a
+finite stage), so rationally the rank describes it completely.
 
-The rational dimension is computed from the tail alone.  Dropping finitely
-many initial stages does not change a colimit, so the dimension equals the
-eventual rank of the tail matrix M.  The ranks of M, M^2, M^3, ... never
+Dropping finitely many initial stages does not change a colimit, so its
+rational dimension is the eventual rank of the tail matrix M, and the
+functions here take the tail alone.  The ranks of M, M^2, M^3, ... never
 increase, and the first repeat fixes them for good: rank M^k = rank M^(k+1)
 means ker M^k = ker M^(k+1), and then ker M^(k+j) = ker M^k for every j.  So
 the powers are formed one multiplication by M at a time and eliminated until
@@ -27,58 +27,14 @@ from .exact_linalg import IntMatrix, kernel_basis, matrix_rank
 
 __all__ = [
     "ColimitInvariants",
-    "InductiveSystem",
     "colimit_invariants",
     "map_on_colimit_rank",
 ]
 
 
-class InductiveSystem(Record):
-    """Finitely presented run of a colimit diagram with a stationary tail.
-
-    ``stage_dims[i]`` is the rank of the i-th free group; ``connecting[i]``
-    maps stage i to stage i+1, so it has ``stage_dims[i+1]`` rows and
-    ``stage_dims[i]`` columns.  ``tail`` is square of size ``stage_dims[-1]``
-    and repeats beyond the listed stages.
-    """
-
-    __slots__ = ("stage_dims", "connecting", "tail")
-
-    def __init__(
-        self, stage_dims: tuple[int, ...], connecting: tuple[IntMatrix, ...], tail: IntMatrix
-    ) -> None:
-        if not stage_dims:
-            raise ShapeMismatch("a system needs at least one stage")
-        if any(d < 0 for d in stage_dims):
-            raise ShapeMismatch("negative stage dimension")
-        if len(connecting) != len(stage_dims) - 1:
-            raise ShapeMismatch(
-                f"{len(stage_dims)} stages need {len(stage_dims) - 1} "
-                f"connecting maps, got {len(connecting)}"
-            )
-        for i, mat in enumerate(connecting):
-            if (mat.rows, mat.cols) != (stage_dims[i + 1], stage_dims[i]):
-                raise ShapeMismatch(
-                    f"connecting map {i} is {mat.rows}x{mat.cols}, expected "
-                    f"{stage_dims[i + 1]}x{stage_dims[i]}"
-                )
-        last = stage_dims[-1]
-        if (tail.rows, tail.cols) != (last, last):
-            raise ShapeMismatch(f"tail is {tail.rows}x{tail.cols}, expected {last}x{last}")
-        setfield(self, "stage_dims", stage_dims)
-        setfield(self, "connecting", connecting)
-        setfield(self, "tail", tail)
-
-    @staticmethod
-    def stationary(tail: IntMatrix) -> "InductiveSystem":
-        if tail.rows != tail.cols:
-            raise ShapeMismatch("stationary tail must be square")
-        return InductiveSystem((tail.rows,), (), tail)
-
-
 class ColimitInvariants(Record):
     """A group known only by its rank: a colimit that need not be finitely
-    generated, or a rational-only value whose torsion was dropped."""
+    generated, or a Kunneth product with such a factor."""
 
     __slots__ = ("rank",)
 
@@ -91,8 +47,11 @@ def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:
 
     From that k on the rank and the kernel of the powers stay fixed, so M^k
     has the eventual rank and the eventual kernel.  Rank 0 or full rank is
-    already fixed, so it needs no further power.
+    already fixed, so it needs no further power.  Raises ShapeMismatch for a
+    tail that is not square.
     """
+    if tail.rows != tail.cols:
+        raise ShapeMismatch(f"tail is {tail.rows}x{tail.cols}, not square")
     power = tail
     rank = matrix_rank(power)
     while 0 < rank < tail.rows:
@@ -104,8 +63,8 @@ def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:
     return power, rank
 
 
-def colimit_invariants(system: InductiveSystem) -> ColimitInvariants:
-    """Rank of the colimit of ``system``.
+def colimit_invariants(tail: IntMatrix) -> ColimitInvariants:
+    """Rank of the colimit of a system whose tail is ``tail``.
 
     The rank is the eventual rank of the tail M: the rank of M^k at the first
     k where rank M^k = rank M^(k+1).  The ranks of the powers never
@@ -118,14 +77,14 @@ def colimit_invariants(system: InductiveSystem) -> ColimitInvariants:
     >>> tail = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
     >>> [matrix_rank(tail.power(k)) for k in (1, 2, 3)]
     [2, 1, 1]
-    >>> colimit_invariants(InductiveSystem.stationary(tail)).rank
+    >>> colimit_invariants(tail).rank
     1
     """
-    _, rank = _stable_power(system.tail)
+    _, rank = _stable_power(tail)
     return ColimitInvariants(rank=rank)
 
 
-def map_on_colimit_rank(system: InductiveSystem, endo: IntMatrix) -> int:
+def map_on_colimit_rank(tail: IntMatrix, endo: IntMatrix) -> int:
     """Rank of the endomorphism ``endo`` induces on the colimit.
 
     ``endo`` acts on the tail stage and must commute with the tail, possibly
@@ -135,11 +94,12 @@ def map_on_colimit_rank(system: InductiveSystem, endo: IntMatrix) -> int:
     power M^k at which the tail's rank repeats has that kernel, so it serves
     both the commutation check and K.
     """
-    last = system.stage_dims[-1]
-    if (endo.rows, endo.cols) != (last, last):
-        raise ShapeMismatch(f"endomorphism is {endo.rows}x{endo.cols}, expected {last}x{last}")
-    stable, _ = _stable_power(system.tail)
-    commutator = system.tail @ endo - endo @ system.tail
+    if (endo.rows, endo.cols) != (tail.rows, tail.cols):
+        raise ShapeMismatch(
+            f"endomorphism is {endo.rows}x{endo.cols}, expected {tail.rows}x{tail.cols}"
+        )
+    stable, _ = _stable_power(tail)
+    commutator = tail @ endo - endo @ tail
     # Allow the discrepancy to die under further tail applications.
     if not (stable @ commutator).is_zero():
         raise CommutationFailure("endomorphism does not commute with the tail, even eventually")

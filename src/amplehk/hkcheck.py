@@ -103,7 +103,6 @@ def hk_check(
     model: GroupoidModel,
     max_degree: int = 3,
     size_bound: int = DEFAULT_SIZE_BOUND,
-    rational_only: bool = False,
 ) -> HKReport:
     """Run the rank comparison on a model and report the verdict.
 
@@ -116,7 +115,7 @@ def hk_check(
     finitely generated and the grading is exact, and an integral discrepancy
     is reported as a note, never as a failure of the rational statement.
     """
-    found = invariants(model, max_degree, size_bound, rational_only)
+    found = invariants(model, max_degree, size_bound)
     iso = found.isotropy
     homology = found.homology()
     ktheory = found.ktheory() if iso.holds else None

@@ -56,11 +56,9 @@ __all__ = [
     "ModelClass",
     "Precondition",
     "RECORDS",
-    "homology_of_model",
     "invariants",
     "k_finite_principal",
     "k_product",
-    "ktheory_of_model",
     "periodicize",
     "record_of",
 ]
@@ -128,19 +126,17 @@ def periodicize(h: GradedGroup) -> KPair:
     return KPair(fold(h.by_degree[0::2]), fold(h.by_degree[1::2]))
 
 
-def k_product(left: KPair, right: KPair, rational_only: bool = False) -> KPair:
+def k_product(left: KPair, right: KPair) -> KPair:
     """Two-periodic Kunneth formula for the K-theory of a tensor product.
 
     It is the parity fold of the Kunneth formula for homology applied to
     the exact two-term groups (K_0, K_1): Tor shifts the parity by one.
-    Rational-only mode, or a factor with colimit-valued K-theory, keeps just
-    the ranks.
+    A factor with colimit-valued K-theory keeps just the ranks.
     """
     return periodicize(
         homology_product(
             GradedGroup((left.k0, left.k1), vanishing_above=True),
             GradedGroup((right.k0, right.k1), vanishing_above=True),
-            rational_only=rational_only,
         )
     )
 
@@ -293,7 +289,6 @@ def invariants(
     model: GroupoidModel,
     max_degree: int = 3,
     size_bound: int = DEFAULT_SIZE_BOUND,
-    rational_only: bool = False,
 ) -> Invariants:
     """Summary, preconditions, and H and K on demand, of any model in one walk.
 
@@ -302,8 +297,8 @@ def invariants(
     assemble their factors with ``homology_product`` and ``k_product``.
     """
     if isinstance(model, ProductModel):
-        left = invariants(model.left, max_degree, size_bound, rational_only)
-        right = invariants(model.right, max_degree, size_bound, rational_only)
+        left = invariants(model.left, max_degree, size_bound)
+        right = invariants(model.right, max_degree, size_bound)
         li, ri = left.isotropy, right.isotropy
         return Invariants(
             summary=f"product({left.summary}, {right.summary})",
@@ -317,12 +312,8 @@ def invariants(
                 "products of amenable groupoids are amenable, hence satisfy "
                 "Baum-Connes (Tu)"
             ),
-            homology=cache(
-                lambda: homology_product(
-                    left.homology(), right.homology(), max_degree, rational_only
-                )
-            ),
-            ktheory=cache(lambda: k_product(left.ktheory(), right.ktheory(), rational_only)),
+            homology=cache(lambda: homology_product(left.homology(), right.homology(), max_degree)),
+            ktheory=cache(lambda: k_product(left.ktheory(), right.ktheory())),
         )
     record = record_of(model)
     homology = cache(lambda: record.homology(model, max_degree, size_bound))
@@ -335,18 +326,3 @@ def invariants(
             lambda: record.ktheory(model) if record.ktheory else periodicize(homology())
         ),
     )
-
-
-def homology_of_model(
-    model: GroupoidModel,
-    max_degree: int = 3,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-    rational_only: bool = False,
-) -> GradedGroup:
-    """Homology of any model, from ``invariants``."""
-    return invariants(model, max_degree, size_bound, rational_only).homology()
-
-
-def ktheory_of_model(model: GroupoidModel, rational_only: bool = False) -> KPair:
-    """K-theory of any model, from ``invariants``."""
-    return invariants(model, rational_only=rational_only).ktheory()

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from ._record import Record, setfield
-from .colimits import InductiveSystem
 from .errors import ModelInvalid, SizeBoundExceeded
 from .exact_linalg import IntMatrix
 
@@ -35,7 +34,6 @@ __all__ = [
     "ProductModel",
     "SftModel",
     "cyclic_group_groupoid",
-    "dimension_system",
     "disjoint_union_groupoids",
     "identity_arrows",
     "nerve_levels",
@@ -83,15 +81,6 @@ class FiniteGroupoid(Record):
 
     def arrow_names(self) -> list[str]:
         return [a[0] for a in self.arrows]
-
-    def source_of(self, name: str) -> str:
-        return self._arrow_map()[name][0]
-
-    def target_of(self, name: str) -> str:
-        return self._arrow_map()[name][1]
-
-    def _arrow_map(self) -> dict[str, tuple[str, str]]:
-        return {name: (src, tgt) for name, src, tgt in self.arrows}
 
 
 class SftModel(Record):
@@ -345,11 +334,6 @@ def _next_pattern_row(row: int, step: list[int]) -> int:
         if row >> j & 1:
             out |= s
     return out
-
-
-def dimension_system(b: BratteliModel) -> InductiveSystem:
-    """The inductive system of the diagram's dimension group."""
-    return InductiveSystem(b.level_sizes, b.incidences, b.tail)
 
 
 # ---------------------------------------------------------------------------

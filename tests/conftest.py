@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -140,3 +141,19 @@ def wide_corpus(deep_corpus) -> list[FiniteGroupoid]:
         transitive_groupoid(2, 12),
         disjoint_union_groupoids(cyclic_group_groupoid(4), pair_groupoid(3)),
     ]
+
+
+def record_calls(monkeypatch, fn) -> list[tuple]:
+    """Arguments of every call to ``fn``, under every package name it has."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "amplehk" or name.startswith("amplehk."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+    return calls

@@ -27,6 +27,16 @@ MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 ALL_COMMANDS = ("homology", "ktheory", "hk-check", "smale-check", "span-check", "fullgroup-dims")
 
+# The options each subcommand declares: the ones its handler reads.
+OPTIONS = {
+    "homology": ("--format", "--max-degree", "--size-bound"),
+    "ktheory": ("--format",),
+    "hk-check": ("--format", "--max-degree", "--size-bound"),
+    "smale-check": ("--format", "--max-degree"),
+    "span-check": ("--format",),
+    "fullgroup-dims": ("--format", "--max-degree", "--size-bound", "--words"),
+}
+
 # 10^4999 + 3 as an SFT: H_0 = K_0 = Z/(10^4999 + 2), past the 4,300-digit
 # default limit of int/str conversion both ways.
 LONG_ENTRY_DOCUMENT = '{"model": "sft", "matrix": [[1' + "0" * 4998 + '3]]}'
@@ -146,9 +156,10 @@ class TestHkCheckCommand:
         assert "verdict: mismatch" in out
 
     def test_rational_only_flag(self, capsys):
-        code, out, _ = run(capsys, "hk-check", model_path("o3.json"), "--rational-only")
-        assert code == 0
-        assert "verdict: match" in out
+        # Removed: the exact groups already carry the ranks it compared.
+        code, out, err = run(capsys, "hk-check", model_path("o3.json"), "--rational-only")
+        assert (code, out) == (3, "")
+        assert err == "error: unrecognized arguments: --rational-only\n"
 
 
 class TestInputProblems:
@@ -469,9 +480,11 @@ class TestFullgroupDimsCommand:
         start = time.perf_counter()
         code, out, err = run(capsys, command, model_path("pair2.json"), "--max-degree", "100000000")
         assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert out == ""
-        assert err == f"error: --max-degree must be at most {cli.MAX_DEGREE}\n"
+        assert (code, out) == (3, "")
+        if "--max-degree" in OPTIONS[command]:
+            assert err == f"error: --max-degree must be at most {cli.MAX_DEGREE}\n"
+        else:
+            assert err == "error: unrecognized arguments: --max-degree 100000000\n"
 
     def test_degree_at_the_maximum_is_accepted(self, capsys):
         code, out, _ = run(
@@ -486,9 +499,11 @@ class TestFullgroupDimsCommand:
         # Rejected before the document is read, whether or not it has a
         # finite part whose nerve the bound would limit.
         code, out, err = run(capsys, command, model_path(name), "--size-bound", "-1")
-        assert code == 3
-        assert out == ""
-        assert err == "error: --size-bound must be nonnegative\n"
+        assert (code, out) == (3, "")
+        if "--size-bound" in OPTIONS[command]:
+            assert err == "error: --size-bound must be nonnegative\n"
+        else:
+            assert err == "error: unrecognized arguments: --size-bound -1\n"
 
     @pytest.mark.parametrize("command", ALL_COMMANDS)
     def test_removed_telescope_depth_flag_exits_three(self, capsys, command):
@@ -501,6 +516,70 @@ class TestFullgroupDimsCommand:
         code, out, _ = run(capsys, "homology", model_path("fibonacci.json"), "--size-bound", "0")
         assert code == 0
         assert "H_0 = " in out
+
+
+class TestOptionSets:
+    """A subcommand declares exactly the options its handler reads: each one
+    can change the result, and every other option is refused."""
+
+    # (subcommand, option): a document with more arguments, and the option's
+    # arguments, which change the (exit code, stdout) of that command line.
+    WITNESSES = {
+        ("homology", "--format"): (["o3.json"], ["--format", "json"]),
+        ("homology", "--max-degree"): (["pair2.json"], ["--max-degree", "1"]),
+        ("homology", "--size-bound"): (["z2group.json"], ["--size-bound", "1"]),
+        ("ktheory", "--format"): (["o2.json"], ["--format", "json"]),
+        ("hk-check", "--format"): (["o2.json"], ["--format", "json"]),
+        ("hk-check", "--max-degree"): (["pair2.json"], ["--max-degree", "1"]),
+        ("hk-check", "--size-bound"): (["z2group.json"], ["--size-bound", "1"]),
+        ("smale-check", "--format"): (["fibonacci.json"], ["--format", "json"]),
+        # The JSON report echoes the degree.
+        ("smale-check", "--max-degree"): (["fibonacci.json", "--format", "json"],
+                                          ["--max-degree", "1"]),
+        ("span-check", "--format"): (["span_pair.json"], ["--format", "json"]),
+        ("fullgroup-dims", "--format"): (["o2.json"], ["--format", "json"]),
+        # Degree 3 needs nerve level 4 of Z/2, 16 cells; degree 2 only 8.
+        ("fullgroup-dims", "--max-degree"): (["z2group.json", "--size-bound", "8"],
+                                             ["--max-degree", "2"]),
+        ("fullgroup-dims", "--size-bound"): (["z2group.json"], ["--size-bound", "1"]),
+        ("fullgroup-dims", "--words"): (["o2.json"], ["--words", "2"]),
+    }
+
+    REMOVED = [
+        (command, option)
+        for command in ALL_COMMANDS
+        for option in ("--max-degree", "--size-bound", "--rational-only")
+        if option not in OPTIONS[command]
+    ]
+
+    def test_each_declared_option_has_a_witness(self):
+        subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+        declared = {
+            (command, flag)
+            for command, parser in subcommands.items()
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert declared == {(c, o) for c, options in OPTIONS.items() for o in options}
+        assert declared == set(self.WITNESSES)
+
+    @pytest.mark.parametrize("command, option", sorted(WITNESSES))
+    def test_declared_option_changes_the_result(self, capsys, command, option):
+        (name, *rest), extra = self.WITNESSES[command, option]
+        code, out, err = run(capsys, command, model_path(name), *rest)
+        changed_code, changed_out, changed_err = run(
+            capsys, command, model_path(name), *rest, *extra
+        )
+        assert (code, out) != (changed_code, changed_out)
+        assert "unrecognized" not in err + changed_err
+
+    @pytest.mark.parametrize("command, option", REMOVED)
+    def test_undeclared_option_exits_three(self, capsys, command, option):
+        flags = [option] if option == "--rational-only" else [option, "2"]
+        code, out, err = run(capsys, command, model_path("o2.json"), *flags)
+        assert (code, out) == (3, "")
+        assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
 
 
 class TestOneExitPerDocument:

@@ -60,8 +60,8 @@ MISSING = str(MODELS_DIR / "no_such_model.json")
 HUGE = st.sampled_from(["10" + "0" * 30, str(2**64), str(-(2**64))])
 NOT_AN_INT = st.sampled_from(["x", "1.5", "", "0x10", "--", "3e2"])
 # Unknown or removed flags, and a flag without its value.
-UNKNOWN = st.sampled_from([["--stage", "3"], ["--telescope-depth", "3"], ["--bogus"], ["-x"],
-                           ["--max-degree"], ["extra"]])
+UNKNOWN = st.sampled_from([["--stage", "3"], ["--telescope-depth", "3"], ["--rational-only"],
+                           ["--bogus"], ["-x"], ["--max-degree"], ["extra"]])
 
 
 def rarely(draw) -> bool:
@@ -101,7 +101,7 @@ def argvs(draw, pool: dict[str, tuple[str, ...]]) -> list[str]:
     argv = [command] + ([] if path is None else [path])
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(st.sampled_from(
-            ["--max-degree", "--size-bound", "--words", "--format", "--rational-only", "unknown"]
+            ["--max-degree", "--size-bound", "--words", "--format", "unknown"]
         ))
         if flag == "--max-degree":
             argv += [flag, mostly(draw, st.integers(-1, 4).map(str), NOT_AN_INT)]
@@ -111,8 +111,6 @@ def argvs(draw, pool: dict[str, tuple[str, ...]]) -> list[str]:
             argv += [flag, mostly(draw, st.integers(-2, 12).map(str), st.one_of(HUGE, NOT_AN_INT))]
         elif flag == "--format":
             argv += [flag, mostly(draw, st.sampled_from(["text", "json"]), st.sampled_from(["xml", ""]))]
-        elif flag == "--rational-only":
-            argv.append(flag)
         elif rarely(draw):
             argv += draw(UNKNOWN)
     return argv

@@ -48,6 +48,18 @@ ARGV_CASES: list[list[str]] = (
         ["fullgroup-dims", "doc.json", "--words", "-1"],
         ["smale-check", "doc.json", "--max-degree", "65"],
         ["ktheory", "doc.json", "--telescope-depth", "deep"],
+        # Options a subcommand does not take, removed from it or never its own.
+        ["homology", "doc.json", "--rational-only"],
+        ["ktheory", "doc.json", "--max-degree", "2"],
+        ["ktheory", "doc.json", "--size-bound", "10"],
+        ["ktheory", "doc.json", "--rational-only"],
+        ["hk-check", "doc.json", "--rational-only"],
+        ["smale-check", "doc.json", "--size-bound", "10"],
+        ["smale-check", "doc.json", "--rational-only"],
+        ["span-check", "doc.json", "--max-degree", "2"],
+        ["span-check", "doc.json", "--size-bound", "10"],
+        ["span-check", "doc.json", "--rational-only"],
+        ["fullgroup-dims", "doc.json", "--rational-only"],
     ]
 )
 

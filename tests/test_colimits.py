@@ -1,4 +1,4 @@
-"""Inductive systems with stationary tails and their colimit invariants."""
+"""Colimit invariants of inductive systems, from their stationary tails."""
 
 from __future__ import annotations
 
@@ -7,14 +7,11 @@ import random
 import pytest
 
 import amplehk.colimits as colimits
-from amplehk.colimits import (
-    ColimitInvariants,
-    InductiveSystem,
-    colimit_invariants,
-    map_on_colimit_rank,
-)
+from amplehk.colimits import ColimitInvariants, colimit_invariants, map_on_colimit_rank
 from amplehk.errors import CommutationFailure, ShapeMismatch
 from amplehk.exact_linalg import IntMatrix, kernel_basis, matrix_rank
+from amplehk.homology import homology_af
+from amplehk.models import BratteliModel
 
 
 def M(rows):
@@ -22,63 +19,43 @@ def M(rows):
 
 
 class TestSystemValidation:
-    def test_stationary_builder(self):
-        sys_ = InductiveSystem.stationary(M([[2]]))
-        assert sys_.connecting == ()
-        assert sys_.stage_dims == (1,)
-
-    def test_needs_a_stage(self):
-        with pytest.raises(ShapeMismatch):
-            InductiveSystem((), (), IntMatrix.zeros(0, 0))
-
-    def test_connecting_count_checked(self):
-        with pytest.raises(ShapeMismatch):
-            InductiveSystem((1, 1), (), M([[1]]))
-
-    def test_connecting_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
-            InductiveSystem((1, 2), (M([[1]]),), IntMatrix.identity(2))
-
     def test_tail_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
-            InductiveSystem((2,), (), M([[1]]))
-        with pytest.raises(ShapeMismatch):
-            InductiveSystem.stationary(IntMatrix.zeros(1, 2))
+        for call in (colimit_invariants, lambda tail: map_on_colimit_rank(tail, tail)):
+            with pytest.raises(ShapeMismatch, match="tail is 1x2, not square"):
+                call(IntMatrix.zeros(1, 2))
 
 
 class TestColimitInvariants:
     def test_doubling_tail(self):
-        inv = colimit_invariants(InductiveSystem.stationary(M([[2]])))
+        inv = colimit_invariants(M([[2]]))
         assert inv == ColimitInvariants(rank=1)
 
     def test_invertible_tail(self):
-        inv = colimit_invariants(InductiveSystem.stationary(M([[1, 1], [1, 0]])))
+        inv = colimit_invariants(M([[1, 1], [1, 0]]))
         assert inv.rank == 2
 
     def test_rank_drops_to_eventual_image(self):
         # [[1, 1], [0, 0]] has rank 1 already at the first power.
-        inv = colimit_invariants(InductiveSystem.stationary(M([[1, 1], [0, 0]])))
+        inv = colimit_invariants(M([[1, 1], [0, 0]]))
         assert inv.rank == 1
 
     def test_nilpotent_tail_vanishes(self):
-        inv = colimit_invariants(InductiveSystem.stationary(M([[0, 1], [0, 0]])))
+        inv = colimit_invariants(M([[0, 1], [0, 0]]))
         assert inv.rank == 0
 
     def test_rank_ignores_leading_stages(self):
-        # Dropping finitely many stages never changes a colimit, so the rank
-        # must agree with the purely stationary system on the same tail.
+        # Dropping finitely many stages never changes a colimit, so a
+        # diagram's dimension group has the rank of its tail's colimit.
         tail = M([[2, 1], [0, 3]])
-        run = InductiveSystem((3, 2), (M([[1, 0, 2], [0, 1, 1]]),), tail)
-        assert colimit_invariants(run).rank == colimit_invariants(
-            InductiveSystem.stationary(tail)
-        ).rank
+        diagram = BratteliModel((3, 2), (M([[1, 0, 2], [0, 1, 1]]),), tail)
+        assert homology_af(diagram).by_degree[0] == colimit_invariants(tail)
 
     def test_eventual_rank_has_stabilized(self):
         rng = random.Random(31)
         for _ in range(60):
             n = rng.randint(1, 5)
             tail = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            rank = colimit_invariants(InductiveSystem.stationary(tail)).rank
+            rank = colimit_invariants(tail).rank
             assert rank == matrix_rank(tail.power(n))
             assert rank == matrix_rank(tail.power(n + 1))
             assert rank == matrix_rank(tail.power(2 * n + 1))
@@ -130,31 +107,31 @@ class TestEventualRank:
             for _ in range(3):
                 p = rng.randint(0, n)
                 tail = block_tail(rng, p, n - p)
-                rank = colimit_invariants(InductiveSystem.stationary(tail)).rank
+                rank = colimit_invariants(tail).rank
                 assert rank == matrix_rank(tail.power(n)) == p
 
     def test_full_jordan_block_drops_at_every_power(self, monkeypatch):
         seen = eliminations(monkeypatch)
         for n in (1, 2, 5, 9):
             seen.clear()
-            assert colimit_invariants(InductiveSystem.stationary(jordan_block(n))).rank == 0
+            assert colimit_invariants(jordan_block(n)).rank == 0
             # ranks n-1, n-2, ..., 0: one elimination per power, none after 0
             assert len(seen) == n
 
     def test_empty_tail(self):
-        inv = colimit_invariants(InductiveSystem.stationary(IntMatrix.zeros(0, 0)))
+        inv = colimit_invariants(IntMatrix.zeros(0, 0))
         assert inv.rank == 0
 
     def test_invertible_tail_needs_one_elimination(self, monkeypatch):
         seen = eliminations(monkeypatch)
         tail = M([[2, 1, 0], [1, 1, 1], [0, 1, 3]])
-        assert colimit_invariants(InductiveSystem.stationary(tail)).rank == 3
+        assert colimit_invariants(tail).rank == 3
         assert seen == [3]
 
     def test_singular_tail_stops_at_the_first_repeat(self, monkeypatch):
         seen = eliminations(monkeypatch)
         tail = M([[1, 1], [1, 1]])  # rank 1 at every power
-        assert colimit_invariants(InductiveSystem.stationary(tail)).rank == 1
+        assert colimit_invariants(tail).rank == 1
         assert seen == [2, 2]
 
 
@@ -165,46 +142,46 @@ class TestDirectSum:
             x = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
             y = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
             block_diag = M([row + [0] * 3 for row in x] + [[0] * 2 + row for row in y])
-            total = colimit_invariants(InductiveSystem.stationary(block_diag))
-            a = colimit_invariants(InductiveSystem.stationary(M(x)))
-            b = colimit_invariants(InductiveSystem.stationary(M(y)))
+            total = colimit_invariants(block_diag)
+            a = colimit_invariants(M(x))
+            b = colimit_invariants(M(y))
             assert total.rank == a.rank + b.rank
 
 
 class TestMapOnColimit:
     def test_identity_has_full_colimit_rank(self):
         for rows in ([[2]], [[1, 1], [1, 0]], [[1, 1], [0, 0]], [[0, 1], [0, 0]]):
-            sys_ = InductiveSystem.stationary(M(rows))
-            n = sys_.tail.rows
-            assert map_on_colimit_rank(sys_, IntMatrix.identity(n)) == colimit_invariants(sys_).rank
+            tail = M(rows)
+            rank = colimit_invariants(tail).rank
+            assert map_on_colimit_rank(tail, IntMatrix.identity(tail.rows)) == rank
 
     def test_tail_acts_invertibly_on_its_colimit(self):
-        sys_ = InductiveSystem.stationary(M([[1, 1], [0, 0]]))
-        assert map_on_colimit_rank(sys_, sys_.tail) == 1
+        tail = M([[1, 1], [0, 0]])
+        assert map_on_colimit_rank(tail, tail) == 1
 
     def test_zero_endomorphism(self):
-        sys_ = InductiveSystem.stationary(M([[1, 1], [1, 0]]))
-        assert map_on_colimit_rank(sys_, IntMatrix.zeros(2, 2)) == 0
+        tail = M([[1, 1], [1, 0]])
+        assert map_on_colimit_rank(tail, IntMatrix.zeros(2, 2)) == 0
 
     def test_scaling_keeps_rank(self):
-        sys_ = InductiveSystem.stationary(M([[2]]))
-        assert map_on_colimit_rank(sys_, M([[3]])) == 1
+        tail = M([[2]])
+        assert map_on_colimit_rank(tail, M([[3]])) == 1
 
     def test_commutation_is_required(self):
-        sys_ = InductiveSystem.stationary(M([[1, 1], [0, 1]]))
+        tail = M([[1, 1], [0, 1]])
         with pytest.raises(CommutationFailure):
-            map_on_colimit_rank(sys_, M([[1, 0], [0, 2]]))
+            map_on_colimit_rank(tail, M([[1, 0], [0, 2]]))
 
     def test_discrepancy_dying_in_the_tail_is_accepted(self):
         # The tail is nilpotent, so every endomorphism eventually commutes;
         # the induced map on the vanishing colimit has rank zero.
-        sys_ = InductiveSystem.stationary(M([[0, 1], [0, 0]]))
-        assert map_on_colimit_rank(sys_, M([[1, 0], [0, 2]])) == 0
+        tail = M([[0, 1], [0, 0]])
+        assert map_on_colimit_rank(tail, M([[1, 0], [0, 2]])) == 0
 
     def test_shape_checked(self):
-        sys_ = InductiveSystem.stationary(M([[2]]))
+        tail = M([[2]])
         with pytest.raises(ShapeMismatch):
-            map_on_colimit_rank(sys_, IntMatrix.identity(2))
+            map_on_colimit_rank(tail, IntMatrix.identity(2))
 
     def test_nilpotent_blocks_against_the_full_power_kernel(self):
         # Oracle: rank([endo | K]) - rank(K) with K a kernel basis of M^n.
@@ -213,21 +190,19 @@ class TestMapOnColimit:
             n = rng.randint(1, 8)
             p = rng.randint(0, n)
             tail = block_tail(rng, p, n - p)
-            sys_ = InductiveSystem.stationary(tail)
             kernel = kernel_basis(tail.power(n))
             a, b, c = (rng.randint(-2, 2) for _ in range(3))
             endo = tail.power(2).scale(a) + tail.scale(b) + IntMatrix.identity(n).scale(c)
             expected = matrix_rank(endo.hstack(kernel)) - kernel.cols
-            assert map_on_colimit_rank(sys_, endo) == expected
-            assert map_on_colimit_rank(sys_, IntMatrix.identity(n)) == p
-            assert map_on_colimit_rank(sys_, tail) == p
+            assert map_on_colimit_rank(tail, endo) == expected
+            assert map_on_colimit_rank(tail, IntMatrix.identity(n)) == p
+            assert map_on_colimit_rank(tail, tail) == p
 
     def test_discrepancy_inside_a_nilpotent_block_is_accepted(self):
         # The first endomorphism fails to commute only on the nilpotent
         # block, where the tail's square kills the discrepancy; the second
         # mixes that block into the doubling, where nothing kills it.
         tail = M([[2, 0, 0], [0, 0, 1], [0, 0, 0]])
-        sys_ = InductiveSystem.stationary(tail)
-        assert map_on_colimit_rank(sys_, M([[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == 1
+        assert map_on_colimit_rank(tail, M([[3, 0, 0], [0, 1, 0], [0, 0, 2]])) == 1
         with pytest.raises(CommutationFailure):
-            map_on_colimit_rank(sys_, M([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+            map_on_colimit_rank(tail, M([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))

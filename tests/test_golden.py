@@ -1,10 +1,11 @@
 """Golden CLI output: stdout bytes and exit code for every shipped model.
 
 Every document in ``models/`` runs under every subcommand, in text and JSON
-format, plain and with ``--rational-only`` or ``--max-degree 2``.  The
-expected stdout and exit code of each run are stored in
-``tests/golden/cli_outputs.json``; a change to any of them is a change to
-the program's output and must be deliberate.
+format, plain, with ``--max-degree 2`` (a usage error, exit 3, under the
+subcommands that do not take it) and with ``--rational-only`` (a removed
+flag, exit 3 everywhere).  The expected stdout and exit code of each run are
+stored in ``tests/golden/cli_outputs.json``; a change to any of them is a
+change to the program's output and must be deliberate.
 
 Regenerate the fixture (only when an output change is intended) with::
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
@@ -34,6 +33,7 @@ from amplehk.models import (
     cyclic_group_groupoid,
     pair_groupoid,
 )
+from conftest import record_calls
 
 
 def M(rows):
@@ -129,10 +129,6 @@ class TestHkCheck:
         b = hk_check(pair_groupoid(3, prefix="w"), max_degree=2)
         assert a == b
 
-    def test_rational_only_mode(self):
-        report = hk_check(SftModel(M([[1]])), rational_only=True)
-        assert report.verdict == VERDICT_MATCH
-
 
 class TestSmale:
     def test_hyperbolic_automorphism_presentation(self):
@@ -200,22 +196,6 @@ class TestSerialization:
         text = report_to_text(hk_check(cyclic_group_groupoid(2)))
         assert "FAILS" in text
         assert "verdict: precondition_failed" in text
-
-
-def record_calls(monkeypatch, fn) -> list[tuple]:
-    """Arguments of every call to ``fn``, under every package name it has."""
-    calls = []
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "amplehk" or name.startswith("amplehk."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, recorded)
-    return calls
 
 
 SHIFT = SftModel(M([[1, 2, 0], [1, 0, 3], [2, 1, 1]]))

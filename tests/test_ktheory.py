@@ -16,11 +16,9 @@ from amplehk.homology import GradedGroup, homology_sft
 from amplehk.ktheory import (
     RECORDS,
     KPair,
-    homology_of_model,
     invariants,
     k_finite_principal,
     k_product,
-    ktheory_of_model,
     record_of,
 )
 from amplehk.modelio import LEAF_KINDS, parse_model
@@ -36,7 +34,7 @@ from amplehk.models import (
     transitive_groupoid,
     trivial_groupoid,
 )
-from conftest import finite_document
+from conftest import finite_document, record_calls
 
 
 def M(rows):
@@ -68,15 +66,17 @@ class TestFinitePrincipal:
 
 class TestSft:
     def test_full_shifts(self):
-        assert ktheory_of_model(SftModel(M([[1, 1], [1, 1]]))) == KPair(FgAbelianGroup.zero(), Z(0))
-        assert ktheory_of_model(SftModel(M([[2]]))) == KPair(FgAbelianGroup.zero(), Z(0))
-        assert ktheory_of_model(SftModel(M([[3]]))) == KPair(FgAbelianGroup.cyclic(2), Z(0))
+        zero = FgAbelianGroup.zero()
+        assert invariants(SftModel(M([[1, 1], [1, 1]]))).ktheory() == KPair(zero, Z(0))
+        assert invariants(SftModel(M([[2]]))).ktheory() == KPair(zero, Z(0))
+        assert invariants(SftModel(M([[3]]))).ktheory() == KPair(FgAbelianGroup.cyclic(2), Z(0))
 
     def test_fixed_point_is_a_circle(self):
-        assert ktheory_of_model(SftModel(M([[1]]))) == KPair(Z(1), Z(1))
+        assert invariants(SftModel(M([[1]]))).ktheory() == KPair(Z(1), Z(1))
 
     def test_golden_mean(self):
-        assert ktheory_of_model(SftModel(M([[1, 1], [1, 0]]))) == KPair(FgAbelianGroup.zero(), Z(0))
+        k = invariants(SftModel(M([[1, 1], [1, 0]]))).ktheory()
+        assert k == KPair(FgAbelianGroup.zero(), Z(0))
 
     def test_agrees_with_homology_in_both_degrees(self):
         rng = random.Random(47)
@@ -88,20 +88,20 @@ class TestSft:
                 h = homology_sft(model)
             except ModelInvalid:
                 continue
-            k = ktheory_of_model(model)
+            k = invariants(model).ktheory()
             assert k.k0 == h.by_degree[0]
             assert k.k1 == h.by_degree[1]
 
 
 class TestAfAndCantor:
     def test_af_pair(self):
-        k = ktheory_of_model(BratteliModel((1,), (), M([[2]])))
+        k = invariants(BratteliModel((1,), (), M([[2]]))).ktheory()
         assert k.k0 == ColimitInvariants(rank=1)
         assert k.k1 == FgAbelianGroup.zero()
         assert not k.all_finitely_generated()
 
     def test_cantor_z_pair(self):
-        k = ktheory_of_model(CantorZModel(BratteliModel((1,), (), M([[2]]))))
+        k = invariants(CantorZModel(BratteliModel((1,), (), M([[2]])))).ktheory()
         assert k.k0.rank == 1
         assert k.k1 == Z(1)
 
@@ -127,11 +127,10 @@ class TestProduct:
         assert k.k1 == FgAbelianGroup(1, (2,))
 
     def test_colimit_factor_gives_ranks_without_rational_mode(self):
-        af = ktheory_of_model(BratteliModel((1,), (), M([[2]])))
+        af = invariants(BratteliModel((1,), (), M([[2]]))).ktheory()
         circle = KPair(Z(1), Z(1))
         for left, right in ((af, af), (af, circle), (circle, af)):
             k = k_product(left, right)
-            assert k == k_product(left, right, rational_only=True)
             assert isinstance(k.k0, ColimitInvariants) and isinstance(k.k1, ColimitInvariants)
         assert k_product(af, af) == KPair(ColimitInvariants(rank=1), ColimitInvariants(rank=0))
         assert k_product(af, circle) == KPair(ColimitInvariants(rank=1), ColimitInvariants(rank=1))
@@ -139,8 +138,8 @@ class TestProduct:
     def test_rational_rank_arithmetic(self):
         a = KPair(Z(2), Z(3))
         b = KPair(Z(5), Z(7))
-        rat = k_product(a, b, rational_only=True)
-        assert (rat.k0.rank, rat.k1.rank) == (2 * 5 + 3 * 7, 2 * 7 + 3 * 5)
+        k = k_product(a, b)
+        assert (k.k0.rank, k.k1.rank) == (2 * 5 + 3 * 7, 2 * 7 + 3 * 5)
 
     def test_agrees_with_the_even_odd_formula(self):
         rng = random.Random(61)
@@ -156,17 +155,14 @@ class TestProduct:
 
         for _ in range(400):
             left, right = KPair(group(), group()), KPair(group(), group())
-            for rational_only in (False, True):
-                assert k_product(left, right, rational_only) == even_odd_formula(
-                    left, right, rational_only
-                )
+            assert k_product(left, right) == even_odd_formula(left, right)
 
 
-def even_odd_formula(left: KPair, right: KPair, rational_only: bool) -> KPair:
+def even_odd_formula(left: KPair, right: KPair) -> KPair:
     """The two-periodic Kunneth formula with each parity's terms written out:
     even (x) even, odd (x) odd and Tor of opposite parities in K_0; mixed
     tensors and Tor of equal parities in K_1."""
-    if rational_only or not (left.all_finitely_generated() and right.all_finitely_generated()):
+    if not (left.all_finitely_generated() and right.all_finitely_generated()):
         a0, a1 = left.k0.rank, left.k1.rank
         b0, b1 = right.k0.rank, right.k1.rank
         return KPair(
@@ -183,20 +179,20 @@ def even_odd_formula(left: KPair, right: KPair, rational_only: bool) -> KPair:
 class TestDispatch:
     def test_recursion_with_fallback(self):
         odo = CantorZModel(BratteliModel((1,), (), M([[2]])))
-        k = ktheory_of_model(ProductModel(odo, odo))
+        k = invariants(ProductModel(odo, odo)).ktheory()
         assert (k.k0.rank, k.k1.rank) == (2, 2)
         assert not k.all_finitely_generated()
 
     def test_exact_product(self):
-        k = ktheory_of_model(ProductModel(SftModel(M([[1]])), SftModel(M([[1]]))))
+        k = invariants(ProductModel(SftModel(M([[1]])), SftModel(M([[1]])))).ktheory()
         assert k == KPair(Z(2), Z(2))
 
     def test_finite_dispatch(self):
-        assert ktheory_of_model(pair_groupoid(2)) == KPair(Z(1), Z(0))
+        assert invariants(pair_groupoid(2)).ktheory() == KPair(Z(1), Z(0))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
-            ktheory_of_model(42)
+            invariants(42).ktheory()
 
 
 class TestOneWalk:
@@ -211,30 +207,36 @@ class TestOneWalk:
         ProductModel(pair_groupoid(2), ProductModel(SftModel(M([[1]])), SftModel(M([[3]])))),
     )
 
-    @pytest.mark.parametrize("rational_only", (False, True))
+    @pytest.mark.parametrize("k_first", (False, True))
     @pytest.mark.parametrize("model", MODELS)
-    def test_agrees_with_the_separate_walks(self, model, rational_only):
-        found = invariants(model, max_degree=2, rational_only=rational_only)
-        h, k = found.homology(), found.ktheory()
-        assert h == homology_of_model(model, max_degree=2, rational_only=rational_only)
-        assert k == ktheory_of_model(model, rational_only=rational_only)
+    def test_agrees_with_the_separate_walks(self, model, k_first):
+        # One walk asked for both sides, in either order, against two walks
+        # asked for one side each.
+        found = invariants(model, max_degree=2)
+        if k_first:
+            k, h = found.ktheory(), found.homology()
+        else:
+            h, k = found.homology(), found.ktheory()
+        assert h == invariants(model, max_degree=2).homology()
+        assert k == invariants(model, max_degree=2).ktheory()
 
     def test_without_k(self):
         model = ProductModel(cyclic_group_groupoid(2), SftModel(M([[3]])))
         found = invariants(model, max_degree=2)
-        assert found.homology() == homology_of_model(model, max_degree=2)
+        assert found.homology() == invariants(model, max_degree=2).homology()
         assert found.homology() is found.homology()
         # K is formed only when asked for; here it is refused.
         with pytest.raises(NotPrincipal):
             found.ktheory()
 
     def test_ktheory_of_a_finite_groupoid_builds_no_nerve(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("nerve built")
-
-        monkeypatch.setattr(homology, "nerve_levels", refused)
+        built = record_calls(monkeypatch, homology._normalized_boundaries)
         model = ProductModel(pair_groupoid(3), SftModel(M([[1]])))
-        assert ktheory_of_model(model) == KPair(Z(1), Z(1))
+        assert invariants(model).ktheory() == KPair(Z(1), Z(1))
+        assert built == []
+        # The same model's homology does build the bar complex.
+        invariants(model).homology()
+        assert len(built) == 1
 
 
 class TestRecords:

@@ -19,7 +19,6 @@ from amplehk.models import (
     ProductModel,
     SftModel,
     cyclic_group_groupoid,
-    dimension_system,
     disjoint_union_groupoids,
     identity_arrows,
     nerve_levels,
@@ -196,6 +195,10 @@ class TestBratteliValidation:
     def test_good(self):
         assert self.good().level_sizes == (1, 2)
 
+    def test_needs_a_level(self):
+        bad = violations(lambda: BratteliModel((), (), IntMatrix.zeros(0, 0)))
+        assert bad == ["diagram needs at least one level"]
+
     def test_level_sizes_positive(self):
         bad = violations(lambda: replace(self.good(), level_sizes=(0, 2)))
         assert any("positive" in v for v in bad)
@@ -354,10 +357,10 @@ class TestNerve:
 
     def test_chains_are_composable(self, wide_corpus):
         for g in wide_corpus:
-            names = g.arrow_names()
+            ends = [(src, tgt) for _, src, tgt in g.arrows]
             for cell in nerve_levels(g, 3)[3].cells:
                 for a, b in zip(cell, cell[1:]):
-                    assert g.source_of(names[a]) == g.target_of(names[b])
+                    assert ends[a][0] == ends[b][1]
 
     def test_simplicial_identities(self, wide_corpus):
         for g in wide_corpus:
@@ -439,13 +442,6 @@ class TestBuilders:
             g = random_finite_groupoid(rng, max_arrows=30)
             assert len(g.arrows) <= 30
             assert replace(g) == g
-
-    def test_dimension_system_mirrors_diagram(self):
-        b = BratteliModel((1, 2), (M([[1], [2]]),), M([[1, 1], [1, 1]]))
-        sys_ = dimension_system(b)
-        assert sys_.stage_dims == (1, 2)
-        assert sys_.connecting == (M([[1], [2]]),)
-        assert sys_.tail == b.tail
 
     def test_summaries(self):
         assert model_summary(pair_groupoid(2)) == "finite(2 units, 4 arrows)"

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from amplehk import replace
-from amplehk.colimits import ColimitInvariants, InductiveSystem
+from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, ShapeMismatch
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, SnfResult
 from amplehk.hkcheck import HKReport, hk_check
@@ -37,7 +37,6 @@ def instances() -> list:
         SnfResult(IntMatrix.identity(1), M([[2]]), IntMatrix.identity(1)),
         FgAbelianGroup(2, (2, 4)),
         ColimitInvariants(3),
-        InductiveSystem.stationary(M([[2]])),
         pair_groupoid(2),
         shift,
         DIAGRAM,
@@ -55,7 +54,7 @@ def instances() -> list:
 
 
 RECORD_CLASSES = [
-    IntMatrix, SnfResult, FgAbelianGroup, ColimitInvariants, InductiveSystem, FiniteGroupoid,
+    IntMatrix, SnfResult, FgAbelianGroup, ColimitInvariants, FiniteGroupoid,
     SftModel, BratteliModel, CantorZModel, ProductModel, NerveLevel, FiniteSpan, GradedGroup,
     Precondition, KPair, ModelClass, Invariants, HKReport,
 ]
