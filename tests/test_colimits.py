@@ -8,7 +8,7 @@ import pytest
 
 import amplehk.colimits as colimits
 from amplehk.colimits import ColimitInvariants, colimit_invariants, map_on_colimit_rank
-from amplehk.errors import CommutationFailure, ShapeMismatch
+from amplehk.errors import CommutationFailure, ModelInvalid, ShapeMismatch
 from amplehk.exact_linalg import IntMatrix, kernel_basis, matrix_rank
 from amplehk.homology import homology_af
 from amplehk.models import BratteliModel
@@ -19,6 +19,18 @@ def M(rows):
 
 
 class TestSystemValidation:
+    # A system's finite run of connecting maps is checked where the system
+    # is built, as a Bratteli diagram; the colimit then reads only the tail.
+    def test_connecting_count_checked(self):
+        with pytest.raises(ModelInvalid) as exc:
+            BratteliModel((1, 1), (), M([[1]]))
+        assert exc.value.violations == ["2 levels need 1 incidence matrices, got 0"]
+
+    def test_connecting_shape_checked(self):
+        with pytest.raises(ModelInvalid) as exc:
+            BratteliModel((1, 2), (M([[1]]),), IntMatrix.identity(2))
+        assert exc.value.violations == ["incidence 0 is 1x1, expected 2x1"]
+
     def test_tail_shape_checked(self):
         for call in (colimit_invariants, lambda tail: map_on_colimit_rank(tail, tail)):
             with pytest.raises(ShapeMismatch, match="tail is 1x2, not square"):
