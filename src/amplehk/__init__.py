@@ -50,7 +50,6 @@ from .hkcheck import (
 )
 from .homology import (
     GradedGroup,
-    boundary_matrix,
     homology_af,
     homology_cantor_z,
     homology_finite,
@@ -72,23 +71,10 @@ from .models import (
     GroupoidModel,
     ProductModel,
     SftModel,
-    cyclic_group_groupoid,
-    disjoint_union_groupoids,
     orbits,
-    pair_groupoid,
-    trivial_groupoid,
 )
 from .modelio import parse_model, parse_span
-from .spans import (
-    FiniteSpan,
-    boundary_from_face_spans,
-    compose_spans,
-    disjoint_union_spans,
-    face_span,
-    identity_span,
-    spans_isomorphic,
-    transfer_matrix,
-)
+from .spans import FiniteSpan, compose_spans, transfer_matrix
 
 __version__ = "0.1.0"
 
@@ -119,17 +105,11 @@ __all__ = [
     "SizeBoundExceeded",
     "SnfResult",
     "TruncationUnsound",
-    "boundary_from_face_spans",
-    "boundary_matrix",
     "cokernel",
     "colimit_invariants",
     "complex_homology",
     "compose_spans",
-    "cyclic_group_groupoid",
     "determinant",
-    "disjoint_union_groupoids",
-    "disjoint_union_spans",
-    "face_span",
     "free_graded_commutative_dims",
     "hk_check",
     "homology_af",
@@ -137,7 +117,6 @@ __all__ = [
     "homology_finite",
     "homology_product",
     "homology_sft",
-    "identity_span",
     "invariant_factors",
     "invariants",
     "k_finite_principal",
@@ -146,7 +125,6 @@ __all__ = [
     "map_on_colimit_rank",
     "matrix_rank",
     "orbits",
-    "pair_groupoid",
     "parse_model",
     "parse_span",
     "periodicize",
@@ -156,7 +134,5 @@ __all__ = [
     "report_to_text",
     "smale_check",
     "smith_normal_form",
-    "spans_isomorphic",
     "transfer_matrix",
-    "trivial_groupoid",
 ]

@@ -8,8 +8,9 @@ runs.
 
 One Smith reduction drives everything else.  Ranks, invariant factors and
 cokernels read only the diagonal it leaves, so they never build transforms;
-``complex_homology`` reads a whole chain complex off one cokernel per
-boundary.  ``smith_normal_form`` and ``kernel_basis`` are the only callers
+``sparse_complex_homology`` reads a whole chain complex off one elimination
+per boundary, and ``complex_homology`` hands it dense boundaries as sparse
+columns.  ``smith_normal_form`` and ``kernel_basis`` are the only callers
 that also carry the unimodular transforms U and V along.
 
 The diagonal readers share one kernel, ``_smith_factors``, which takes a
@@ -152,9 +153,6 @@ class IntMatrix(Record):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("shape mismatch in subtraction")
         return IntMatrix(self.rows, self.cols, tuple(x - y for x, y in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
@@ -646,7 +644,8 @@ def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
     consecutive boundaries must chain and compose to zero.  The image of d_n
     is free, so ker d_n is a direct summand: H_n has the torsion of
     coker d_(n+1) and rank rank coker d_(n+1) - rank d_n, where rank d_n is
-    rows - rank coker d_n.  So each boundary is eliminated once.
+    rows - rank coker d_n.  So each boundary is eliminated once, as sparse
+    columns by ``sparse_complex_homology``.
 
     >>> d1, d2 = IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2]])
     >>> [str(h) for h in complex_homology([d1, d2])]
@@ -660,9 +659,11 @@ def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
                 f"boundary shapes {d_in.rows}x{d_in.cols} and "
                 f"{d_out.rows}x{d_out.cols} do not chain"
             )
-        if not (d_in @ d_out).is_zero():
-            raise NotAComplex("composite of consecutive boundaries is nonzero")
-    return _homology([cokernel(d) for d in boundaries], [d.rows for d in boundaries])
+    columns = [
+        [{i: x for i, x in enumerate(d.entries[t :: d.cols]) if x} for t in range(d.cols)]
+        for d in boundaries
+    ]
+    return sparse_complex_homology(boundaries[0].rows, columns)
 
 
 def sparse_complex_homology(

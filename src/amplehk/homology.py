@@ -13,9 +13,7 @@ multiplication table, each boundary comes out as sparse columns (the
 alternating sums of the face maps), and
 ``exact_linalg.sparse_complex_homology`` checks d.d = 0 on them and reads
 every degree off one sparse elimination per boundary, without a dense
-matrix.  ``nerve_levels``, ``boundary_matrix`` and
-``boundary_matrix_from_levels`` still give the dense boundaries of the full
-nerve, the small-size API the tests use as the oracle.
+matrix.
 
 The symbolic classes use their known closed forms: a two-term complex for
 shifts of finite type, the dimension-group colimit for AF models, the
@@ -55,9 +53,7 @@ from .models import (
     BratteliModel,
     CantorZModel,
     FiniteGroupoid,
-    NerveLevel,
     SftModel,
-    nerve_levels,
     orbits,
     simplicity_certificate,
 )
@@ -66,8 +62,6 @@ __all__ = [
     "DEFAULT_SIZE_BOUND",
     "GradedGroup",
     "GroupValue",
-    "boundary_matrix",
-    "boundary_matrix_from_levels",
     "homology_af",
     "homology_cantor_z",
     "homology_finite",
@@ -118,35 +112,6 @@ class GradedGroup(Record):
 # finite groupoids: bar complex
 
 
-def boundary_matrix_from_levels(levels: list[NerveLevel], n: int) -> IntMatrix:
-    """Boundary from degree n to n-1, as the signed sum of face transfers.
-
-    The transfer of a face map sends an n-cell basis vector to the basis
-    vector of its image cell, and the boundary adds these with alternating
-    signs; the entry at (c, t) is the signed count of faces of t equal to c.
-    A face index of -1 marks a face that is zero in the complex (a dropped
-    degenerate cell) and contributes nothing.
-    """
-    if n < 1:
-        raise ValueError("boundary starts at degree 1")
-    level = levels[n]
-    below = levels[n - 1]
-    rows, cols = below.size(), level.size()
-    flat = [0] * (rows * cols)
-    sign = 1
-    for face in level.faces:
-        for t, c in enumerate(face):
-            if c >= 0:
-                flat[c * cols + t] += sign
-        sign = -sign
-    return IntMatrix(rows, cols, tuple(flat))
-
-
-def boundary_matrix(g: FiniteGroupoid, n: int) -> IntMatrix:
-    """Boundary matrix of the bar complex of ``g`` at degree n."""
-    return boundary_matrix_from_levels(nerve_levels(g, n), n)
-
-
 def _isotropy_tables(g: FiniteGroupoid) -> list[list[list[int]]]:
     """For the first unit of each orbit, in ``g.units`` order, the
     multiplication table of its isotropy group without the identity.
@@ -182,7 +147,8 @@ def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[i
     out.  Face 0 drops a_1, face n drops a_n, and inner face i replaces
     a_i, a_(i+1) by their product, a face that is zero in the complex when
     the product is the identity.  A column is the alternating sum of its
-    cell's faces.
+    cell's faces.  The trivial group has no cells above degree 0, so its
+    boundaries are all empty and cost nothing per degree.
 
     The cells of degree n are the (c, j) for c of degree n - 1.  Face i < n - 1
     of (c, j) is (face i of c, j), face n - 1 is (c without its last element
@@ -194,6 +160,9 @@ def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[i
     boundaries: list[list[dict[int, int]]] = [[{} for _ in range(k)]]
     faces: list[list[int]] = [[0, 0]] * k
     for n in range(2, top + 1):
+        if not faces:
+            boundaries.extend([] for _ in range(n, top + 1))
+            break
         signs = [(-1) ** i for i in range(n + 1)]
         columns: list[dict[int, int]] = []
         above: list[list[int]] = []

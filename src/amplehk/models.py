@@ -1,10 +1,10 @@
 """Groupoid models: finite groupoids given by tables, and symbolic classes.
 
-A finite groupoid is stored combinatorially (units, arrows, composition and
-inverse tables) so that its nerve can be enumerated level by level.  The
-symbolic classes describe ample groupoids too large to enumerate: one-sided
-shifts of finite type, AF groupoids presented by Bratteli data, and Cantor
-minimal Z-systems presented the same way.  Products pair any two models.
+A finite groupoid is stored combinatorially: units, arrows, composition and
+inverse tables.  The symbolic classes describe ample groupoids too large to
+enumerate: one-sided shifts of finite type, AF groupoids presented by
+Bratteli data, and Cantor minimal Z-systems presented the same way.
+Products pair any two models.
 
 This module holds the data and its axioms only.  What the engines know
 about each class (summary, isotropy, Baum-Connes, homology, K-theory) is
@@ -12,9 +12,7 @@ the class's record in ``ktheory.RECORDS``, which imports ``homology`` and
 so cannot live here.
 
 Composition is written like function composition: ``g . d`` is defined
-exactly when ``source(g) == target(d)``, and then runs d first.  A tuple
-(g1, ..., gn) is composable when ``source(g_i) == target(g_{i+1})``; these
-tuples are the n-cells of the nerve.
+exactly when ``source(g) == target(d)``, and then runs d first.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from ._record import Record, setfield
-from .errors import ModelInvalid, SizeBoundExceeded
+from .errors import ModelInvalid
 from .exact_linalg import IntMatrix
 
 __all__ = [
@@ -30,18 +28,11 @@ __all__ = [
     "CantorZModel",
     "FiniteGroupoid",
     "GroupoidModel",
-    "NerveLevel",
     "ProductModel",
     "SftModel",
-    "cyclic_group_groupoid",
-    "disjoint_union_groupoids",
     "identity_arrows",
-    "nerve_levels",
     "orbits",
-    "pair_groupoid",
     "simplicity_certificate",
-    "transitive_groupoid",
-    "trivial_groupoid",
 ]
 
 
@@ -337,92 +328,6 @@ def _next_pattern_row(row: int, step: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# nerve
-
-
-class NerveLevel(Record):
-    """One level of the nerve with its face maps down one level.
-
-    ``cells`` lists the composable tuples of arrow indices (level 0 lists the
-    unit indices, as bare ints).  ``faces[i][t]`` is the index in the level
-    below of the i-th face of cell t.
-    """
-
-    __slots__ = ("degree", "cells", "faces")
-
-    def __init__(self, degree: int, cells: tuple, faces: tuple[tuple[int, ...], ...]) -> None:
-        setfield(self, "degree", degree)
-        setfield(self, "cells", cells)
-        setfield(self, "faces", faces)
-
-    def size(self) -> int:
-        return len(self.cells)
-
-
-def nerve_levels(g: FiniteGroupoid, top: int, size_bound: int | None = None) -> list[NerveLevel]:
-    """Nerve levels 0..top of ``g``, built incrementally, with face maps.
-
-    Cells are enumerated in lexicographic order of arrow indices, so the
-    result is deterministic given the input tables.  Faces follow the bar
-    convention: at degree 1 the 0th face is the source and the 1st the
-    target; at higher degrees the outer faces drop the first or last arrow
-    and inner face i composes the i-th arrow with the next.
-
-    When ``size_bound`` is given, a level growing past it raises
-    SizeBoundExceeded.
-    """
-    if top < 0:
-        raise ValueError("nerve degree must be nonnegative")
-    unit_index = {u: i for i, u in enumerate(g.units)}
-    arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
-    names = g.arrow_names()
-    name_index = {name: i for i, name in enumerate(names)}
-    src_idx = [unit_index[arrow_map[name][0]] for name in names]
-    tgt_idx = [unit_index[arrow_map[name][1]] for name in names]
-    comp_idx: dict[tuple[int, int], int] = {}
-    for (a, b), c in g.compose.items():
-        comp_idx[(name_index[a], name_index[b])] = name_index[c]
-
-    levels = [NerveLevel(0, tuple(range(len(g.units))), ())]
-    if top == 0:
-        return levels
-
-    one_cells = tuple((i,) for i in range(len(names)))
-    faces1 = (tuple(src_idx), tuple(tgt_idx))
-    levels.append(NerveLevel(1, one_cells, faces1))
-
-    # Arrows extending a tuple on the right: target must equal the source of
-    # the current last arrow.
-    extenders: dict[int, list[int]] = {u: [] for u in range(len(g.units))}
-    for j, t in enumerate(tgt_idx):
-        extenders[t].append(j)
-
-    for degree in range(2, top + 1):
-        prev = levels[degree - 1]
-        cells: list[tuple[int, ...]] = []
-        for tup in prev.cells:
-            tail_source = src_idx[tup[-1]]
-            for j in extenders[tail_source]:
-                cells.append(tup + (j,))
-                if size_bound is not None and len(cells) > size_bound:
-                    raise SizeBoundExceeded(
-                        f"nerve level {degree} exceeds size bound {size_bound}"
-                    )
-        prev_index = {tup: i for i, tup in enumerate(prev.cells)}
-        faces: list[tuple[int, ...]] = []
-        faces.append(tuple(prev_index[tup[1:]] for tup in cells))
-        for i in range(1, degree):
-            col = []
-            for tup in cells:
-                merged = tup[: i - 1] + (comp_idx[(tup[i - 1], tup[i])],) + tup[i + 1 :]
-                col.append(prev_index[merged])
-            faces.append(tuple(col))
-        faces.append(tuple(prev_index[tup[:-1]] for tup in cells))
-        levels.append(NerveLevel(degree, tuple(cells), tuple(faces)))
-    return levels
-
-
-# ---------------------------------------------------------------------------
 # orbits and isotropy
 
 
@@ -455,84 +360,3 @@ def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
     return sorted(
         {src for name, src, tgt in g.arrows if src == tgt and g.compose[(name, name)] != name}
     )
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def trivial_groupoid(n_units: int, prefix: str = "u") -> FiniteGroupoid:
-    """Only identity arrows: the space {1..n} with no gluing."""
-    units = tuple(f"{prefix}{i}" for i in range(n_units))
-    arrows = tuple((f"id_{u}", u, u) for u in units)
-    compose = {(f"id_{u}", f"id_{u}"): f"id_{u}" for u in units}
-    inverse = {f"id_{u}": f"id_{u}" for u in units}
-    return FiniteGroupoid(units, arrows, compose, inverse)
-
-
-def transitive_groupoid(n_units: int, group_order: int, prefix: str = "u") -> FiniteGroupoid:
-    """Transitive groupoid on n units with cyclic isotropy Z/group_order.
-
-    Arrows are triples (target unit, source unit, group element); there are
-    n^2 * group_order of them.  With group_order 1 this is the pair groupoid.
-    """
-    if n_units < 1 or group_order < 1:
-        raise ValueError("need at least one unit and a positive group order")
-    units = tuple(f"{prefix}{i}" for i in range(n_units))
-
-    def name(i: int, j: int, k: int) -> str:
-        return f"{prefix}{i}<{k}<{prefix}{j}" if group_order > 1 else f"{prefix}{i}<{prefix}{j}"
-
-    arrows = tuple(
-        (name(i, j, k), units[j], units[i])
-        for i in range(n_units)
-        for j in range(n_units)
-        for k in range(group_order)
-    )
-    compose = {}
-    for i in range(n_units):
-        for j in range(n_units):
-            for k in range(group_order):
-                for l in range(n_units):
-                    for k2 in range(group_order):
-                        compose[(name(i, j, k), name(j, l, k2))] = name(i, l, (k + k2) % group_order)
-    inverse = {
-        name(i, j, k): name(j, i, (-k) % group_order)
-        for i in range(n_units)
-        for j in range(n_units)
-        for k in range(group_order)
-    }
-    return FiniteGroupoid(units, arrows, compose, inverse)
-
-
-def pair_groupoid(n_units: int, prefix: str = "u") -> FiniteGroupoid:
-    """The pair groupoid: one arrow between every ordered pair of units."""
-    return transitive_groupoid(n_units, 1, prefix=prefix)
-
-
-def cyclic_group_groupoid(order: int, unit: str = "x") -> FiniteGroupoid:
-    """The group Z/order viewed as a one-unit groupoid."""
-    if order < 1:
-        raise ValueError("group order must be positive")
-    units = (unit,)
-    arrows = tuple((f"g{k}", unit, unit) for k in range(order))
-    compose = {(f"g{a}", f"g{b}"): f"g{(a + b) % order}" for a in range(order) for b in range(order)}
-    inverse = {f"g{k}": f"g{(-k) % order}" for k in range(order)}
-    return FiniteGroupoid(units, arrows, compose, inverse)
-
-
-def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
-    """Disjoint union, with name prefixes keeping the two parts apart."""
-
-    def tag(prefix: str, s: str) -> str:
-        return f"{prefix}.{s}"
-
-    units = tuple(tag("L", u) for u in a.units) + tuple(tag("R", u) for u in b.units)
-    arrows = tuple((tag("L", n), tag("L", s), tag("L", t)) for n, s, t in a.arrows) + tuple(
-        (tag("R", n), tag("R", s), tag("R", t)) for n, s, t in b.arrows
-    )
-    compose = {(tag("L", x), tag("L", y)): tag("L", z) for (x, y), z in a.compose.items()}
-    compose.update({(tag("R", x), tag("R", y)): tag("R", z) for (x, y), z in b.compose.items()})
-    inverse = {tag("L", x): tag("L", y) for x, y in a.inverse.items()}
-    inverse.update({tag("R", x): tag("R", y) for x, y in b.inverse.items()})
-    return FiniteGroupoid(units, arrows, compose, inverse)

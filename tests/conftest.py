@@ -9,8 +9,8 @@ from itertools import permutations
 import pytest
 
 from amplehk.exact_linalg import IntMatrix, determinant, smith_normal_form
-from amplehk.models import (
-    FiniteGroupoid,
+from amplehk.models import FiniteGroupoid
+from oracles import (
     cyclic_group_groupoid,
     disjoint_union_groupoids,
     pair_groupoid,

@@ -1,0 +1,292 @@
+"""Reference code the tests compare against, kept out of the package.
+
+The builders make the small finite groupoids the tests use.  The nerve
+oracle enumerates the full nerve of a finite groupoid and its dense
+boundaries, the definition that ``homology.homology_finite``'s normalized
+bar complex of the skeleton must agree with.  The span helpers encode the
+nerve's face maps as spans, whose signed transfers rebuild the same
+boundaries.  No command reaches any of this (``test_reachability``).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Hashable, Sequence
+
+from amplehk._record import Record, setfield
+from amplehk.errors import SizeBoundExceeded
+from amplehk.exact_linalg import IntMatrix
+from amplehk.models import FiniteGroupoid
+from amplehk.spans import FiniteSpan, transfer_matrix
+
+
+# ---------------------------------------------------------------------------
+# builders
+
+
+def trivial_groupoid(n_units: int, prefix: str = "u") -> FiniteGroupoid:
+    """Only identity arrows: the space {1..n} with no gluing."""
+    units = tuple(f"{prefix}{i}" for i in range(n_units))
+    arrows = tuple((f"id_{u}", u, u) for u in units)
+    compose = {(f"id_{u}", f"id_{u}"): f"id_{u}" for u in units}
+    inverse = {f"id_{u}": f"id_{u}" for u in units}
+    return FiniteGroupoid(units, arrows, compose, inverse)
+
+
+def transitive_groupoid(n_units: int, group_order: int, prefix: str = "u") -> FiniteGroupoid:
+    """Transitive groupoid on n units with cyclic isotropy Z/group_order.
+
+    Arrows are triples (target unit, source unit, group element); there are
+    n^2 * group_order of them.  With group_order 1 this is the pair groupoid.
+    """
+    if n_units < 1 or group_order < 1:
+        raise ValueError("need at least one unit and a positive group order")
+    units = tuple(f"{prefix}{i}" for i in range(n_units))
+
+    def name(i: int, j: int, k: int) -> str:
+        return f"{prefix}{i}<{k}<{prefix}{j}" if group_order > 1 else f"{prefix}{i}<{prefix}{j}"
+
+    arrows = tuple(
+        (name(i, j, k), units[j], units[i])
+        for i in range(n_units)
+        for j in range(n_units)
+        for k in range(group_order)
+    )
+    compose = {}
+    for i in range(n_units):
+        for j in range(n_units):
+            for k in range(group_order):
+                for l in range(n_units):
+                    for k2 in range(group_order):
+                        compose[(name(i, j, k), name(j, l, k2))] = name(i, l, (k + k2) % group_order)
+    inverse = {
+        name(i, j, k): name(j, i, (-k) % group_order)
+        for i in range(n_units)
+        for j in range(n_units)
+        for k in range(group_order)
+    }
+    return FiniteGroupoid(units, arrows, compose, inverse)
+
+
+def pair_groupoid(n_units: int, prefix: str = "u") -> FiniteGroupoid:
+    """The pair groupoid: one arrow between every ordered pair of units."""
+    return transitive_groupoid(n_units, 1, prefix=prefix)
+
+
+def cyclic_group_groupoid(order: int, unit: str = "x") -> FiniteGroupoid:
+    """The group Z/order viewed as a one-unit groupoid."""
+    if order < 1:
+        raise ValueError("group order must be positive")
+    units = (unit,)
+    arrows = tuple((f"g{k}", unit, unit) for k in range(order))
+    compose = {(f"g{a}", f"g{b}"): f"g{(a + b) % order}" for a in range(order) for b in range(order)}
+    inverse = {f"g{k}": f"g{(-k) % order}" for k in range(order)}
+    return FiniteGroupoid(units, arrows, compose, inverse)
+
+
+def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
+    """Disjoint union, with name prefixes keeping the two parts apart."""
+
+    def tag(prefix: str, s: str) -> str:
+        return f"{prefix}.{s}"
+
+    units = tuple(tag("L", u) for u in a.units) + tuple(tag("R", u) for u in b.units)
+    arrows = tuple((tag("L", n), tag("L", s), tag("L", t)) for n, s, t in a.arrows) + tuple(
+        (tag("R", n), tag("R", s), tag("R", t)) for n, s, t in b.arrows
+    )
+    compose = {(tag("L", x), tag("L", y)): tag("L", z) for (x, y), z in a.compose.items()}
+    compose.update({(tag("R", x), tag("R", y)): tag("R", z) for (x, y), z in b.compose.items()})
+    inverse = {tag("L", x): tag("L", y) for x, y in a.inverse.items()}
+    inverse.update({tag("R", x): tag("R", y) for x, y in b.inverse.items()})
+    return FiniteGroupoid(units, arrows, compose, inverse)
+
+# ---------------------------------------------------------------------------
+# nerve
+
+
+class NerveLevel(Record):
+    """One level of the nerve with its face maps down one level.
+
+    ``cells`` lists the composable tuples of arrow indices (level 0 lists the
+    unit indices, as bare ints).  ``faces[i][t]`` is the index in the level
+    below of the i-th face of cell t.
+    """
+
+    __slots__ = ("degree", "cells", "faces")
+
+    def __init__(self, degree: int, cells: tuple, faces: tuple[tuple[int, ...], ...]) -> None:
+        setfield(self, "degree", degree)
+        setfield(self, "cells", cells)
+        setfield(self, "faces", faces)
+
+    def size(self) -> int:
+        return len(self.cells)
+
+
+def nerve_levels(g: FiniteGroupoid, top: int, size_bound: int | None = None) -> list[NerveLevel]:
+    """Nerve levels 0..top of ``g``, built incrementally, with face maps.
+
+    Cells are enumerated in lexicographic order of arrow indices, so the
+    result is deterministic given the input tables.  Faces follow the bar
+    convention: at degree 1 the 0th face is the source and the 1st the
+    target; at higher degrees the outer faces drop the first or last arrow
+    and inner face i composes the i-th arrow with the next.
+
+    When ``size_bound`` is given, a level growing past it raises
+    SizeBoundExceeded.
+    """
+    if top < 0:
+        raise ValueError("nerve degree must be nonnegative")
+    unit_index = {u: i for i, u in enumerate(g.units)}
+    arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
+    names = g.arrow_names()
+    name_index = {name: i for i, name in enumerate(names)}
+    src_idx = [unit_index[arrow_map[name][0]] for name in names]
+    tgt_idx = [unit_index[arrow_map[name][1]] for name in names]
+    comp_idx: dict[tuple[int, int], int] = {}
+    for (a, b), c in g.compose.items():
+        comp_idx[(name_index[a], name_index[b])] = name_index[c]
+
+    levels = [NerveLevel(0, tuple(range(len(g.units))), ())]
+    if top == 0:
+        return levels
+
+    one_cells = tuple((i,) for i in range(len(names)))
+    faces1 = (tuple(src_idx), tuple(tgt_idx))
+    levels.append(NerveLevel(1, one_cells, faces1))
+
+    # Arrows extending a tuple on the right: target must equal the source of
+    # the current last arrow.
+    extenders: dict[int, list[int]] = {u: [] for u in range(len(g.units))}
+    for j, t in enumerate(tgt_idx):
+        extenders[t].append(j)
+
+    for degree in range(2, top + 1):
+        prev = levels[degree - 1]
+        cells: list[tuple[int, ...]] = []
+        for tup in prev.cells:
+            tail_source = src_idx[tup[-1]]
+            for j in extenders[tail_source]:
+                cells.append(tup + (j,))
+                if size_bound is not None and len(cells) > size_bound:
+                    raise SizeBoundExceeded(
+                        f"nerve level {degree} exceeds size bound {size_bound}"
+                    )
+        prev_index = {tup: i for i, tup in enumerate(prev.cells)}
+        faces: list[tuple[int, ...]] = []
+        faces.append(tuple(prev_index[tup[1:]] for tup in cells))
+        for i in range(1, degree):
+            col = []
+            for tup in cells:
+                merged = tup[: i - 1] + (comp_idx[(tup[i - 1], tup[i])],) + tup[i + 1 :]
+                col.append(prev_index[merged])
+            faces.append(tuple(col))
+        faces.append(tuple(prev_index[tup[:-1]] for tup in cells))
+        levels.append(NerveLevel(degree, tuple(cells), tuple(faces)))
+    return levels
+
+
+def boundary_matrix_from_levels(levels: list[NerveLevel], n: int) -> IntMatrix:
+    """Boundary from degree n to n-1, as the signed sum of face transfers.
+
+    The transfer of a face map sends an n-cell basis vector to the basis
+    vector of its image cell, and the boundary adds these with alternating
+    signs; the entry at (c, t) is the signed count of faces of t equal to c.
+    A face index of -1 marks a face that is zero in the complex (a dropped
+    degenerate cell) and contributes nothing.
+    """
+    if n < 1:
+        raise ValueError("boundary starts at degree 1")
+    level = levels[n]
+    below = levels[n - 1]
+    rows, cols = below.size(), level.size()
+    flat = [0] * (rows * cols)
+    sign = 1
+    for face in level.faces:
+        for t, c in enumerate(face):
+            if c >= 0:
+                flat[c * cols + t] += sign
+        sign = -sign
+    return IntMatrix(rows, cols, tuple(flat))
+
+
+def boundary_matrix(g: FiniteGroupoid, n: int) -> IntMatrix:
+    """Boundary matrix of the bar complex of ``g`` at degree n."""
+    return boundary_matrix_from_levels(nerve_levels(g, n), n)
+
+# ---------------------------------------------------------------------------
+# spans
+
+
+def identity_span(elements: Sequence[Hashable]) -> FiniteSpan:
+    """The unit for composition: both legs the identity."""
+    elems = tuple(elements)
+    ident = {x: x for x in elems}
+    return FiniteSpan(elems, elems, elems, ident, ident)
+
+
+def disjoint_union_spans(a: FiniteSpan, b: FiniteSpan) -> FiniteSpan:
+    """Side-by-side union; transfer matrices become block diagonal."""
+
+    def tag(k: int, xs: tuple) -> tuple:
+        return tuple((k, x) for x in xs)
+
+    left = tag(0, a.left) + tag(1, b.left)
+    mid = tag(0, a.mid) + tag(1, b.mid)
+    right = tag(0, a.right) + tag(1, b.right)
+    left_leg = {(0, z): (0, a.left_leg[z]) for z in a.mid}
+    left_leg.update({(1, z): (1, b.left_leg[z]) for z in b.mid})
+    right_leg = {(0, z): (0, a.right_leg[z]) for z in a.mid}
+    right_leg.update({(1, z): (1, b.right_leg[z]) for z in b.mid})
+    return FiniteSpan(left, mid, right, left_leg, right_leg)
+
+
+def spans_isomorphic(a: FiniteSpan, b: FiniteSpan) -> bool:
+    """Equality up to a bijection of the middles fixing both boundary sets.
+
+    The boundary sets must match on the nose.  Any leg-preserving bijection
+    permutes middle elements within their (left, right) fibers, so the spans
+    are isomorphic exactly when the fiber counts agree.
+    """
+    if set(a.left) != set(b.left) or set(a.right) != set(b.right):
+        return False
+
+    def fiber_counts(span: FiniteSpan) -> Counter:
+        return Counter((span.left_leg[z], span.right_leg[z]) for z in span.mid)
+
+    return fiber_counts(a) == fiber_counts(b)
+
+
+def face_span(g: FiniteGroupoid, n: int, i: int) -> FiniteSpan:
+    """The i-th face map of the nerve at degree n, encoded as a span.
+
+    The left set is the n-cells with the identity leg, the right set the
+    (n-1)-cells, and the right leg the face map itself; its transfer is then
+    exactly the 0/1 matrix of the face pushforward.  Cells are labelled by
+    their position in the deterministic nerve enumeration.
+    """
+    if n < 1:
+        raise ValueError("face maps start at degree 1")
+    if not 0 <= i <= n:
+        raise IndexError(f"face index {i} out of range for degree {n}")
+    levels = nerve_levels(g, n)
+    top = levels[n]
+    below = levels[n - 1]
+    left = tuple(("cell", n, t) for t in range(top.size()))
+    right = tuple(("cell", n - 1, c) for c in range(below.size()))
+    face = top.faces[i]
+    left_leg = {("cell", n, t): ("cell", n, t) for t in range(top.size())}
+    right_leg = {("cell", n, t): ("cell", n - 1, face[t]) for t in range(top.size())}
+    return FiniteSpan(left, left, right, left_leg, right_leg)
+
+
+def boundary_from_face_spans(g: FiniteGroupoid, n: int) -> IntMatrix:
+    """Signed sum of the face-span transfers at degree n, the alternating sum
+    that equals the nerve's boundary matrix."""
+    total: IntMatrix | None = None
+    for i in range(n + 1):
+        t = transfer_matrix(face_span(g, n, i))
+        signed = t if i % 2 == 0 else t.scale(-1)
+        total = signed if total is None else total + signed
+    assert total is not None
+    return total

@@ -19,23 +19,25 @@ import amplehk.cli as cli
 from amplehk.errors import ModelInvalid
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.hkcheck import hk_check
-from amplehk.homology import (
-    boundary_matrix_from_levels,
-    homology_finite,
-    homology_sft,
-)
+from amplehk.homology import homology_finite, homology_sft
 from amplehk.ktheory import invariants
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
     ProductModel,
     SftModel,
-    nerve_levels,
     orbits,
 )
-from amplehk.spans import compose_spans, disjoint_union_spans, transfer_matrix
+from amplehk.spans import compose_spans, transfer_matrix
 
 from conftest import assert_valid_snf, random_finite_groupoid, random_int_matrix
+from oracles import (
+    boundary_from_face_spans,
+    boundary_matrix,
+    boundary_matrix_from_levels,
+    disjoint_union_spans,
+    nerve_levels,
+)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -225,9 +227,6 @@ def test_08_span_transfer_is_functorial_and_additive():
 
 
 def test_09_face_spans_rebuild_every_boundary_matrix(deep_corpus):
-    from amplehk.homology import boundary_matrix
-    from amplehk.spans import boundary_from_face_spans
-
     ok = True
     for g in deep_corpus:
         for n in (1, 2, 3):

@@ -20,8 +20,9 @@ from amplehk import replace
 from amplehk.exact_linalg import IntMatrix
 from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json
 from amplehk.modelio import MAX_INT_DIGITS, MAX_PRODUCT_DEPTH
-from amplehk.models import SftModel, cyclic_group_groupoid
+from amplehk.models import SftModel
 from conftest import finite_document
+from oracles import cyclic_group_groupoid
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

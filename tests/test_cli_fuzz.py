@@ -24,12 +24,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import amplehk.cli as cli  # noqa: E402
-from amplehk.models import (  # noqa: E402
-    disjoint_union_groupoids,
-    pair_groupoid,
-    transitive_groupoid,
-)
 from conftest import finite_document, random_finite_groupoid  # noqa: E402
+from oracles import disjoint_union_groupoids, pair_groupoid, transitive_groupoid  # noqa: E402
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 MODELS = sorted(str(p) for p in MODELS_DIR.glob("*.json"))

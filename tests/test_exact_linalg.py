@@ -21,10 +21,9 @@ from amplehk.exact_linalg import (
     sparse_complex_homology,
 )
 from amplehk.exact_linalg import _canonical_torsion
-from amplehk.homology import boundary_matrix
-from amplehk.models import cyclic_group_groupoid, transitive_groupoid
 
 from conftest import assert_valid_snf, random_int_matrix
+from oracles import boundary_matrix, cyclic_group_groupoid, transitive_groupoid
 
 
 def M(rows):

@@ -30,10 +30,9 @@ from amplehk.models import (
     CantorZModel,
     ProductModel,
     SftModel,
-    cyclic_group_groupoid,
-    pair_groupoid,
 )
 from conftest import record_calls
+from oracles import cyclic_group_groupoid, pair_groupoid
 
 
 def M(rows):

@@ -20,8 +20,6 @@ from amplehk.errors import (
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, cokernel, matrix_rank
 from amplehk.homology import (
     GradedGroup,
-    boundary_matrix,
-    boundary_matrix_from_levels,
     homology_af,
     homology_cantor_z,
     homology_finite,
@@ -33,19 +31,23 @@ from amplehk.models import (
     BratteliModel,
     CantorZModel,
     FiniteGroupoid,
-    NerveLevel,
     ProductModel,
     SftModel,
+    orbits,
+)
+
+from conftest import random_finite_groupoid, symmetric_group_groupoid
+from oracles import (
+    NerveLevel,
+    boundary_matrix,
+    boundary_matrix_from_levels,
     cyclic_group_groupoid,
     disjoint_union_groupoids,
     nerve_levels,
-    orbits,
     pair_groupoid,
     transitive_groupoid,
     trivial_groupoid,
 )
-
-from conftest import random_finite_groupoid, symmetric_group_groupoid
 
 
 def M(rows):
@@ -334,6 +336,15 @@ class TestReducedComplex:
         h = homology_finite(transitive_groupoid(4, 3), 3)
         assert time.perf_counter() - start < 1.0
         assert groups(h) == ["Z", "Z/3", "0", "Z/3"]
+
+    def test_principal_groupoid_cost_is_linear_in_the_degree(self):
+        # Trivial isotropy leaves every level above 0 empty, so nothing
+        # should be built per degree past the first empty level.
+        g = disjoint_union_groupoids(pair_groupoid(2), trivial_groupoid(1))
+        start = time.process_time()
+        h = homology_finite(g, 10_000)
+        assert time.process_time() - start < 1.0
+        assert h.by_degree == (Z(2),) + (Z(0),) * 10_000
 
 
 class TestSftHomology:

@@ -28,13 +28,15 @@ from amplehk.models import (
     GroupoidModel,
     ProductModel,
     SftModel,
+)
+from conftest import finite_document, record_calls
+from oracles import (
     cyclic_group_groupoid,
     disjoint_union_groupoids,
     pair_groupoid,
     transitive_groupoid,
     trivial_groupoid,
 )
-from conftest import finite_document, record_calls
 
 
 def M(rows):

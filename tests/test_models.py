@@ -18,18 +18,20 @@ from amplehk.models import (
     FiniteGroupoid,
     ProductModel,
     SftModel,
-    cyclic_group_groupoid,
-    disjoint_union_groupoids,
     identity_arrows,
-    nerve_levels,
     orbits,
-    pair_groupoid,
     simplicity_certificate,
-    transitive_groupoid,
-    trivial_groupoid,
 )
 
 from conftest import random_finite_groupoid
+from oracles import (
+    cyclic_group_groupoid,
+    disjoint_union_groupoids,
+    nerve_levels,
+    pair_groupoid,
+    transitive_groupoid,
+    trivial_groupoid,
+)
 
 
 def M(rows):

@@ -17,13 +17,11 @@ from amplehk.models import (
     BratteliModel,
     CantorZModel,
     FiniteGroupoid,
-    NerveLevel,
     ProductModel,
     SftModel,
-    nerve_levels,
-    pair_groupoid,
 )
-from amplehk.spans import FiniteSpan, identity_span
+from amplehk.spans import FiniteSpan
+from oracles import NerveLevel, identity_span, nerve_levels, pair_groupoid
 
 M = IntMatrix.from_rows
 DIAGRAM = BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))

@@ -8,17 +8,17 @@ import pytest
 
 from amplehk.errors import ShapeMismatch
 from amplehk.exact_linalg import IntMatrix
-from amplehk.homology import boundary_matrix
-from amplehk.models import cyclic_group_groupoid, pair_groupoid, trivial_groupoid
-from amplehk.spans import (
-    FiniteSpan,
+from amplehk.spans import FiniteSpan, compose_spans, transfer_matrix
+from oracles import (
     boundary_from_face_spans,
-    compose_spans,
+    boundary_matrix,
+    cyclic_group_groupoid,
     disjoint_union_spans,
     face_span,
     identity_span,
+    pair_groupoid,
     spans_isomorphic,
-    transfer_matrix,
+    trivial_groupoid,
 )
 
 
