@@ -1,19 +1,22 @@
 """Homology of groupoid models.
 
-Finite groupoids get a chain-level computation on a smaller complex with the
-same homology.  Groupoid homology is invariant under equivalence (Matui,
-"Homology and topological full groups of etale groupoids on totally
-disconnected spaces", Proc. LMS 2012; Crainic and Moerdijk, "A homology
-theory for etale groupoids", Crelle 2000), so the groupoid is first cut down
-to its skeleton, one unit per orbit, whose homology is the direct sum of the
-isotropy groups' homology.  Each group's bar complex is then normalized:
-cells containing an identity arrow span an acyclic subcomplex and are never
-built.  The remaining cells are enumerated straight from the group's
-multiplication table, each boundary comes out as sparse columns (the
-alternating sums of the face maps), and
-``exact_linalg.sparse_complex_homology`` checks d.d = 0 on them and reads
-every degree off one sparse elimination per boundary, without a dense
-matrix.
+Finite groupoids are computed one isotropy group at a time.  Groupoid
+homology is invariant under equivalence (Matui, "Homology and topological
+full groups of etale groupoids on totally disconnected spaces", Proc. LMS
+2012; Crainic and Moerdijk, "A homology theory for etale groupoids", Crelle
+2000), so the groupoid is first cut down to its skeleton, one unit per
+orbit, whose homology is the direct sum of the isotropy groups' homology.
+An abelian isotropy group, the trivial group included, takes a closed form:
+its invariant factors are read off the element orders of its
+multiplication table, H_*(Z/d) is Z, Z/d, 0, Z/d, ..., and the factors are
+assembled by the Kunneth formula (Brown, *Cohomology of Groups*, GTM 87).
+A nonabelian group's bar complex is normalized: cells containing an
+identity arrow span an acyclic subcomplex and are never built.  The
+remaining cells are enumerated straight from the group's multiplication
+table, each boundary comes out as sparse columns (the alternating sums of
+the face maps), and ``exact_linalg.sparse_complex_homology`` checks d.d = 0
+on them and reads every degree off one sparse elimination per boundary,
+without a dense matrix.
 
 The symbolic classes use their known closed forms: a two-term complex for
 shifts of finite type, the dimension-group colimit for AF models, the
@@ -109,7 +112,7 @@ class GradedGroup(Record):
 
 
 # ---------------------------------------------------------------------------
-# finite groupoids: bar complex
+# finite groupoids: abelian closed form and bar complex
 
 
 def _isotropy_tables(g: FiniteGroupoid) -> list[list[list[int]]]:
@@ -186,27 +189,87 @@ def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[i
     return boundaries
 
 
+def _cyclic_factors(table: list[list[int]]) -> list[int]:
+    """Invariant factors of an abelian group given by its table without the
+    identity, as ``_isotropy_tables`` gives it; largest first, each dividing
+    the one before, no 1s.
+
+    Only element orders are needed.  For each prime p dividing the group's
+    order, the elements x with x^(p^i) = 1 number p^(s_i), where s_i sums
+    min(e, i) over the group's cyclic factors Z/p^e; so s_i - s_(i-1)
+    counts the factors with e >= i, and each of those puts one more p into
+    one of the largest invariant factors.
+    """
+    orders = [1]
+    for a in range(len(table)):
+        x, n = a, 1
+        while x >= 0:
+            x, n = table[x][a], n + 1
+        orders.append(n)
+    factors: list[int] = []
+    rest, p = len(orders), 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        part = 1
+        while rest % p == 0:
+            rest, part = rest // p, part * p
+        below, q = 1, p
+        while below < part:
+            killed = sum(1 for o in orders if q % o == 0)
+            ratio, count = killed // below, 0
+            while ratio > 1:
+                ratio, count = ratio // p, count + 1
+            factors.extend([1] * (count - len(factors)))
+            for j in range(count):
+                factors[j] *= p
+            below, q = killed, q * p
+    return factors
+
+
+def _abelian_homology(table: list[list[int]], max_degree: int) -> GradedGroup:
+    """Homology of a finite abelian group, degrees 0..max_degree, by closed
+    form: H_*(Z/d) is Z, Z/d, 0, Z/d, 0, ... and the group is the product of
+    its cyclic factors, assembled by Kunneth (Brown, *Cohomology of Groups*,
+    GTM 87).  The trivial group gives Z in degree 0 and nothing above."""
+    zero, z = FgAbelianGroup.zero(), FgAbelianGroup.free(1)
+    factors = [
+        GradedGroup(
+            (z,) + tuple(z_d if n % 2 else zero for n in range(1, max_degree + 1)),
+            vanishing_above=False,
+        )
+        for z_d in map(FgAbelianGroup.cyclic, _cyclic_factors(table))
+    ] or [GradedGroup((z,) + (zero,) * max_degree, vanishing_above=False)]
+    h = factors[0]
+    for factor in factors[1:]:
+        h = homology_product(h, factor, max_degree)
+    return h
+
+
 def homology_finite(
     g: FiniteGroupoid,
     max_degree: int,
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> GradedGroup:
-    """Bar-complex homology of a finite groupoid, degrees 0..max_degree.
+    """Homology of a finite groupoid, degrees 0..max_degree.
 
-    The complex is the normalized bar complex of the skeleton: one unit per
-    orbit (the first in ``g.units`` order), and no nerve cell containing an
-    identity arrow.  Both steps keep the homology: it is invariant under
-    groupoid equivalence (Matui, Proc. LMS 2012; Crainic and Moerdijk, Crelle
-    2000), and the degenerate cells span an acyclic subcomplex.  The
-    skeleton's complex is the direct sum of one complex per orbit, on the
-    isotropy group of its unit, so each is built and eliminated on its own
-    and the homology is the direct sum.
+    Groupoid homology is invariant under equivalence (Matui, Proc. LMS 2012;
+    Crainic and Moerdijk, Crelle 2000), so it is that of the skeleton: one
+    unit per orbit (the first in ``g.units`` order), and the direct sum over
+    orbits of the homology of the unit's isotropy group.  An abelian
+    isotropy group (its table is symmetric), the trivial group included,
+    takes the closed form of ``_abelian_homology``.  Any other goes through
+    its normalized bar complex: no nerve cell containing an identity arrow
+    (the degenerate cells span an acyclic subcomplex), built and eliminated
+    on its own.
 
     Level n >= 2 of the skeleton's full nerve has sum |G_u|^n cells over
-    the isotropy groups G_u; raises SizeBoundExceeded, before building
+    the isotropy groups G_u; raises SizeBoundExceeded, before computing
     anything, when one of the levels up to max_degree + 1 outgrows
-    ``size_bound``.  The result is a truncation: finite groupoids can have
-    homology in arbitrarily high degrees.
+    ``size_bound``, whichever route each group then takes.  The result is a
+    truncation: finite groupoids can have homology in arbitrarily high
+    degrees.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -217,7 +280,10 @@ def homology_finite(
             raise SizeBoundExceeded(f"nerve level {n} exceeds size bound {size_bound}")
     total = [FgAbelianGroup.zero()] * top
     for table in tables:
-        h = sparse_complex_homology(1, _normalized_boundaries(table, top))
+        if table == [list(column) for column in zip(*table)]:
+            h = _abelian_homology(table, max_degree).by_degree
+        else:
+            h = sparse_complex_homology(1, _normalized_boundaries(table, top))
         total = [x.direct_sum(y) for x, y in zip(total, h)]
     return GradedGroup(tuple(total), vanishing_above=False)
 

@@ -150,9 +150,10 @@ class ModelClass(Record):
 
     ``kind`` is the class's ``model`` tag in documents, and a model's summary
     is ``kind(describe(model))``.  ``homology(model, max_degree, size_bound)``
-    is the closed form (a finite groupoid's bar complex up to
-    ``max_degree``).  ``ktheory`` forms K from the model alone; when it is
-    None, K is read off H by ``periodicize``.
+    is the closed form; a finite groupoid's is truncated at ``max_degree``,
+    its abelian isotropy groups taking the cyclic closed form and Kunneth,
+    the others the normalized bar complex.  ``ktheory`` forms K from the
+    model alone; when it is None, K is read off H by ``periodicize``.
     """
 
     __slots__ = ("kind", "describe", "isotropy", "baum_connes", "homology", "ktheory")

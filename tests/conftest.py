@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import permutations
 
 import pytest
 
@@ -62,20 +61,6 @@ def finite_document(g: FiniteGroupoid) -> dict:
         "compose": [[x, y, z] for (x, y), z in g.compose.items()],
         "inverse": dict(g.inverse),
     }
-
-
-def symmetric_group_groupoid(n: int, unit: str = "x") -> FiniteGroupoid:
-    """The permutations of 0..n-1 as a one-unit groupoid: arrow ``p120`` is
-    the permutation i -> (1, 2, 0)[i], and g.d applies d first."""
-    perms = list(permutations(range(n)))
-
-    def name(p: tuple[int, ...]) -> str:
-        return "p" + "".join(map(str, p))
-
-    arrows = tuple((name(p), unit, unit) for p in perms)
-    compose = {(name(g), name(d)): name(tuple(g[i] for i in d)) for g in perms for d in perms}
-    inverse = {name(p): name(tuple(sorted(range(n), key=p.__getitem__))) for p in perms}
-    return FiniteGroupoid((unit,), arrows, compose, inverse)
 
 
 def random_finite_groupoid(rng: random.Random, max_arrows: int = 30) -> FiniteGroupoid:

@@ -84,6 +84,60 @@ def cyclic_group_groupoid(order: int, unit: str = "x") -> FiniteGroupoid:
     return FiniteGroupoid(units, arrows, compose, inverse)
 
 
+# Generators of small permutation groups, each a tuple of images of 0..n-1.
+S3 = ((1, 0, 2), (1, 2, 0))
+D8 = ((1, 2, 3, 0), (0, 3, 2, 1))
+Q8 = ((1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3))
+A4 = ((1, 2, 0, 3), (0, 2, 3, 1))
+
+
+def permutation_group_groupoid(
+    generators: Sequence[Sequence[int]], n_units: int = 1, prefix: str = "x"
+) -> FiniteGroupoid:
+    """Transitive groupoid on ``n_units`` units whose isotropy is the group
+    that ``generators``, permutations of 0..m-1 with m at most 10, generate.
+
+    Arrow (i, j, p) goes from unit j to unit i, and (i, j, p).(j, l, q) is
+    (i, l, p.q), where p.q applies q first.  It is named ``x0<p120<x1`` for
+    the permutation k -> (1, 2, 0)[k]; the elements come in lexicographic
+    order, so the generators of S_n give ``itertools.permutations`` order.
+    """
+    gens = [tuple(p) for p in generators]
+    group = {tuple(range(len(gens[0])))}
+    frontier = list(group)
+    while frontier:
+        frontier = [tuple(g[k] for k in s) for g in frontier for s in gens]
+        frontier = [g for g in dict.fromkeys(frontier) if g not in group]
+        group.update(frontier)
+    perms = sorted(group)
+    units = tuple(f"{prefix}{i}" for i in range(n_units))
+
+    def name(i: int, j: int, p: tuple[int, ...]) -> str:
+        return f"{units[i]}<p{''.join(map(str, p))}<{units[j]}"
+
+    arrows = tuple(
+        (name(i, j, p), units[j], units[i])
+        for i in range(n_units)
+        for j in range(n_units)
+        for p in perms
+    )
+    compose = {
+        (name(i, j, p), name(j, l, q)): name(i, l, tuple(p[k] for k in q))
+        for i in range(n_units)
+        for j in range(n_units)
+        for l in range(n_units)
+        for p in perms
+        for q in perms
+    }
+    inverse = {
+        name(i, j, p): name(j, i, tuple(sorted(range(len(p)), key=p.__getitem__)))
+        for i in range(n_units)
+        for j in range(n_units)
+        for p in perms
+    }
+    return FiniteGroupoid(units, arrows, compose, inverse)
+
+
 def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
     """Disjoint union, with name prefixes keeping the two parts apart."""
 

@@ -1,7 +1,8 @@
-"""Homology engines: bar complex, symbolic classes, and the product formula."""
+"""Homology engines: abelian closed form, bar complex, symbolic classes, and the product formula."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -17,7 +18,13 @@ from amplehk.errors import (
     SizeBoundExceeded,
     TruncationUnsound,
 )
-from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, cokernel, matrix_rank
+from amplehk.exact_linalg import (
+    FgAbelianGroup,
+    IntMatrix,
+    cokernel,
+    matrix_rank,
+    sparse_complex_homology,
+)
 from amplehk.homology import (
     GradedGroup,
     homology_af,
@@ -36,8 +43,12 @@ from amplehk.models import (
     orbits,
 )
 
-from conftest import random_finite_groupoid, symmetric_group_groupoid
+from conftest import random_finite_groupoid
 from oracles import (
+    A4,
+    D8,
+    Q8,
+    S3,
     NerveLevel,
     boundary_matrix,
     boundary_matrix_from_levels,
@@ -45,6 +56,7 @@ from oracles import (
     disjoint_union_groupoids,
     nerve_levels,
     pair_groupoid,
+    permutation_group_groupoid,
     transitive_groupoid,
     trivial_groupoid,
 )
@@ -60,6 +72,19 @@ def Z(rank):
 
 def groups(h: GradedGroup) -> list[str]:
     return [str(v) for v in h.by_degree]
+
+
+def record_bar_complexes(monkeypatch) -> list[int]:
+    """The order of every group whose bar complex ``homology_finite`` builds."""
+    orders = []
+    real = homology._normalized_boundaries
+
+    def recorded(table, top):
+        orders.append(len(table) + 1)
+        return real(table, top)
+
+    monkeypatch.setattr(homology, "_normalized_boundaries", recorded)
+    return orders
 
 
 class TestBoundaries:
@@ -146,14 +171,14 @@ class TestFiniteHomology:
             return real(rows, n)
 
         monkeypatch.setattr(exact_linalg, "_smith_factors", counted)
-        h = homology_finite(cyclic_group_groupoid(3), 3)
-        assert groups(h) == ["Z", "Z/3", "0", "Z/3"]
+        h = homology_finite(permutation_group_groupoid(S3), 3)
+        assert groups(h) == ["Z", "Z/2", "0", "Z/6"]
         assert len(calls) == 4 and len(set(calls)) == 4
 
     def test_nonzero_composite_is_not_a_complex(self, monkeypatch):
-        # An all-ones d_1 meets d_2, whose one column is 2 (the outer faces
-        # of (g, g) with signs + and +, the inner one the identity), in a
-        # nonzero composite.
+        # An all-ones d_1 meets d_2 of S_3 in a nonzero composite: column
+        # (a, b) of d_2 sums to 1 (faces b, a.b and a with signs +, -, +)
+        # or, when a.b is the identity, to 2.
         real = homology._normalized_boundaries
 
         def broken(table, top):
@@ -162,7 +187,7 @@ class TestFiniteHomology:
 
         monkeypatch.setattr(homology, "_normalized_boundaries", broken)
         with pytest.raises(NotAComplex, match="composite of consecutive boundaries is nonzero"):
-            homology_finite(cyclic_group_groupoid(2), 1)
+            homology_finite(permutation_group_groupoid(S3), 1)
 
     def test_size_bound(self):
         # Z/5 is its own skeleton; its nerve level 4 has 625 cells.
@@ -237,7 +262,7 @@ def sparse_corpus() -> list[FiniteGroupoid]:
     return [
         cyclic_group_groupoid(4),
         cyclic_group_groupoid(5),
-        symmetric_group_groupoid(3),
+        permutation_group_groupoid(S3),
         transitive_groupoid(2, 2),
     ] + [random_finite_groupoid(rng, max_arrows=12) for _ in range(25)]
 
@@ -289,7 +314,7 @@ class TestReducedComplex:
             transitive_groupoid(2, 2),
             transitive_groupoid(2, 3),
             disjoint_union_groupoids(transitive_groupoid(2, 2), cyclic_group_groupoid(3)),
-            symmetric_group_groupoid(3),
+            permutation_group_groupoid(S3),
         ],
         ids=["Z4", "Z5", "T2x2", "T2x3", "T2x2+Z3", "S3"],
     )
@@ -303,19 +328,16 @@ class TestReducedComplex:
             assert homology_finite(g, 3).by_degree == full_nerve_homology(g, 3), g.units
 
     def test_builds_the_nerve_of_one_unit_per_orbit(self, monkeypatch):
-        orders = []
-        real = homology._normalized_boundaries
-
-        def recorded(table, top):
-            orders.append(len(table) + 1)
-            return real(table, top)
-
-        monkeypatch.setattr(homology, "_normalized_boundaries", recorded)
-        g = disjoint_union_groupoids(pair_groupoid(3), transitive_groupoid(2, 2))
+        orders = record_bar_complexes(monkeypatch)
+        g = disjoint_union_groupoids(
+            disjoint_union_groupoids(pair_groupoid(3), permutation_group_groupoid(S3, 3)),
+            permutation_group_groupoid(D8, 2),
+        )
         homology_finite(g, 2)
-        # One complex per orbit, on the isotropy group of one unit: the
-        # trivial group of the pair groupoid's, then Z/2.
-        assert orders == [1, 2]
+        # One complex per nonabelian orbit, on the isotropy group of one
+        # unit: S_3 on three units, then D_8 on two.  The pair groupoid's
+        # trivial group takes the closed form.
+        assert orders == [6, 8]
 
     def test_degenerate_cells_are_dropped(self, monkeypatch):
         sizes = []
@@ -327,9 +349,10 @@ class TestReducedComplex:
             return d
 
         monkeypatch.setattr(homology, "_normalized_boundaries", recorded)
-        homology_finite(cyclic_group_groupoid(4), 3)
-        # (k - 1)^n cells of Z/k in degree n, against k^n in the full nerve.
-        assert sizes == [3, 9, 27, 81]
+        homology_finite(permutation_group_groupoid(S3), 3)
+        # (k - 1)^n cells of a group of order k in degree n, against k^n in
+        # the full nerve: 5^n for S_3.
+        assert sizes == [5, 25, 125, 625]
 
     def test_transitive_four_units_z3_within_the_default_bound(self):
         start = time.perf_counter()
@@ -345,6 +368,107 @@ class TestReducedComplex:
         h = homology_finite(g, 10_000)
         assert time.process_time() - start < 1.0
         assert h.by_degree == (Z(2),) + (Z(0),) * 10_000
+
+
+def abelian_table(orders: tuple[int, ...], rng: random.Random) -> list[list[int]]:
+    """The table of Z/d_1 x ... x Z/d_r without the identity, as
+    ``homology._isotropy_tables`` gives it, its elements numbered at random."""
+    elements = list(itertools.product(*map(range, orders)))
+    rest = elements[1:]
+    rng.shuffle(rest)
+    number = {x: i for i, x in enumerate(rest)}
+    number[elements[0]] = -1
+    return [
+        [number[tuple((x + y) % d for x, y, d in zip(a, b, orders))] for b in rest]
+        for a in rest
+    ]
+
+
+V4 = ((1, 0, 3, 2), (2, 3, 0, 1))
+
+
+class TestAbelianClosedForm:
+    """Abelian isotropy takes H_*(Z/d) = Z, Z/d, 0, Z/d, ... and Kunneth;
+    the normalized bar complex is the oracle."""
+
+    # Orders 12 and 16 stop at degree 2: their d_4 takes seconds to eliminate.
+    CASES = [
+        ((2, 2), 3),
+        ((2, 4), 3),
+        ((3, 3), 3),
+        ((2, 2, 2), 3),
+        ((12,), 2),
+        ((2, 6), 2),
+        ((4, 4), 2),
+    ]
+
+    @pytest.mark.parametrize("orders, degree", CASES, ids=[str(c[0]) for c in CASES])
+    def test_matches_the_bar_complex(self, orders, degree):
+        rng = random.Random(sum(orders) * 31 + len(orders))
+        for _ in range(2):
+            table = abelian_table(orders, rng)
+            closed = homology._abelian_homology(table, degree)
+            bar = sparse_complex_homology(1, homology._normalized_boundaries(table, degree + 1))
+            assert closed.by_degree == tuple(bar)
+            assert not closed.vanishing_above
+
+    @pytest.mark.parametrize(
+        "orders, factors",
+        [
+            ((), []),
+            ((7,), [7]),
+            ((2, 6), [6, 2]),
+            ((4, 4), [4, 4]),
+            ((2, 3, 4, 2), [12, 2, 2]),
+            ((8, 2, 9), [72, 2]),
+        ],
+    )
+    def test_invariant_factors_from_element_orders(self, orders, factors):
+        assert homology._cyclic_factors(abelian_table(orders, random.Random(5))) == factors
+
+    def test_abelian_isotropy_builds_no_bar_complex(self, monkeypatch):
+        built = record_bar_complexes(monkeypatch)
+        # Z/16 to degree 3 took about 20 s on the bar complex.
+        start = time.perf_counter()
+        h = homology_finite(cyclic_group_groupoid(16), 3)
+        assert time.perf_counter() - start < 1.0
+        assert groups(h) == ["Z", "Z/16", "0", "Z/16"]
+        v4 = permutation_group_groupoid(V4, 2)
+        assert groups(homology_finite(v4, 3)) == ["Z", "Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/2"]
+        assert built == []
+
+    def test_abelian_and_nonabelian_orbits_sum(self, monkeypatch):
+        v4 = permutation_group_groupoid(V4)
+        s3 = permutation_group_groupoid(S3, 2)
+        parts = zip(homology_finite(v4, 3).by_degree, homology_finite(s3, 3).by_degree)
+        expected = tuple(x.direct_sum(y) for x, y in parts)
+        built = record_bar_complexes(monkeypatch)
+        h = homology_finite(disjoint_union_groupoids(v4, s3), 3)
+        assert h.by_degree == expected
+        assert groups(h) == ["Z^2", "Z/2 + Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/2 + Z/6"]
+        assert built == [6]
+
+
+class TestNonabelianBarComplex:
+    """Nonabelian isotropy goes through the normalized bar complex.  The
+    values are the integral homology of the small nonabelian groups."""
+
+    @pytest.mark.parametrize(
+        "generators, expected",
+        [
+            (S3, ["Z", "Z/2", "0", "Z/6"]),
+            (D8, ["Z", "Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/4"]),
+            (Q8, ["Z", "Z/2 + Z/2", "0", "Z/8"]),
+            # A_4's d_4 takes about 2 s, so it stops at degree 2 (H_3 = Z/6).
+            (A4, ["Z", "Z/3", "Z/2"]),
+        ],
+        ids=["S3", "D8", "Q8", "A4"],
+    )
+    def test_small_groups(self, monkeypatch, generators, expected):
+        g = permutation_group_groupoid(generators)
+        built = record_bar_complexes(monkeypatch)
+        assert groups(homology_finite(g, len(expected) - 1)) == expected
+        assert built == [len(g.arrows)]
 
 
 class TestSftHomology:

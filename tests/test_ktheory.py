@@ -31,9 +31,11 @@ from amplehk.models import (
 )
 from conftest import finite_document, record_calls
 from oracles import (
+    S3,
     cyclic_group_groupoid,
     disjoint_union_groupoids,
     pair_groupoid,
+    permutation_group_groupoid,
     transitive_groupoid,
     trivial_groupoid,
 )
@@ -236,8 +238,11 @@ class TestOneWalk:
         model = ProductModel(pair_groupoid(3), SftModel(M([[1]])))
         assert invariants(model).ktheory() == KPair(Z(1), Z(1))
         assert built == []
-        # The same model's homology does build the bar complex.
+        # Its homology takes the closed form of trivial isotropy; with S_3
+        # isotropy in its place, the homology builds the bar complex once.
         invariants(model).homology()
+        assert built == []
+        invariants(ProductModel(permutation_group_groupoid(S3), SftModel(M([[1]])))).homology()
         assert len(built) == 1
 
 
