@@ -8,6 +8,10 @@ repr, and refuses assignment and deletion after construction.  ``replace``
 builds a copy with some fields changed through the constructor, so the copy
 is checked like any other instance.
 
+A slot whose name starts with an underscore is not a field.  It holds what
+the constructor derives from the fields, also stored with ``setfield``, and
+equality, hash, repr and ``replace`` ignore it.
+
 The standard library's frozen data classes behave the same, but importing
 their module and generating their methods cost tens of milliseconds per
 process, more than a typical document takes to compute.
@@ -34,7 +38,7 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        fields = cls._fields = cls.__slots__
+        fields = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         if len(fields) == 1:
             one = attrgetter(fields[0])
 

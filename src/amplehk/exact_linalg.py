@@ -154,9 +154,6 @@ class IntMatrix(Record):
             raise ShapeMismatch("shape mismatch in subtraction")
         return IntMatrix(self.rows, self.cols, tuple(x - y for x, y in zip(self.entries, other.entries)))
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
-
     def power(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
             raise ShapeMismatch("power of a non-square matrix")

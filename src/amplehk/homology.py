@@ -57,7 +57,6 @@ from .models import (
     CantorZModel,
     FiniteGroupoid,
     SftModel,
-    orbits,
     simplicity_certificate,
 )
 
@@ -121,20 +120,15 @@ def _isotropy_tables(g: FiniteGroupoid) -> list[list[list[int]]]:
 
     The non-identity loops at a unit are numbered 0, 1, ... in arrow order,
     and ``table[a][b]`` is the number of the composite a.b, or -1 when a.b
-    is the identity.  In a groupoid the identities are exactly the arrows e
-    with e.e = e.
+    is the identity.  Both are read off the groupoid's number-keyed tables.
     """
-    position = {u: i for i, u in enumerate(g.units)}
-    reps = {min(orbit, key=position.__getitem__) for orbit in orbits(g)}
-    units = tuple(u for u in g.units if u in reps)
-    loops: dict[str, list[str]] = {u: [] for u in units}
-    for name, src, tgt in g.arrows:
-        if src == tgt and src in loops and g.compose[(name, name)] != name:
-            loops[src].append(name)
+    composite, slot = g._composite, g._slot
     tables = []
-    for u in units:
-        number = {a: i for i, a in enumerate(loops[u])}
-        tables.append([[number.get(g.compose[(a, b)], -1) for b in loops[u]] for a in loops[u]])
+    for orbit in g._orbits:
+        loops = g._loops[orbit[0]]
+        number = {a: i for i, a in enumerate(loops)}
+        places = [slot[b] for b in loops]
+        tables.append([[number.get(composite[a][p], -1) for p in places] for a in loops])
     return tables
 
 

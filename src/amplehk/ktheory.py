@@ -22,7 +22,6 @@ side asks first.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Any, Callable
 
 from ._record import Record, setfield
@@ -313,17 +312,29 @@ def invariants(
                 "products of amenable groupoids are amenable, hence satisfy "
                 "Baum-Connes (Tu)"
             ),
-            homology=cache(lambda: homology_product(left.homology(), right.homology(), max_degree)),
-            ktheory=cache(lambda: k_product(left.ktheory(), right.ktheory())),
+            homology=_once(lambda: homology_product(left.homology(), right.homology(), max_degree)),
+            ktheory=_once(lambda: k_product(left.ktheory(), right.ktheory())),
         )
     record = record_of(model)
-    homology = cache(lambda: record.homology(model, max_degree, size_bound))
+    homology = _once(lambda: record.homology(model, max_degree, size_bound))
     return Invariants(
         summary=f"{record.kind}({record.describe(model)})",
         isotropy=record.isotropy(model),
         baum_connes=record.baum_connes,
         homology=homology,
-        ktheory=cache(
+        ktheory=_once(
             lambda: record.ktheory(model) if record.ktheory else periodicize(homology())
         ),
     )
+
+
+def _once(compute: Callable[[], Any]) -> Callable[[], Any]:
+    """A function returning ``compute()``, computed on its first call only."""
+    found: list = []
+
+    def value() -> Any:
+        if not found:
+            found.append(compute())
+        return found[0]
+
+    return value

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 
 from .errors import ModelInvalid, ParseError, SchemaError
 from .exact_linalg import IntMatrix
@@ -144,8 +145,10 @@ def _parse_matrix(doc, pointer: str) -> IntMatrix:
 
 
 def _parse_finite(doc: dict, pointer: str) -> FiniteGroupoid:
-    # Each element's shape and types are checked in one pass; pointers are
-    # built only to locate an element that fails, as in ``_parse_matrix``.
+    # Each table's shapes and types are checked in one pass over the whole
+    # table, as in ``_parse_matrix``.  Only a table that fails it, or a
+    # composition table that lists a pair twice, is read again element by
+    # element to locate the first element at fault.
     units_doc = _expect_list(_get(doc, "units", pointer), f"{pointer}/units")
     if not set(map(type, units_doc)) <= {str}:
         for i, u in enumerate(units_doc):
@@ -153,25 +156,29 @@ def _parse_finite(doc: dict, pointer: str) -> FiniteGroupoid:
     units = tuple(units_doc)
 
     arrows_doc = _expect_list(_get(doc, "arrows", pointer), f"{pointer}/arrows")
-    arrows = []
-    for i, a in enumerate(arrows_doc):
-        if type(a) is dict:
-            arrow = (a.get("id"), a.get("source"), a.get("target"))
-            if set(map(type, arrow)) == {str}:
-                arrows.append(arrow)
-                continue
-        arrows.append(_parse_arrow(a, f"{pointer}/arrows/{i}"))
+    arrows = None
+    if set(map(type, arrows_doc)) <= {dict}:
+        arrows = [(a.get("id"), a.get("source"), a.get("target")) for a in arrows_doc]
+        if not set(map(type, chain.from_iterable(arrows))) <= {str}:
+            arrows = None
+    if arrows is None:
+        arrows = [_parse_arrow(a, f"{pointer}/arrows/{i}") for i, a in enumerate(arrows_doc)]
 
     compose_doc = _expect_list(_get(doc, "compose", pointer), f"{pointer}/compose")
     compose = {}
-    for i, entry in enumerate(compose_doc):
-        if type(entry) is list and len(entry) == 3 and set(map(type, entry)) == {str}:
-            g, d, gd = entry
-        else:
+    if (
+        set(map(type, compose_doc)) <= {list}
+        and set(map(len, compose_doc)) <= {3}
+        and set(map(type, chain.from_iterable(compose_doc))) <= {str}
+    ):
+        compose = {(g, d): gd for g, d, gd in compose_doc}
+    if len(compose) != len(compose_doc):
+        compose = {}
+        for i, entry in enumerate(compose_doc):
             g, d, gd = _parse_compose_entry(entry, f"{pointer}/compose/{i}")
-        if (g, d) in compose:
-            raise SchemaError(f"{pointer}/compose/{i}", f"composable pair ({g!r}, {d!r}) is listed twice")
-        compose[(g, d)] = gd
+            if (g, d) in compose:
+                raise SchemaError(f"{pointer}/compose/{i}", f"composable pair ({g!r}, {d!r}) is listed twice")
+            compose[(g, d)] = gd
 
     inverse = _expect_object(_get(doc, "inverse", pointer), f"{pointer}/inverse")
     if not set(map(type, inverse.values())) <= {str}:

@@ -1,10 +1,13 @@
 """Groupoid models: finite groupoids given by tables, and symbolic classes.
 
-A finite groupoid is stored combinatorially: units, arrows, composition and
-inverse tables.  The symbolic classes describe ample groupoids too large to
-enumerate: one-sided shifts of finite type, AF groupoids presented by
-Bratteli data, and Cantor minimal Z-systems presented the same way.
-Products pair any two models.
+A finite groupoid is given combinatorially: units, arrows, composition and
+inverse tables, keyed by name.  Building one numbers its units and arrows
+once, checks every axiom on those numbers, and keeps the number-keyed
+composition table with what the checks found (each unit's non-identity
+loops, the orbits), which the engines read instead of the names.  The
+symbolic classes describe ample groupoids too large to enumerate: one-sided
+shifts of finite type, AF groupoids presented by Bratteli data, and Cantor
+minimal Z-systems presented the same way.  Products pair any two models.
 
 This module holds the data and its axioms only.  What the engines know
 about each class (summary, isotropy, Baum-Connes, homology, K-theory) is
@@ -17,6 +20,7 @@ exactly when ``source(g) == target(d)``, and then runs d first.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Union
 
 from ._record import Record, setfield
@@ -30,7 +34,6 @@ __all__ = [
     "GroupoidModel",
     "ProductModel",
     "SftModel",
-    "identity_arrows",
     "orbits",
     "simplicity_certificate",
 ]
@@ -39,15 +42,27 @@ __all__ = [
 class FiniteGroupoid(Record):
     """A groupoid on finitely many arrows, given by explicit tables.
 
-    ``arrows`` maps arrow name to its (source, target) pair of units.  The
-    ``compose`` table is keyed by (g, d) and holds the composite g.d; it must
-    be defined exactly for the pairs with source(g) == target(d).  Unit
-    (identity) arrows are part of ``arrows`` and are recognized by their
+    ``arrows`` lists (name, source, target) triples of an arrow and its
+    units.  The ``compose`` table is keyed by (g, d) and holds the composite
+    g.d; it must be defined exactly for the pairs with source(g) == target(d).
+    Unit (identity) arrows are part of ``arrows`` and are recognized by their
     behaviour, not by naming convention.
 
-    Building a groupoid checks the axioms and raises ModelInvalid, whose
+    Building a groupoid numbers units and arrows in table order and checks
+    the axioms once, on those numbers.  It raises ModelInvalid, whose
     ``violations`` list every violation found, so broken tables can be
-    diagnosed in one pass; a groupoid that exists is a valid one.
+    diagnosed in one pass; a groupoid that exists is a valid one.  A valid
+    one keeps, besides its four fields:
+
+    - ``_composite[a][_slot[d]]``, the number of a.d.  Row a lists the
+      composites with the arrows into a's source, in arrow order, and
+      ``_slot[d]`` is d's place among the arrows into its target.
+    - ``_loops[u]``, the non-identity loops at unit u, in arrow order.
+    - ``_orbits``, each orbit's units in table order, the orbits in the
+      order of their first units.
+
+    These are derived from the fields, so equality, repr and ``replace``
+    ignore them.
 
     >>> FiniteGroupoid(("x",), (("e", "x", "x"),), compose={}, inverse={"e": "e"})
     Traceback (most recent call last):
@@ -55,7 +70,7 @@ class FiniteGroupoid(Record):
     amplehk.errors.ModelInvalid: composition ('e', 'e') required but missing
     """
 
-    __slots__ = ("units", "arrows", "compose", "inverse")
+    __slots__ = ("units", "arrows", "compose", "inverse", "_composite", "_slot", "_loops", "_orbits")
 
     def __init__(
         self,
@@ -147,101 +162,142 @@ def _reject(violations: list[str]) -> None:
 
 
 def _validate_finite(g: FiniteGroupoid) -> list[str]:
+    """The violations of ``g``'s axioms; when there are none, ``g``'s derived
+    tables are stored (see ``FiniteGroupoid``).
+
+    Names are resolved to numbers once; every later check reads the
+    number-keyed table.  A stage that finds violations ends the check when
+    the stages after it need what it checks: associativity needs a complete
+    table, and the inverse checks need every identity.
+    """
     bad: list[str] = []
-    if len(set(g.units)) != len(g.units):
+    unit_number = {u: i for i, u in enumerate(g.units)}
+    if len(unit_number) != len(g.units):
         bad.append("duplicate unit names")
     names = g.arrow_names()
-    if len(set(names)) != len(names):
+    number = {name: a for a, name in enumerate(names)}
+    if len(number) != len(names):
         bad.append("duplicate arrow names")
         return bad
-    unit_set = set(g.units)
-    arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
+    source: list[int] = []
+    target: list[int] = []
     for name, src, tgt in g.arrows:
-        if src not in unit_set:
+        s = unit_number.get(src, -1)
+        t = unit_number.get(tgt, -1)
+        if s < 0:
             bad.append(f"arrow {name!r} has unknown source {src!r}")
-        if tgt not in unit_set:
+        if t < 0:
             bad.append(f"arrow {name!r} has unknown target {tgt!r}")
+        source.append(s)
+        target.append(t)
     if bad:
         return bad
 
+    # into[u]: the arrows d with target u, in arrow order, which are the d
+    # composable with an arrow of source u, as g.d; slot[d] is d's place there.
+    into: list[list[int]] = [[] for _ in g.units]
+    slot: list[int] = []
+    for d, t in enumerate(target):
+        slot.append(len(into[t]))
+        into[t].append(d)
+    # A slot left None is a missing pair; -1 marks a listed composite that
+    # names an unknown arrow.
+    composite: list[list] = [[None] * len(into[s]) for s in source]
+    find = number.get
     for (gname, dname), result in g.compose.items():
-        if gname not in arrow_map or dname not in arrow_map or result not in arrow_map:
+        a, d, r = find(gname), find(dname), find(result)
+        if a is None or d is None or r is None:
             bad.append(f"composition entry ({gname!r}, {dname!r}) -> {result!r} names unknown arrows")
-            continue
-        if arrow_map[gname][0] != arrow_map[dname][1]:
+            if a is not None and d is not None and source[a] == target[d]:
+                composite[a][slot[d]] = -1
+        elif source[a] != target[d]:
             bad.append(f"composition ({gname!r}, {dname!r}) defined but source/target do not match")
         else:
-            src = arrow_map[dname][0]
-            tgt = arrow_map[gname][1]
-            if arrow_map[result] != (src, tgt):
+            if source[r] != source[d] or target[r] != target[a]:
                 bad.append(f"composite {result!r} of ({gname!r}, {dname!r}) has wrong endpoints")
-    # The arrows d with target u, in arrow order: the d composable with an
-    # arrow g of source u, as g.d.
-    into: dict[str, list[str]] = {u: [] for u in unit_set}
-    for name, _, tgt in g.arrows:
-        into[tgt].append(name)
-    for gname, src, _ in g.arrows:
-        for dname in into[src]:
-            if (gname, dname) not in g.compose:
-                bad.append(f"composition ({gname!r}, {dname!r}) required but missing")
+            composite[a][slot[d]] = r
+    for a, row in enumerate(composite):
+        if None in row:
+            bad.extend(
+                f"composition ({names[a]!r}, {names[d]!r}) required but missing"
+                for d, r in zip(into[source[a]], row)
+                if r is None
+            )
     if bad:
         return bad
 
-    # Now the table holds exactly the composable pairs.
-    comp = g.compose
-    for a, src, _ in g.arrows:
-        for b in into[src]:
-            ab = comp[(a, b)]
-            for c in into[arrow_map[b][0]]:
-                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
-                    bad.append(f"associativity fails on ({a!r}, {b!r}, {c!r})")
+    # The table is complete and every composite has the right endpoints.
+    # (a.b).c == a.(b.c) for every b into a's source and c into b's: the
+    # row of a.b against the row of a read at slot[b.c].  For each a both
+    # sides are laid out flat over all its b; a row that differs is walked
+    # again to name the failing triples.
+    places = [[slot[x] for x in row] for row in composite]
+    flat_places = [list(chain.from_iterable(map(places.__getitem__, ds))) for ds in into]
+    for a, s in enumerate(source):
+        row = composite[a]
+        if list(chain.from_iterable(map(composite.__getitem__, row))) != list(
+            map(row.__getitem__, flat_places[s])
+        ):
+            for b, ab in zip(into[s], row):
+                bad.extend(
+                    f"associativity fails on ({names[a]!r}, {names[b]!r}, {names[c]!r})"
+                    for c, abc, bc in zip(into[source[b]], composite[ab], places[b])
+                    if abc != row[bc]
+                )
 
-    idents = identity_arrows(g)
-    for u in g.units:
-        if u not in idents:
-            bad.append(f"no identity arrow at unit {u!r}")
+    # The identity at u is the first loop e with e.d == d for every d into
+    # u and x.e == x for every x out of u.
+    loops: list[list[int]] = [[] for _ in g.units]
+    out_of: list[list[int]] = [[] for _ in g.units]
+    for a, (s, t) in enumerate(zip(source, target)):
+        out_of[s].append(a)
+        if s == t:
+            loops[s].append(a)
+    identity: list[int] = []
+    for u, name in enumerate(g.units):
+        for e in loops[u]:
+            if composite[e] == into[u] and [composite[x][slot[e]] for x in out_of[u]] == out_of[u]:
+                identity.append(e)
+                break
+        else:
+            identity.append(-1)
+            bad.append(f"no identity arrow at unit {name!r}")
     if bad:
         return bad
 
-    bad.extend(f"inverse entry for unknown arrow {k!r}" for k in g.inverse if k not in arrow_map)
-    for name, src, tgt in g.arrows:
-        if name not in g.inverse:
+    inverse = g.inverse
+    bad.extend(f"inverse entry for unknown arrow {k!r}" for k in inverse if k not in number)
+    for a, name in enumerate(names):
+        if name not in inverse:
             bad.append(f"arrow {name!r} has no inverse entry")
             continue
-        inv = g.inverse[name]
-        if inv not in arrow_map:
-            bad.append(f"inverse of {name!r} names unknown arrow {inv!r}")
+        i = number.get(inverse[name])
+        if i is None:
+            bad.append(f"inverse of {name!r} names unknown arrow {inverse[name]!r}")
             continue
-        if arrow_map[inv] != (tgt, src):
+        s, t = source[a], target[a]
+        if source[i] != t or target[i] != s:
             bad.append(f"inverse of {name!r} has wrong endpoints")
             continue
-        if comp.get((name, inv)) != idents[tgt] or comp.get((inv, name)) != idents[src]:
+        if composite[a][slot[i]] != identity[t] or composite[i][slot[a]] != identity[s]:
             bad.append(f"inverse of {name!r} does not compose to the identities")
+    if bad:
+        return bad
+
+    # In a groupoid the units with an arrow into u are exactly u's orbit.
+    unit_orbits: list[tuple[int, ...]] = []
+    placed = [False] * len(g.units)
+    for u in range(len(g.units)):
+        if not placed[u]:
+            orbit = sorted({source[d] for d in into[u]})
+            for v in orbit:
+                placed[v] = True
+            unit_orbits.append(tuple(orbit))
+    setfield(g, "_composite", composite)
+    setfield(g, "_slot", slot)
+    setfield(g, "_loops", [[e for e in at if e != identity[u]] for u, at in enumerate(loops)])
+    setfield(g, "_orbits", unit_orbits)
     return bad
-
-
-def identity_arrows(g: FiniteGroupoid) -> dict[str, str]:
-    """Map each unit to its two-sided identity arrow, where one exists."""
-    arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
-    out: dict[str, str] = {}
-    for u in g.units:
-        for cand, (src, tgt) in arrow_map.items():
-            if src != u or tgt != u:
-                continue
-            left_ok = all(
-                g.compose.get((cand, other)) == other
-                for other, (_, otgt) in arrow_map.items()
-                if otgt == u
-            )
-            right_ok = all(
-                g.compose.get((other, cand)) == other
-                for other, (osrc, _) in arrow_map.items()
-                if osrc == u
-            )
-            if left_ok and right_ok:
-                out[u] = cand
-                break
-    return out
 
 
 def _validate_sft(m: SftModel) -> list[str]:
@@ -332,31 +388,12 @@ def _next_pattern_row(row: int, step: list[int]) -> int:
 
 
 def orbits(g: FiniteGroupoid) -> list[set[str]]:
-    """Unit orbits: connected components under the arrows."""
-    parent = {u: u for u in g.units}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, src, tgt in g.arrows:
-        ra, rb = find(src), find(tgt)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for u in g.units:
-        groups.setdefault(find(u), set()).add(u)
-    return list(groups.values())
+    """Unit orbits: connected components under the arrows, in the order of
+    their first units."""
+    units = g.units
+    return [{units[u] for u in orbit} for orbit in g._orbits]
 
 
 def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
-    """The units with a non-identity loop, sorted.
-
-    ``g`` satisfies the axioms, so a loop a is an identity exactly when
-    a.a = a.
-    """
-    return sorted(
-        {src for name, src, tgt in g.arrows if src == tgt and g.compose[(name, name)] != name}
-    )
+    """The units with a non-identity loop, sorted."""
+    return sorted(u for u, at in zip(g.units, g._loops) if at)

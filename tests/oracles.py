@@ -1,11 +1,15 @@
 """Reference code the tests compare against, kept out of the package.
 
-The builders make the small finite groupoids the tests use.  The nerve
-oracle enumerates the full nerve of a finite groupoid and its dense
-boundaries, the definition that ``homology.homology_finite``'s normalized
-bar complex of the skeleton must agree with.  The span helpers encode the
-nerve's face maps as spans, whose signed transfers rebuild the same
-boundaries.  No command reaches any of this (``test_reachability``).
+The builders make the small finite groupoids the tests use.  The
+name-keyed validator reads the groupoid axioms straight off the tables,
+looking every name up; it and the name-keyed readers of identities, orbits,
+isotropy tables and torsion units are the reference for
+``models._validate_finite``, which works on arrow numbers, and for the facts
+it records.  The nerve oracle enumerates the full nerve of a finite groupoid
+and its dense boundaries, the definition that ``homology.homology_finite``'s
+normalized bar complex of the skeleton must agree with.  The span helpers
+encode the nerve's face maps as spans, whose signed transfers rebuild the
+same boundaries.  No command reaches any of this (``test_reachability``).
 """
 
 from __future__ import annotations
@@ -154,6 +158,170 @@ def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGrou
     inverse.update({tag("R", x): tag("R", y) for x, y in b.inverse.items()})
     return FiniteGroupoid(units, arrows, compose, inverse)
 
+
+# ---------------------------------------------------------------------------
+# name-keyed validation
+
+
+class Tables:
+    """Finite-groupoid tables that nothing checks, shaped like
+    ``FiniteGroupoid``, for the validator below to run on broken input."""
+
+    def __init__(self, units, arrows, compose, inverse) -> None:
+        self.units = units
+        self.arrows = arrows
+        self.compose = compose
+        self.inverse = inverse
+
+    def arrow_names(self) -> list[str]:
+        return [a[0] for a in self.arrows]
+
+
+def validate_finite(g) -> list[str]:
+    """Every violation of the groupoid axioms by the tables of ``g``, in the
+    order ``FiniteGroupoid`` reports them."""
+    bad: list[str] = []
+    if len(set(g.units)) != len(g.units):
+        bad.append("duplicate unit names")
+    names = g.arrow_names()
+    if len(set(names)) != len(names):
+        bad.append("duplicate arrow names")
+        return bad
+    unit_set = set(g.units)
+    arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
+    for name, src, tgt in g.arrows:
+        if src not in unit_set:
+            bad.append(f"arrow {name!r} has unknown source {src!r}")
+        if tgt not in unit_set:
+            bad.append(f"arrow {name!r} has unknown target {tgt!r}")
+    if bad:
+        return bad
+
+    for (gname, dname), result in g.compose.items():
+        if gname not in arrow_map or dname not in arrow_map or result not in arrow_map:
+            bad.append(f"composition entry ({gname!r}, {dname!r}) -> {result!r} names unknown arrows")
+            continue
+        if arrow_map[gname][0] != arrow_map[dname][1]:
+            bad.append(f"composition ({gname!r}, {dname!r}) defined but source/target do not match")
+        else:
+            src = arrow_map[dname][0]
+            tgt = arrow_map[gname][1]
+            if arrow_map[result] != (src, tgt):
+                bad.append(f"composite {result!r} of ({gname!r}, {dname!r}) has wrong endpoints")
+    # The arrows d with target u, in arrow order: the d composable with an
+    # arrow g of source u, as g.d.
+    into: dict[str, list[str]] = {u: [] for u in unit_set}
+    for name, _, tgt in g.arrows:
+        into[tgt].append(name)
+    for gname, src, _ in g.arrows:
+        for dname in into[src]:
+            if (gname, dname) not in g.compose:
+                bad.append(f"composition ({gname!r}, {dname!r}) required but missing")
+    if bad:
+        return bad
+
+    # Now the table holds exactly the composable pairs.
+    comp = g.compose
+    for a, src, _ in g.arrows:
+        for b in into[src]:
+            ab = comp[(a, b)]
+            for c in into[arrow_map[b][0]]:
+                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
+                    bad.append(f"associativity fails on ({a!r}, {b!r}, {c!r})")
+
+    idents = identity_arrows(g)
+    for u in g.units:
+        if u not in idents:
+            bad.append(f"no identity arrow at unit {u!r}")
+    if bad:
+        return bad
+
+    bad.extend(f"inverse entry for unknown arrow {k!r}" for k in g.inverse if k not in arrow_map)
+    for name, src, tgt in g.arrows:
+        if name not in g.inverse:
+            bad.append(f"arrow {name!r} has no inverse entry")
+            continue
+        inv = g.inverse[name]
+        if inv not in arrow_map:
+            bad.append(f"inverse of {name!r} names unknown arrow {inv!r}")
+            continue
+        if arrow_map[inv] != (tgt, src):
+            bad.append(f"inverse of {name!r} has wrong endpoints")
+            continue
+        if comp.get((name, inv)) != idents[tgt] or comp.get((inv, name)) != idents[src]:
+            bad.append(f"inverse of {name!r} does not compose to the identities")
+    return bad
+
+
+def identity_arrows(g) -> dict[str, str]:
+    """Map each unit to its two-sided identity arrow, where one exists."""
+    arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
+    out: dict[str, str] = {}
+    for u in g.units:
+        for cand, (src, tgt) in arrow_map.items():
+            if src != u or tgt != u:
+                continue
+            left_ok = all(
+                g.compose.get((cand, other)) == other
+                for other, (_, otgt) in arrow_map.items()
+                if otgt == u
+            )
+            right_ok = all(
+                g.compose.get((other, cand)) == other
+                for other, (osrc, _) in arrow_map.items()
+                if osrc == u
+            )
+            if left_ok and right_ok:
+                out[u] = cand
+                break
+    return out
+
+
+def orbits_by_union_find(g) -> list[set[str]]:
+    """Unit orbits: connected components under the arrows."""
+    parent = {u: u for u in g.units}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for _, src, tgt in g.arrows:
+        ra, rb = find(src), find(tgt)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[str, set[str]] = {}
+    for u in g.units:
+        groups.setdefault(find(u), set()).add(u)
+    return list(groups.values())
+
+
+def isotropy_tables_by_name(g: FiniteGroupoid) -> list[list[list[int]]]:
+    """``homology._isotropy_tables`` read off the name-keyed tables: for the
+    first unit of each orbit, the multiplication table of its non-identity
+    loops, numbered in arrow order, with -1 for the identity."""
+    position = {u: i for i, u in enumerate(g.units)}
+    reps = {min(orbit, key=position.__getitem__) for orbit in orbits_by_union_find(g)}
+    units = tuple(u for u in g.units if u in reps)
+    loops: dict[str, list[str]] = {u: [] for u in units}
+    for name, src, tgt in g.arrows:
+        if src == tgt and src in loops and g.compose[(name, name)] != name:
+            loops[src].append(name)
+    tables = []
+    for u in units:
+        number = {a: i for i, a in enumerate(loops[u])}
+        tables.append([[number.get(g.compose[(a, b)], -1) for b in loops[u]] for a in loops[u]])
+    return tables
+
+
+def units_with_isotropy_by_name(g: FiniteGroupoid) -> list[str]:
+    """The units with a non-identity loop a (one with a.a != a), sorted."""
+    return sorted(
+        {src for name, src, tgt in g.arrows if src == tgt and g.compose[(name, name)] != name}
+    )
+
+
 # ---------------------------------------------------------------------------
 # nerve
 
@@ -269,7 +437,13 @@ def boundary_matrix(g: FiniteGroupoid, n: int) -> IntMatrix:
     return boundary_matrix_from_levels(nerve_levels(g, n), n)
 
 # ---------------------------------------------------------------------------
-# spans
+# spans and matrices
+
+
+def scale(m: IntMatrix, c: int) -> IntMatrix:
+    """The matrix ``c * m``."""
+    return IntMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
+
 
 
 def identity_span(elements: Sequence[Hashable]) -> FiniteSpan:
@@ -340,7 +514,7 @@ def boundary_from_face_spans(g: FiniteGroupoid, n: int) -> IntMatrix:
     total: IntMatrix | None = None
     for i in range(n + 1):
         t = transfer_matrix(face_span(g, n, i))
-        signed = t if i % 2 == 0 else t.scale(-1)
+        signed = t if i % 2 == 0 else scale(t, -1)
         total = signed if total is None else total + signed
     assert total is not None
     return total

@@ -12,6 +12,7 @@ from amplehk.errors import CommutationFailure, ModelInvalid, ShapeMismatch
 from amplehk.exact_linalg import IntMatrix, kernel_basis, matrix_rank
 from amplehk.homology import homology_af
 from amplehk.models import BratteliModel
+from oracles import scale
 
 
 def M(rows):
@@ -204,7 +205,7 @@ class TestMapOnColimit:
             tail = block_tail(rng, p, n - p)
             kernel = kernel_basis(tail.power(n))
             a, b, c = (rng.randint(-2, 2) for _ in range(3))
-            endo = tail.power(2).scale(a) + tail.scale(b) + IntMatrix.identity(n).scale(c)
+            endo = scale(tail.power(2), a) + scale(tail, b) + scale(IntMatrix.identity(n), c)
             expected = matrix_rank(endo.hstack(kernel)) - kernel.cols
             assert map_on_colimit_rank(tail, endo) == expected
             assert map_on_colimit_rank(tail, IntMatrix.identity(n)) == p

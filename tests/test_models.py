@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from amplehk import replace
+from amplehk import homology, replace
 from amplehk.errors import ModelInvalid, SimplicityNotCertified, SizeBoundExceeded
 from amplehk.exact_linalg import IntMatrix
 from amplehk.homology import homology_cantor_z
@@ -18,19 +18,28 @@ from amplehk.models import (
     FiniteGroupoid,
     ProductModel,
     SftModel,
-    identity_arrows,
+    _units_with_isotropy,
     orbits,
     simplicity_certificate,
 )
 
 from conftest import random_finite_groupoid
 from oracles import (
+    D8,
+    S3,
+    Tables,
     cyclic_group_groupoid,
     disjoint_union_groupoids,
+    identity_arrows,
+    isotropy_tables_by_name,
     nerve_levels,
+    orbits_by_union_find,
     pair_groupoid,
+    permutation_group_groupoid,
     transitive_groupoid,
     trivial_groupoid,
+    units_with_isotropy_by_name,
+    validate_finite,
 )
 
 
@@ -169,6 +178,162 @@ class TestFiniteValidation:
         assert identity_arrows(g) == {"x": "g0"}
         h = pair_groupoid(2)
         assert identity_arrows(h) == {"u0": "u0<u0", "u1": "u1<u1"}
+
+
+def _differential_corpus() -> list[FiniteGroupoid]:
+    """Valid tables for the differential tests: groups, transitive and
+    permutation-group groupoids, and disjoint unions."""
+    return [
+        cyclic_group_groupoid(1),
+        cyclic_group_groupoid(2),
+        cyclic_group_groupoid(5),
+        pair_groupoid(3),
+        transitive_groupoid(2, 2),
+        transitive_groupoid(2, 3),
+        permutation_group_groupoid(S3),
+        permutation_group_groupoid(D8),
+        permutation_group_groupoid(S3, n_units=2),
+        disjoint_union_groupoids(cyclic_group_groupoid(3), pair_groupoid(2)),
+        disjoint_union_groupoids(permutation_group_groupoid(S3), trivial_groupoid(2)),
+        disjoint_union_groupoids(transitive_groupoid(2, 2), permutation_group_groupoid(D8)),
+    ]
+
+
+def _drop_compose_entry(rng, units, arrows, compose, inverse):
+    del compose[rng.choice(list(compose))]
+
+
+def _redirect_composite(rng, units, arrows, compose, inverse):
+    compose[rng.choice(list(compose))] = rng.choice(arrows)[0]
+
+
+def _add_non_composable_pair(rng, units, arrows, compose, inverse):
+    pairs = [(g, d) for g, gs, _ in arrows for d, _, dt in arrows if gs != dt]
+    if not pairs:
+        return False
+    compose[rng.choice(pairs)] = rng.choice(arrows)[0]
+
+
+def _name_an_unknown_arrow(rng, units, arrows, compose, inverse):
+    where = rng.randrange(5)
+    if where < 3:
+        key = rng.choice(list(compose))
+        triple = [*key, compose.pop(key)]
+        triple[where] = "ghost"
+        compose[(triple[0], triple[1])] = triple[2]
+    elif where == 3:
+        inverse["ghost"] = rng.choice(arrows)[0]
+    else:
+        inverse[rng.choice(arrows)[0]] = "ghost"
+
+
+def _break_an_inverse(rng, units, arrows, compose, inverse):
+    name = rng.choice(arrows)[0]
+    if rng.random() < 0.3:
+        del inverse[name]
+    else:
+        inverse[name] = rng.choice(arrows)[0]
+
+
+def _remove_an_identity(rng, units, arrows, compose, inverse):
+    unit = rng.choice(units)
+    identity = identity_arrows(Tables(units, arrows, compose, inverse))[unit]
+    # Half the time the arrow stays and one of its composites on one side
+    # is moved to another arrow with the same endpoints.
+    side = rng.randrange(2)
+    key = rng.choice([k for k in compose if k[side] == identity])
+    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    others = [n for n, e in ends.items() if e == ends[compose[key]] and n != compose[key]]
+    if others and rng.random() < 0.5:
+        compose[key] = rng.choice(others)
+        return
+    arrows.remove(next(a for a in arrows if a[0] == identity))
+    for key in [k for k in compose if identity in k]:
+        del compose[key]
+    del inverse[identity]
+
+
+def _duplicate_a_name(rng, units, arrows, compose, inverse):
+    if rng.random() < 0.5:
+        units.insert(rng.randrange(len(units) + 1), rng.choice(units))
+    elif len(arrows) > 1:
+        j, k = rng.sample(range(len(arrows)), 2)
+        arrows[j] = (arrows[k][0],) + arrows[j][1:]
+    else:
+        arrows.append(arrows[0])
+
+
+def _give_an_unknown_endpoint(rng, units, arrows, compose, inverse):
+    j = rng.randrange(len(arrows))
+    end = rng.choice((1, 2))
+    arrow = list(arrows[j])
+    arrow[end] = "nowhere"
+    arrows[j] = tuple(arrow)
+
+
+MUTATIONS = [
+    _drop_compose_entry,
+    _redirect_composite,
+    _add_non_composable_pair,
+    _name_an_unknown_arrow,
+    _break_an_inverse,
+    _remove_an_identity,
+    _duplicate_a_name,
+    _give_an_unknown_endpoint,
+]
+
+
+def _shuffled(rng: random.Random, table: dict) -> dict:
+    items = list(table.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+class TestValidatorAgainstTheNameKeyedOracle:
+    """The number-keyed validator against the name-keyed one in ``oracles``:
+    the same violations in the same order on broken tables, and the same
+    orbits, identities, isotropy tables and torsion units on valid ones."""
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__.strip("_"))
+    def test_one_mutation_gives_the_oracles_violations(self, mutate):
+        rng = random.Random(f"validator:{mutate.__name__}")
+        broken = 0
+        for g in _differential_corpus():
+            for _ in range(6):
+                units, arrows = list(g.units), list(g.arrows)
+                compose, inverse = _shuffled(rng, g.compose), _shuffled(rng, g.inverse)
+                if mutate(rng, units, arrows, compose, inverse) is False:
+                    continue
+                expected = validate_finite(Tables(tuple(units), tuple(arrows), compose, inverse))
+                if not expected:
+                    FiniteGroupoid(tuple(units), tuple(arrows), compose, inverse)
+                    continue
+                broken += 1
+                with pytest.raises(ModelInvalid) as exc:
+                    FiniteGroupoid(tuple(units), tuple(arrows), compose, inverse)
+                assert exc.value.violations == expected, (g.units, mutate.__name__)
+        assert broken >= 30
+
+    def test_valid_tables_give_the_oracles_facts(self):
+        rng = random.Random(67)
+        corpus = _differential_corpus() + [random_finite_groupoid(rng) for _ in range(20)]
+        for base in corpus:
+            g = FiniteGroupoid(base.units, base.arrows, _shuffled(rng, base.compose), base.inverse)
+            assert validate_finite(g) == []
+            assert orbits(g) == orbits_by_union_find(g)
+            assert homology._isotropy_tables(g) == isotropy_tables_by_name(g)
+            assert _units_with_isotropy(g) == units_with_isotropy_by_name(g)
+            identity = identity_arrows(g)
+            for u, loops in zip(g.units, g._loops):
+                assert [g.arrows[a][0] for a in loops] == [
+                    name for name, src, tgt in g.arrows if src == tgt == u and name != identity[u]
+                ]
+
+    def test_derived_tables_stay_out_of_the_fields(self):
+        g = transitive_groupoid(2, 2)
+        assert g._fields == ("units", "arrows", "compose", "inverse")
+        copy = replace(g, compose=_shuffled(random.Random(3), g.compose))
+        assert copy == g and copy._composite == g._composite
 
 
 class TestSftValidation:
