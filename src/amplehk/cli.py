@@ -12,10 +12,8 @@ Integers are exact; a document's integer literals have at most
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
-from typing import NoReturn
 
 from .errors import (
     ModelInvalid,
@@ -31,6 +29,7 @@ from .hkcheck import (
     VERDICT_MATCH,
     VERDICT_MISMATCH,
     VERDICT_PRECONDITION_FAILED,
+    _canonical_json,
     _graded_to_json,
     free_graded_commutative_dims,
     group_to_json,
@@ -70,10 +69,6 @@ _VERDICT_EXITS = {
 }
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as f:
@@ -92,7 +87,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     graded = found.homology()
     if args.format == "json":
         sys.stdout.write(
-            _dump_json({"model": found.summary, "homology": _graded_to_json(graded)})
+            _canonical_json({"model": found.summary, "homology": _graded_to_json(graded)})
         )
     else:
         lines = [f"model: {found.summary}"]
@@ -112,7 +107,7 @@ def _cmd_ktheory(args: argparse.Namespace) -> int:
     pair = found.ktheory()
     if args.format == "json":
         sys.stdout.write(
-            _dump_json(
+            _canonical_json(
                 {
                     "model": found.summary,
                     "ktheory": {"k0": group_to_json(pair.k0), "k1": group_to_json(pair.k1)},
@@ -147,7 +142,7 @@ def _cmd_span_check(args: argparse.Namespace) -> int:
     if kind == "span":
         t = transfer_matrix(spans[0])
         if args.format == "json":
-            sys.stdout.write(_dump_json({"transfer": t.to_rows()}))
+            sys.stdout.write(_canonical_json({"transfer": t.to_rows()}))
         else:
             sys.stdout.write(f"transfer = {t}\n")
         return _EXIT_OK
@@ -160,7 +155,7 @@ def _cmd_span_check(args: argparse.Namespace) -> int:
     functorial = t_composite == product
     if args.format == "json":
         sys.stdout.write(
-            _dump_json(
+            _canonical_json(
                 {
                     "transfer_first": t_first.to_rows(),
                     "transfer_second": t_second.to_rows(),
@@ -192,7 +187,7 @@ def _cmd_fullgroup_dims(args: argparse.Namespace) -> int:
     acyclic = all(e == 0 and o == 0 for e, o in dims[1:])
     if args.format == "json":
         sys.stdout.write(
-            _dump_json(
+            _canonical_json(
                 {
                     "model": report.model,
                     "k0_rank": r0,
@@ -220,7 +215,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as exit 3, not argparse's exit 2, which here
     means a failed precondition."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         raise _UsageError(message)
 
 

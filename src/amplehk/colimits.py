@@ -21,7 +21,7 @@ are eliminated, while M^n of an n x n tail can carry entries of a hundred bits.
 
 from __future__ import annotations
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import CommutationFailure, ShapeMismatch
 from .exact_linalg import IntMatrix, kernel_basis, matrix_rank
 
@@ -37,9 +37,6 @@ class ColimitInvariants(Record):
     generated, or a Kunneth product with such a factor."""
 
     __slots__ = ("rank",)
-
-    def __init__(self, rank: int) -> None:
-        setfield(self, "rank", rank)
 
 
 def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:

@@ -28,8 +28,8 @@ columns and hands them over with no dense matrix at all.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress
-from typing import Iterable, Sequence
 
 from ._record import Record, setfield
 from .errors import DimensionMismatch, NotAComplex, ShapeMismatch
@@ -61,7 +61,8 @@ class IntMatrix(Record):
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: Iterable[int]) -> None:
+        entries = tuple(entries)
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape {rows}x{cols}")
         if len(entries) != rows * cols:
@@ -189,11 +190,6 @@ class SnfResult(Record):
     """
 
     __slots__ = ("U", "D", "V")
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
-        setfield(self, "U", U)
-        setfield(self, "D", D)
-        setfield(self, "V", V)
 
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
@@ -562,7 +558,8 @@ class FgAbelianGroup(Record):
 
     __slots__ = ("rank", "torsion")
 
-    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+    def __init__(self, rank: int, torsion: Iterable[int] = ()) -> None:
+        torsion = tuple(torsion)
         if rank < 0:
             raise ValueError(f"negative rank {rank}")
         previous = None

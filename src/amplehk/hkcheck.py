@@ -24,10 +24,10 @@ from __future__ import annotations
 import json
 import math
 
-from ._record import Record, replace, setfield
+from ._record import Record, replace
 from .exact_linalg import FgAbelianGroup
 from .homology import DEFAULT_SIZE_BOUND, GradedGroup, GroupValue
-from .ktheory import KPair, Precondition, invariants, periodicize
+from .ktheory import Precondition, invariants, periodicize
 from .models import GroupoidModel, SftModel
 
 __all__ = [
@@ -67,36 +67,6 @@ class HKReport(Record):
         "verdict",
         "notes",
     )
-
-    def __init__(
-        self,
-        model: str,
-        dialect: str,
-        max_degree: int,
-        preconditions: tuple[Precondition, ...],
-        homology: GradedGroup,
-        ktheory: KPair | None,
-        even_rank: int | None,
-        odd_rank: int | None,
-        rational_match: bool | None,
-        integral_match: bool | str | None,
-        truncation_degree: int | None,
-        verdict: str,
-        notes: tuple[str, ...],
-    ) -> None:
-        setfield(self, "model", model)
-        setfield(self, "dialect", dialect)
-        setfield(self, "max_degree", max_degree)
-        setfield(self, "preconditions", preconditions)
-        setfield(self, "homology", homology)
-        setfield(self, "ktheory", ktheory)
-        setfield(self, "even_rank", even_rank)
-        setfield(self, "odd_rank", odd_rank)
-        setfield(self, "rational_match", rational_match)
-        setfield(self, "integral_match", integral_match)
-        setfield(self, "truncation_degree", truncation_degree)
-        setfield(self, "verdict", verdict)
-        setfield(self, "notes", notes)
 
 
 def hk_check(
@@ -320,6 +290,11 @@ def report_to_text(report: HKReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _canonical_json(doc: object) -> str:
+    """Canonical JSON rendering: sorted keys, fixed layout, trailing newline.
+    Every JSON document the package writes goes through it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def report_to_json_text(report: HKReport) -> str:
-    """Canonical JSON rendering: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(report_to_json(report))

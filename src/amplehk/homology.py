@@ -42,9 +42,7 @@ known only by their rank.
 
 from __future__ import annotations
 
-from typing import Union
-
-from ._record import Record, setfield
+from ._record import Record
 # colimit_invariants is called through its module: bench/layertrace.py wraps
 # the name ``homology.colimit_invariants`` with a probe that reads ``.tail``
 # off the first argument, and that argument is the tail matrix.
@@ -71,7 +69,7 @@ __all__ = [
     "homology_sft",
 ]
 
-GroupValue = Union[FgAbelianGroup, ColimitInvariants]
+GroupValue = FgAbelianGroup | ColimitInvariants
 
 DEFAULT_SIZE_BOUND = 200_000
 
@@ -85,10 +83,6 @@ class GradedGroup(Record):
     """
 
     __slots__ = ("by_degree", "vanishing_above")
-
-    def __init__(self, by_degree: tuple[GroupValue, ...], vanishing_above: bool) -> None:
-        setfield(self, "by_degree", by_degree)
-        setfield(self, "vanishing_above", vanishing_above)
 
     @property
     def max_degree(self) -> int:

@@ -22,9 +22,9 @@ side asks first.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections.abc import Callable
 
-from ._record import Record, setfield
+from ._record import Record
 from .colimits import ColimitInvariants
 from .errors import NotPrincipal
 from .exact_linalg import FgAbelianGroup
@@ -72,21 +72,11 @@ class Precondition(Record):
 
     __slots__ = ("name", "holds", "mode", "justification")
 
-    def __init__(self, name: str, holds: bool, mode: str, justification: str) -> None:
-        setfield(self, "name", name)
-        setfield(self, "holds", holds)
-        setfield(self, "mode", mode)
-        setfield(self, "justification", justification)
-
 
 class KPair(Record):
     """K_0 and K_1 of a model's reduced groupoid C*-algebra."""
 
     __slots__ = ("k0", "k1")
-
-    def __init__(self, k0: GroupValue, k1: GroupValue) -> None:
-        setfield(self, "k0", k0)
-        setfield(self, "k1", k1)
 
     def all_finitely_generated(self) -> bool:
         return isinstance(self.k0, FgAbelianGroup) and isinstance(self.k1, FgAbelianGroup)
@@ -157,28 +147,12 @@ class ModelClass(Record):
 
     __slots__ = ("kind", "describe", "isotropy", "baum_connes", "homology", "ktheory")
 
-    def __init__(
-        self,
-        kind: str,
-        describe: Callable[[Any], str],
-        isotropy: Callable[[Any], Precondition],
-        baum_connes: str,
-        homology: Callable[[Any, int, int], GradedGroup],
-        ktheory: Callable[[Any], KPair] | None = None,
-    ) -> None:
-        setfield(self, "kind", kind)
-        setfield(self, "describe", describe)
-        setfield(self, "isotropy", isotropy)
-        setfield(self, "baum_connes", baum_connes)
-        setfield(self, "homology", homology)
-        setfield(self, "ktheory", ktheory)
-
 
 def _torsion_free(holds: bool, mode: str, justification: str) -> Precondition:
     return Precondition("torsion_free_isotropy", holds, mode, justification)
 
 
-def _declared(justification: str) -> Callable[[Any], Precondition]:
+def _declared(justification: str) -> Callable[[object], Precondition]:
     fact = _torsion_free(True, "declared", justification)
     return lambda model: fact
 
@@ -222,6 +196,7 @@ RECORDS: dict[type, ModelClass] = {
             "(Tu); Matui established the integral comparison for this class"
         ),
         homology=lambda m, max_degree, size_bound: homology_sft(m),
+        ktheory=None,
     ),
     BratteliModel: ModelClass(
         kind="af",
@@ -232,6 +207,7 @@ RECORDS: dict[type, ModelClass] = {
             "established the integral comparison for this class"
         ),
         homology=lambda b, max_degree, size_bound: homology_af(b),
+        ktheory=None,
     ),
     CantorZModel: ModelClass(
         kind="cantor_z",
@@ -245,6 +221,7 @@ RECORDS: dict[type, ModelClass] = {
             "this class"
         ),
         homology=lambda c, max_degree, size_bound: homology_cantor_z(c),
+        ktheory=None,
     ),
 }
 
@@ -269,20 +246,6 @@ class Invariants(Record):
     """
 
     __slots__ = ("summary", "isotropy", "baum_connes", "homology", "ktheory")
-
-    def __init__(
-        self,
-        summary: str,
-        isotropy: Precondition,
-        baum_connes: str,
-        homology: Callable[[], GradedGroup],
-        ktheory: Callable[[], KPair],
-    ) -> None:
-        setfield(self, "summary", summary)
-        setfield(self, "isotropy", isotropy)
-        setfield(self, "baum_connes", baum_connes)
-        setfield(self, "homology", homology)
-        setfield(self, "ktheory", ktheory)
 
 
 def invariants(
@@ -328,11 +291,11 @@ def invariants(
     )
 
 
-def _once(compute: Callable[[], Any]) -> Callable[[], Any]:
+def _once(compute: Callable[[], object]) -> Callable[[], object]:
     """A function returning ``compute()``, computed on its first call only."""
     found: list = []
 
-    def value() -> Any:
+    def value() -> object:
         if not found:
             found.append(compute())
         return found[0]

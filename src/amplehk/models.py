@@ -21,7 +21,7 @@ exactly when ``source(g) == target(d)``, and then runs d first.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from ._record import Record, setfield
 from .errors import ModelInvalid
@@ -129,21 +129,14 @@ class CantorZModel(Record):
 
     __slots__ = ("diagram",)
 
-    def __init__(self, diagram: BratteliModel) -> None:
-        setfield(self, "diagram", diagram)
-
 
 class ProductModel(Record):
     """Product of two groupoid models; factors may themselves be products."""
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: GroupoidModel, right: GroupoidModel) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
 
-
-GroupoidModel = Union[FiniteGroupoid, SftModel, BratteliModel, CantorZModel, ProductModel]
+GroupoidModel = FiniteGroupoid | SftModel | BratteliModel | CantorZModel | ProductModel
 
 
 # ---------------------------------------------------------------------------

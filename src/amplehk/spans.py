@@ -9,7 +9,7 @@ Transfer turns pullback composition into matrix multiplication.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from collections.abc import Hashable, Mapping
 
 from ._record import Record, setfield
 from .errors import ShapeMismatch

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Sequence
 
-from amplehk._record import Record, setfield
+from amplehk._record import Record
 from amplehk.errors import SizeBoundExceeded
 from amplehk.exact_linalg import IntMatrix
 from amplehk.models import FiniteGroupoid
@@ -335,11 +335,6 @@ class NerveLevel(Record):
     """
 
     __slots__ = ("degree", "cells", "faces")
-
-    def __init__(self, degree: int, cells: tuple, faces: tuple[tuple[int, ...], ...]) -> None:
-        setfield(self, "degree", degree)
-        setfield(self, "cells", cells)
-        setfield(self, "faces", faces)
 
     def size(self) -> int:
         return len(self.cells)

@@ -1,8 +1,13 @@
 """The value classes behave as immutable records: fixed fields, equality and
-hash by field within one class, a ``Name(field=value)`` repr, and a
-``replace`` that goes through the checking constructor."""
+hash by field within one class, a ``Name(field=value)`` repr, a generated
+constructor for the classes that only store their fields, and ``replace``,
+copies and pickling that go through the checking constructor."""
 
 from __future__ import annotations
+
+import copy
+import inspect
+import pickle
 
 import pytest
 
@@ -57,6 +62,11 @@ RECORD_CLASSES = [
     Precondition, KPair, ModelClass, Invariants, HKReport,
 ]
 
+# The classes that check their arguments and write their own constructor;
+# every other record class gets the generated one.
+CHECKING_CLASSES = [IntMatrix, FgAbelianGroup, FiniteGroupoid, SftModel, BratteliModel, FiniteSpan]
+STORE_ONLY_CLASSES = [c for c in RECORD_CLASSES if c not in CHECKING_CLASSES]
+
 
 def test_every_record_class_is_covered():
     assert [type(r) for r in instances()] == RECORD_CLASSES
@@ -94,6 +104,42 @@ class TestEveryRecord:
     def test_unknown_field_is_refused(self, record):
         with pytest.raises(TypeError):
             replace(record, no_such_field=1)
+
+    def test_copies_are_equal(self, record):
+        for duplicate in (copy.copy(record), copy.deepcopy(record)):
+            assert type(duplicate) is type(record) and duplicate == record
+            assert repr(duplicate) == repr(record)
+
+
+# A model class record holds lambdas, which pickle refuses.
+@pytest.mark.parametrize(
+    "record",
+    [r for r in instances() if not isinstance(r, ModelClass)],
+    ids=lambda r: type(r).__name__,
+)
+def test_pickle_round_trip(record):
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("cls", STORE_ONLY_CLASSES, ids=lambda c: c.__name__)
+class TestGeneratedConstructor:
+    def test_parameters_are_the_fields(self, cls):
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        assert tuple(inspect.signature(cls).parameters) == cls._fields
+
+    def test_stores_each_field_by_position_and_by_name(self, cls):
+        values = [object() for _ in cls._fields]
+        for record in (cls(*values), cls(**dict(zip(cls._fields, values)))):
+            assert [getattr(record, f) for f in cls._fields] == values
+
+    def test_missing_unknown_and_repeated_fields_are_refused(self, cls):
+        values = [None] * len(cls._fields)
+        with pytest.raises(TypeError):
+            cls(*values[1:])
+        with pytest.raises(TypeError):
+            cls(*values, no_such_field=None)
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: None})
 
 
 class TestSemantics:
@@ -142,6 +188,22 @@ class TestSemantics:
         b = FiniteGroupoid((), ())
         assert a.compose == {} and a.inverse == {}
         assert a.compose is not b.compose and a.inverse is not b.inverse
+
+    def test_copies_go_through_the_checking_constructor(self):
+        g = pair_groupoid(2)
+        for duplicate in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert duplicate == g and duplicate._orbits == g._orbits
+            assert duplicate._composite == g._composite
+        deep = copy.deepcopy(g)
+        assert deep.compose == g.compose and deep.compose is not g.compose
+
+    def test_checking_records_store_tuples(self):
+        entries = [1, 2]
+        m = IntMatrix(1, 2, entries)
+        entries[0] = 5
+        assert m.entries == (1, 2) and hash(m) == hash(M([[1, 2]]))
+        g = FgAbelianGroup(0, [2])
+        assert g.torsion == (2,) and hash(g) == hash(FgAbelianGroup.cyclic(2))
 
     def test_keyword_construction(self):
         assert KPair(k1=FgAbelianGroup(0), k0=FgAbelianGroup(1)) == KPair(
