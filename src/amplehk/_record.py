@@ -51,7 +51,7 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        fields = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        fields = cls._fields = tuple([name for name in cls.__slots__ if name[0] != "_"])
         if "__init__" not in cls.__dict__:
             cls.__init__ = _store_only_init(cls)
         if len(fields) == 1:

@@ -220,10 +220,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: building takes about twenty times as long as a
-    # parse, and a parse leaves the parser unchanged (it fills a new
-    # namespace, and help is formatted when it is printed).
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each subcommand's parser by name.
+
+    Built once per process: building takes about twenty times as long as a
+    parse, and a parse leaves the parsers unchanged (it fills a new
+    namespace, and help is formatted when it is printed)."""
 
     # The options every subcommand takes, declared once and inherited.
     common = argparse.ArgumentParser(add_help=False)
@@ -246,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact homology / K-theory invariants of ample groupoid models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
     degree_and_bound = ("--max-degree", "--size-bound")
     for name, handler, help_text, flags in (
         ("homology", _cmd_homology, "graded homology of a model", degree_and_bound),
@@ -264,7 +267,26 @@ def _build_parser() -> argparse.ArgumentParser:
             default, flag_help = integer_options[flag]
             command.add_argument(flag, type=int, default=default, help=flag_help)
         command.set_defaults(handler=handler)
-    return parser
+        commands[name] = command
+    return parser, commands
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    # A command line that starts with a subcommand's name is parsed by that
+    # subcommand's parser alone.  Through the top-level parser argparse would
+    # classify every argument, match the name and then hand the rest to the
+    # same subparser, parsing the line twice.  Anything else (no arguments,
+    # -h, an unknown name) goes to the top-level parser, which prints the
+    # help and usage errors.  Both are _Parser, so an error raises
+    # _UsageError with the same message either way; only the namespace's
+    # ``command``, which nothing reads, is left unset.
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -283,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT

@@ -72,7 +72,7 @@ def colimit_invariants(tail: IntMatrix) -> ColimitInvariants:
     are 2, 1, 1, so the rank repeats at M^2 and the colimit has rank 1.
 
     >>> tail = IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
-    >>> [matrix_rank(tail.power(k)) for k in (1, 2, 3)]
+    >>> [matrix_rank(m) for m in (tail, tail @ tail, tail @ tail @ tail)]
     [2, 1, 1]
     >>> colimit_invariants(tail).rank
     1

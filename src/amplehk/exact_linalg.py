@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import chain, compress
+from itertools import compress
 
 from ._record import Record, setfield
 from .errors import DimensionMismatch, NotAComplex, ShapeMismatch
@@ -90,11 +90,7 @@ class IntMatrix(Record):
         for r in rows:
             if len(r) != width:
                 raise ShapeMismatch("ragged rows")
-        return IntMatrix(len(rows), width, tuple(chain.from_iterable(rows)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
+        return IntMatrix(len(rows), width, tuple([x for row in rows for x in row]))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -122,7 +118,7 @@ class IntMatrix(Record):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
+        flat = tuple([self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
         return IntMatrix(self.cols, self.rows, flat)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -148,26 +144,12 @@ class IntMatrix(Record):
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, tuple([x + y for x, y in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("shape mismatch in subtraction")
-        return IntMatrix(self.rows, self.cols, tuple(x - y for x, y in zip(self.entries, other.entries)))
-
-    def power(self, k: int) -> "IntMatrix":
-        if self.rows != self.cols:
-            raise ShapeMismatch("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
+        return IntMatrix(self.rows, self.cols, tuple([x - y for x, y in zip(self.entries, other.entries)]))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -542,7 +524,7 @@ def _canonical_torsion(orders: Iterable[int]) -> tuple[int, ...]:
         for j in range(i + 1, len(a)):
             g = math.gcd(a[i], a[j])
             a[i], a[j] = g, a[i] // g * a[j]
-    return tuple(o for o in a if o > 1)
+    return tuple([o for o in a if o > 1])
 
 
 class FgAbelianGroup(Record):
@@ -586,10 +568,6 @@ class FgAbelianGroup(Record):
             raise ValueError("cyclic torsion group needs order >= 2")
         return FgAbelianGroup(0, (order,))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
         return FgAbelianGroup(self.rank + other.rank, _canonical_torsion(self.torsion + other.torsion))
 
@@ -628,7 +606,7 @@ def cokernel(mat: IntMatrix) -> FgAbelianGroup:
     """
     diag = _smith_diagonal(mat)
     r = sum(1 for d in diag if d != 0)
-    return FgAbelianGroup(mat.rows - r, tuple(d for d in diag if d > 1))
+    return FgAbelianGroup(mat.rows - r, tuple([d for d in diag if d > 1]))
 
 
 def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
@@ -641,7 +619,7 @@ def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
     rows - rank coker d_n.  So each boundary is eliminated once, as sparse
     columns by ``sparse_complex_homology``.
 
-    >>> d1, d2 = IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2]])
+    >>> d1, d2 = IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
     >>> [str(h) for h in complex_homology([d1, d2])]
     ['Z', 'Z/2']
     """
@@ -692,7 +670,7 @@ def sparse_complex_homology(
             for r, x in column.items():
                 sparse[r][t] = x
         factors = _smith_factors(sparse, len(d))
-        cokernels.append(FgAbelianGroup(m - len(factors), tuple(f for f in factors if f > 1)))
+        cokernels.append(FgAbelianGroup(m - len(factors), tuple([f for f in factors if f > 1])))
     return _homology(cokernels, heights)
 
 

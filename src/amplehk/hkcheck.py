@@ -21,8 +21,8 @@ the truncation degree.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import Record, replace
 from .exact_linalg import FgAbelianGroup
@@ -291,9 +291,73 @@ def report_to_text(report: HKReport) -> str:
 
 
 def _canonical_json(doc: object) -> str:
-    """Canonical JSON rendering: sorted keys, fixed layout, trailing newline.
-    Every JSON document the package writes goes through it."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    r"""Canonical JSON rendering: sorted keys, fixed layout, trailing newline.
+    Every JSON document the package writes goes through it.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``,
+    which with ``indent`` set runs CPython's pure-Python encoder; this writer
+    emits the same text for the types the package writes (``str`` keys,
+    ``str``, ``int``, ``bool``, ``None``, ``dict``, ``list`` and ``tuple``)
+    and raises ``TypeError`` on anything else.
+
+    >>> print(_canonical_json({"b": [1, True, None], "a": {}, "c": "é"}), end="")
+    {
+      "a": {},
+      "b": [
+        1,
+        true,
+        null
+      ],
+      "c": "\u00e9"
+    }
+    """
+    out: list[str] = []
+    _write(doc, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: object, put, newline: str) -> None:
+    """Append ``value``'s JSON text to ``put``; ``newline`` is the line break
+    and indent of the line ``value`` starts on.  A key that is not a ``str``
+    makes ``_quote`` raise ``TypeError``."""
+    kind = type(value)
+    if kind is str:
+        put(_quote(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            put(opener)
+            put(_quote(key))
+            put(": ")
+            _write(value[key], put, inner)
+            opener = "," + inner
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            put(opener)
+            _write(item, put, inner)
+            opener = "," + inner
+        put(newline + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as canonical JSON")
 
 
 def report_to_json_text(report: HKReport) -> str:

@@ -224,7 +224,7 @@ def _abelian_homology(table: list[list[int]], max_degree: int) -> GradedGroup:
     zero, z = FgAbelianGroup.zero(), FgAbelianGroup.free(1)
     factors = [
         GradedGroup(
-            (z,) + tuple(z_d if n % 2 else zero for n in range(1, max_degree + 1)),
+            (z,) + tuple([z_d if n % 2 else zero for n in range(1, max_degree + 1)]),
             vanishing_above=False,
         )
         for z_d in map(FgAbelianGroup.cyclic, _cyclic_factors(table))
@@ -355,8 +355,8 @@ def homology_product(
             entries.append(total)
         return GradedGroup(tuple(entries), vanishing_above=vanishing)
 
-    ranks = tuple(
+    ranks = tuple([
         ColimitInvariants(rank=sum(left.rank(p) * right.rank(n - p) for p in range(n + 1)))
         for n in range(max_degree + 1)
-    )
+    ])
     return GradedGroup(ranks, vanishing_above=vanishing)

@@ -206,9 +206,9 @@ def _parse_compose_entry(entry, ep: str) -> tuple[str, str, str]:
 
 def _parse_bratteli(doc: dict, pointer: str) -> BratteliModel:
     sizes_doc = _expect_list(_get(doc, "level_sizes", pointer), f"{pointer}/level_sizes")
-    sizes = tuple(_expect_int(s, f"{pointer}/level_sizes/{i}") for i, s in enumerate(sizes_doc))
+    sizes = tuple([_expect_int(s, f"{pointer}/level_sizes/{i}") for i, s in enumerate(sizes_doc)])
     inc_doc = _expect_list(_get(doc, "incidences", pointer), f"{pointer}/incidences")
-    incidences = tuple(_parse_matrix(m, f"{pointer}/incidences/{i}") for i, m in enumerate(inc_doc))
+    incidences = tuple([_parse_matrix(m, f"{pointer}/incidences/{i}") for i, m in enumerate(inc_doc)])
     tail = _parse_matrix(_get(doc, "tail", pointer), f"{pointer}/tail")
     return BratteliModel(sizes, incidences, tail)
 
@@ -276,7 +276,7 @@ def parse_span(doc, pointer: str = "") -> FiniteSpan:
     sets = {}
     for name in ("left", "mid", "right"):
         arr = _expect_list(_get(doc, name, pointer), f"{pointer}/{name}")
-        sets[name] = tuple(_expect_str(x, f"{pointer}/{name}/{i}") for i, x in enumerate(arr))
+        sets[name] = tuple([_expect_str(x, f"{pointer}/{name}/{i}") for i, x in enumerate(arr)])
     legs = {}
     for name in ("left_leg", "right_leg"):
         leg_doc = _expect_object(_get(doc, name, pointer), f"{pointer}/{name}")

@@ -63,12 +63,12 @@ def compose_spans(second: FiniteSpan, first: FiniteSpan) -> FiniteSpan:
     """
     if first.right != second.left:
         raise ShapeMismatch("spans do not share a boundary: right of first != left of second")
-    mid = tuple(
+    mid = tuple([
         (z1, z2)
         for z1 in first.mid
         for z2 in second.mid
         if first.right_leg[z1] == second.left_leg[z2]
-    )
+    ])
     left_leg = {pair: first.left_leg[pair[0]] for pair in mid}
     right_leg = {pair: second.right_leg[pair[1]] for pair in mid}
     return FiniteSpan(first.left, mid, second.right, left_leg, right_leg)

@@ -9,7 +9,9 @@ it records.  The nerve oracle enumerates the full nerve of a finite groupoid
 and its dense boundaries, the definition that ``homology.homology_finite``'s
 normalized bar complex of the skeleton must agree with.  The span helpers
 encode the nerve's face maps as spans, whose signed transfers rebuild the
-same boundaries.  No command reaches any of this (``test_reachability``).
+same boundaries.  The matrix and group helpers (``zeros``, ``scale``,
+``power``, ``is_trivial``) build test inputs and read results.  No command
+reaches any of this (``test_reachability``).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from collections import Counter
 from typing import Hashable, Sequence
 
 from amplehk._record import Record
-from amplehk.errors import SizeBoundExceeded
-from amplehk.exact_linalg import IntMatrix
+from amplehk.errors import ShapeMismatch, SizeBoundExceeded
+from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.models import FiniteGroupoid
 from amplehk.spans import FiniteSpan, transfer_matrix
 
@@ -435,9 +437,35 @@ def boundary_matrix(g: FiniteGroupoid, n: int) -> IntMatrix:
 # spans and matrices
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    """The zero matrix of the given shape."""
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
 def scale(m: IntMatrix, c: int) -> IntMatrix:
     """The matrix ``c * m``."""
     return IntMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
+
+
+def power(m: IntMatrix, k: int) -> IntMatrix:
+    """``m`` to the ``k``-th power, by repeated squaring."""
+    if m.rows != m.cols:
+        raise ShapeMismatch("power of a non-square matrix")
+    if k < 0:
+        raise ValueError("negative matrix power")
+    result = IntMatrix.identity(m.rows)
+    base = m
+    while k:
+        if k & 1:
+            result = result @ base
+        base = base @ base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def is_trivial(group: FgAbelianGroup) -> bool:
+    """Whether ``group`` is the zero group."""
+    return group.rank == 0 and not group.torsion
 
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -23,8 +24,10 @@ from amplehk.modelio import MAX_INT_DIGITS, MAX_PRODUCT_DEPTH
 from amplehk.models import SftModel
 from conftest import finite_document
 from oracles import cyclic_group_groupoid
+from test_cli_help import ARGV_CASES
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+GOLDEN_OUTPUTS = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 ALL_COMMANDS = ("homology", "ktheory", "hk-check", "smale-check", "span-check", "fullgroup-dims")
 
@@ -554,7 +557,7 @@ class TestOptionSets:
     ]
 
     def test_each_declared_option_has_a_witness(self):
-        subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+        _, subcommands = cli._build_parser()
         declared = {
             (command, flag)
             for command, parser in subcommands.items()
@@ -714,6 +717,14 @@ class TestEntryPoint:
             cli.entry()
         assert exc.value.code == 0
 
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["homology", model_path("o3.json"), "--format", "json"]
+        expected = run(capsys, *argv)
+        monkeypatch.setattr("sys.argv", ["amplehk", *argv])
+        code = cli.main(None)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
     def test_module_invocation(self):
         # python -m must behave like the console script, not import silently
         proc = subprocess.run(
@@ -776,6 +787,76 @@ class TestOneParserPerProcess:
         assert codes[:3] == [3, 0, 3]
 
 
+# Command lines whose parse both ways must agree: every golden run, every
+# help and usage case, and edge cases around the subcommand name.
+DISPATCH_CASES: list[list[str]] = (
+    [
+        [command, model_path(name), *flags]
+        for name, command, *flags in (
+            key.split(" ") for key in json.loads(GOLDEN_OUTPUTS.read_text())
+        )
+    ]
+    + ARGV_CASES
+    + [
+        [],
+        ["-h"],
+        ["homology"],
+        ["homology", "-h"],
+        ["homolog", "x"],
+        ["homology", "x", "--max-degree"],
+        ["homology", "x", "--max-degree", "-1"],
+        ["homology", "x", "--form", "json"],
+        ["homology", "x", "y"],
+        ["hk-check", "--", "x"],
+        ["ktheory", "x", "--max-degree", "2"],
+        ["--format", "json", "homology", "x"],
+    ]
+)
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """What parsing ``argv`` ends in: the namespace without ``command``, a
+    usage error's message, or the exit code and output of help."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            namespace = parse(list(argv))
+        except cli._UsageError as e:
+            return ("usage error", str(e), out.getvalue())
+        except SystemExit as e:
+            return ("exit", e.code, out.getvalue())
+    fields = vars(namespace)
+    fields.pop("command", None)
+    return ("parsed", fields, out.getvalue())
+
+
+def dispatch_id(argv: list[str]) -> str:
+    return " ".join(Path(a).name if a.startswith(str(MODELS_DIR)) else a for a in argv) or "(none)"
+
+
+class TestDirectDispatch:
+    """A command line that starts with a subcommand's name is parsed by that
+    subcommand's parser alone, with the result the top-level parser gives."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=dispatch_id)
+    def test_same_outcome_as_the_top_level_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")
+        parser, _ = cli._build_parser()
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(parser.parse_args, argv)
+
+    def test_subcommand_lines_skip_the_top_level_parser(self, monkeypatch):
+        parser, commands = cli._build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed by the top-level parser")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        for name in commands:
+            assert cli._parse_args([name, "doc.json"]).path == "doc.json"
+        with pytest.raises(AssertionError):
+            cli._parse_args(["--help"])
+
+
 def test_import_leaves_out_slow_standard_modules():
     """Importing the command line loads none of these: each costs
     milliseconds per process and the package has no use for it."""
@@ -788,3 +869,24 @@ def test_import_leaves_out_slow_standard_modules():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_no_tuple_is_built_from_an_iterator():
+    """``tuple(iterator)`` allocates a tuple of a guessed length and resizes
+    it, so when it is freed it joins CPython's free list for its final
+    length, which only a full garbage collection empties: a long-running
+    caller's memory grows with every call until those lists fill.  The
+    package builds its tuples from lists and other sized collections."""
+    iterators = {"chain", "filter", "map", "zip", "from_iterable"}
+    found = []
+    for path in sorted(SRC_DIR.joinpath("amplehk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and len(node.args) == 1):
+                continue
+            arg = node.args[0]
+            called = arg.func if isinstance(arg, ast.Call) else None
+            name = getattr(called, "id", None) or getattr(called, "attr", None)
+            if isinstance(arg, ast.GeneratorExp) or name in iterators:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -23,7 +23,14 @@ from amplehk.exact_linalg import (
 from amplehk.exact_linalg import _canonical_torsion
 
 from conftest import assert_valid_snf, random_int_matrix
-from oracles import boundary_matrix, cyclic_group_groupoid, transitive_groupoid
+from oracles import (
+    boundary_matrix,
+    cyclic_group_groupoid,
+    is_trivial,
+    power,
+    transitive_groupoid,
+    zeros,
+)
 
 
 def M(rows):
@@ -35,7 +42,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix.identity(3)).diagonal() == [1, 1, 1]
 
     def test_zero_matrix(self):
-        assert smith_normal_form(IntMatrix.zeros(2, 3)).diagonal() == [0, 0]
+        assert smith_normal_form(zeros(2, 3)).diagonal() == [0, 0]
 
     def test_worked_example(self):
         # Divisibility pins the diagonal: d1 = gcd of entries = 2 and
@@ -51,9 +58,9 @@ class TestSmithNormalForm:
         assert assert_valid_snf(M([[2], [4], [6]])) == [2]
 
     def test_empty_shapes(self):
-        assert smith_normal_form(IntMatrix.zeros(0, 3)).diagonal() == []
-        assert smith_normal_form(IntMatrix.zeros(3, 0)).diagonal() == []
-        res = smith_normal_form(IntMatrix.zeros(0, 0))
+        assert smith_normal_form(zeros(0, 3)).diagonal() == []
+        assert smith_normal_form(zeros(3, 0)).diagonal() == []
+        res = smith_normal_form(zeros(0, 0))
         assert res.U == IntMatrix.identity(0) and res.V == IntMatrix.identity(0)
 
     def test_divisibility_needs_fixup(self):
@@ -136,7 +143,7 @@ class TestSparseUnitPivots:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
     def test_empty_and_zero_shapes(self, shape):
-        mat = IntMatrix.zeros(*shape)
+        mat = zeros(*shape)
         assert assert_diagonal_readers_agree(mat) == []
         assert cokernel(mat) == FgAbelianGroup.free(shape[0])
 
@@ -173,7 +180,7 @@ class TestSparseUnitPivots:
                 for i in range(a.rows) for j in range(b.cols)
             ]
             assert (a @ b).entries == tuple(expected)
-        assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+        assert zeros(2, 0) @ zeros(0, 3) == zeros(2, 3)
 
 
 def sft_relation_matrix(rng: random.Random, n: int) -> IntMatrix:
@@ -242,7 +249,7 @@ class TestRanksAndKernels:
     def test_rank_examples(self):
         assert matrix_rank(M([[1, 2], [2, 4]])) == 1
         assert matrix_rank(IntMatrix.identity(4)) == 4
-        assert matrix_rank(IntMatrix.zeros(3, 3)) == 0
+        assert matrix_rank(zeros(3, 3)) == 0
 
     def test_kernel_rank_is_cols_minus_rank(self):
         rng = random.Random(13)
@@ -265,11 +272,11 @@ class TestCokernel:
     def test_examples(self):
         assert cokernel(M([[2, 0], [0, 3]])) == FgAbelianGroup(0, (6,))
         assert cokernel(M([[2, 4], [6, 8]])) == FgAbelianGroup(0, (2, 4))
-        assert cokernel(IntMatrix.zeros(2, 1)) == FgAbelianGroup.free(2)
-        assert cokernel(IntMatrix.identity(3)).is_trivial
+        assert cokernel(zeros(2, 1)) == FgAbelianGroup.free(2)
+        assert is_trivial(cokernel(IntMatrix.identity(3)))
 
     def test_unimodular_has_trivial_cokernel(self):
-        assert cokernel(M([[0, -1], [-1, 0]])).is_trivial
+        assert is_trivial(cokernel(M([[0, -1], [-1, 0]])))
 
     def test_free_rank_identity(self):
         rng = random.Random(19)
@@ -285,16 +292,16 @@ def chain_homology(d_in: IntMatrix, d_out: IntMatrix) -> FgAbelianGroup:
 
 class TestChainHomology:
     def test_torsion_spot(self):
-        h = chain_homology(IntMatrix.zeros(1, 1), M([[2]]))
+        h = chain_homology(zeros(1, 1), M([[2]]))
         assert h == FgAbelianGroup(0, (2,))
 
     def test_full_kernel_killed(self):
-        h = chain_homology(IntMatrix.zeros(1, 2), IntMatrix.identity(2))
-        assert h.is_trivial
+        h = chain_homology(zeros(1, 2), IntMatrix.identity(2))
+        assert is_trivial(h)
 
     def test_free_survivor(self):
         # ker of [1, -1] is spanned by (1, 1); nothing maps in.
-        h = chain_homology(M([[1, -1]]), IntMatrix.zeros(2, 0))
+        h = chain_homology(M([[1, -1]]), zeros(2, 0))
         assert h == FgAbelianGroup.free(1)
 
     def test_shape_error(self):
@@ -312,7 +319,7 @@ class TestChainHomology:
     def test_every_degree_of_a_longer_complex(self):
         # The real projective plane: one cell in each of degrees 0, 1, 2, the
         # 2-cell attached by a degree-2 map; Z, Z/2, 0 in degrees 0, 1, 2.
-        d1, d2, d3 = IntMatrix.zeros(1, 1), M([[2]]), IntMatrix.zeros(1, 0)
+        d1, d2, d3 = zeros(1, 1), M([[2]]), zeros(1, 0)
         assert complex_homology([d1, d2, d3]) == [
             FgAbelianGroup.free(1), FgAbelianGroup.cyclic(2), FgAbelianGroup.zero()
         ]
@@ -371,7 +378,7 @@ class TestDeterminant:
         assert determinant(IntMatrix.identity(3)) == 1
         assert determinant(M([[2, 4], [6, 8]])) == -8
         assert determinant(M([[0, 1], [1, 0]])) == -1
-        assert determinant(IntMatrix.zeros(0, 0)) == 1
+        assert determinant(zeros(0, 0)) == 1
 
     def test_product_of_invariant_factors_is_abs_det(self):
         rng = random.Random(29)
@@ -391,7 +398,7 @@ class TestDeterminant:
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
-            determinant(IntMatrix.zeros(2, 3))
+            determinant(zeros(2, 3))
 
 
 class TestFgAbelianGroup:
@@ -426,8 +433,8 @@ class TestFgAbelianGroup:
 
     def test_tor(self):
         assert FgAbelianGroup.cyclic(4).tor(FgAbelianGroup.cyclic(6)) == FgAbelianGroup.cyclic(2)
-        assert FgAbelianGroup.free(5).tor(FgAbelianGroup.cyclic(6)).is_trivial
-        assert FgAbelianGroup.cyclic(2).tor(FgAbelianGroup.cyclic(3)).is_trivial
+        assert is_trivial(FgAbelianGroup.free(5).tor(FgAbelianGroup.cyclic(6)))
+        assert is_trivial(FgAbelianGroup.cyclic(2).tor(FgAbelianGroup.cyclic(3)))
 
     def test_rendering(self):
         assert str(FgAbelianGroup.zero()) == "0"
@@ -444,8 +451,8 @@ class TestIntMatrix:
 
     def test_power(self):
         fib = M([[1, 1], [1, 0]])
-        assert fib.power(5) == M([[8, 5], [5, 3]])
-        assert fib.power(0) == IntMatrix.identity(2)
+        assert power(fib, 5) == M([[8, 5], [5, 3]])
+        assert power(fib, 0) == IntMatrix.identity(2)
 
     def test_non_integer_entries_rejected(self):
         for bad in (True, 1.0, "1", None):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 
 import pytest
 
 import amplehk.cli as cli
 import amplehk.colimits as colimits
 import amplehk.exact_linalg as exact_linalg
+import amplehk.hkcheck as hkcheck
 import amplehk.ktheory as ktheory
 from amplehk import replace
 from amplehk.colimits import ColimitInvariants
@@ -195,6 +198,78 @@ class TestSerialization:
         text = report_to_text(hk_check(cyclic_group_groupoid(2)))
         assert "FAILS" in text
         assert "verdict: precondition_failed" in text
+
+
+# Characters a JSON string escapes or passes through: control characters,
+# DEL, quotes and backslashes, Latin-1, the BMP, an astral character (a
+# surrogate pair in the output) and lone surrogates.
+STRING_ALPHABET = (
+    [chr(c) for c in range(0x20)]
+    + list('"\\/ aZ09~\x7f')
+    + ["\u00e9", "\u00ff", "\u2028", "\u4e2d", "\U0001f600", "\ud800", "\udbff", "\udc00", "\udfff"]
+)
+
+
+def random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(STRING_ALPHABET) for _ in range(rng.randrange(8)))
+
+
+def random_document(rng: random.Random, depth: int = 0) -> object:
+    """A JSON value of the types the package writes, nested up to 4 deep."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return random_string(rng)
+    if kind == 1:
+        return rng.choice((0, 1, -1, rng.randrange(-(10**30), 10**30)))
+    if kind == 2:
+        # More than 5,000 digits: past the default int/str conversion limit.
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randrange(16_700, 17_000))
+    if kind == 3:
+        return rng.choice((True, False, None))
+    if kind == 4:
+        return rng.choice(({}, [], ()))
+    size = rng.randrange(5)
+    if kind == 5:
+        return {random_string(rng): random_document(rng, depth + 1) for _ in range(size)}
+    items = [random_document(rng, depth + 1) for _ in range(size)]
+    return items if kind == 6 else tuple(items)
+
+
+class TestCanonicalJson:
+    """``_canonical_json`` writes the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True)`` plus a newline, without calling ``json.dumps``."""
+
+    @pytest.fixture(autouse=True)
+    def unlimited_digits(self):
+        # As in cli.main, so json.dumps can write the long integers too.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_json_dumps(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            doc = random_document(rng)
+            assert hkcheck._canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, {1, 2}, b"bytes", {1: "a"}, {"a": 1, 2: "b"}, [0, 0.0], {"k": frozenset()}],
+        ids=["float", "set", "bytes", "int key", "mixed keys", "nested float", "nested frozenset"],
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            hkcheck._canonical_json(value)
+
+    def test_module_does_not_use_json(self):
+        assert not hasattr(hkcheck, "json")
 
 
 SHIFT = SftModel(M([[1, 2, 0], [1, 0, 3], [2, 1, 1]]))

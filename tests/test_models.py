@@ -25,6 +25,7 @@ from amplehk.models import (
 
 from conftest import random_finite_groupoid
 from oracles import (
+    zeros,
     D8,
     S3,
     Tables,
@@ -341,10 +342,10 @@ class TestSftValidation:
         assert SftModel(M([[1, 1], [1, 0]])).matrix == M([[1, 1], [1, 0]])
 
     def test_non_square(self):
-        assert any("not square" in v for v in violations(lambda: SftModel(IntMatrix.zeros(1, 2))))
+        assert any("not square" in v for v in violations(lambda: SftModel(zeros(1, 2))))
 
     def test_empty(self):
-        assert any("empty" in v for v in violations(lambda: SftModel(IntMatrix.zeros(0, 0))))
+        assert any("empty" in v for v in violations(lambda: SftModel(zeros(0, 0))))
 
     def test_negative_entry(self):
         assert any("negative" in v for v in violations(lambda: SftModel(M([[1, -1], [1, 1]]))))
@@ -363,7 +364,7 @@ class TestBratteliValidation:
         assert self.good().level_sizes == (1, 2)
 
     def test_needs_a_level(self):
-        bad = violations(lambda: BratteliModel((), (), IntMatrix.zeros(0, 0)))
+        bad = violations(lambda: BratteliModel((), (), zeros(0, 0)))
         assert bad == ["diagram needs at least one level"]
 
     def test_level_sizes_positive(self):

@@ -10,6 +10,7 @@ from amplehk.errors import ShapeMismatch
 from amplehk.exact_linalg import IntMatrix
 from amplehk.spans import FiniteSpan, compose_spans, transfer_matrix
 from oracles import (
+    zeros,
     boundary_from_face_spans,
     boundary_matrix,
     cyclic_group_groupoid,
@@ -68,7 +69,7 @@ class TestTransfer:
 
     def test_empty_mid(self):
         span = FiniteSpan(("x",), (), ("u",), {}, {})
-        assert transfer_matrix(span) == IntMatrix.zeros(1, 1)
+        assert transfer_matrix(span) == zeros(1, 1)
 
 
 class TestComposition:
@@ -201,4 +202,4 @@ class TestFaceSpans:
 
     def test_signed_sum_example(self):
         g = cyclic_group_groupoid(2)
-        assert boundary_from_face_spans(g, 1) == IntMatrix.zeros(1, 2)
+        assert boundary_from_face_spans(g, 1) == zeros(1, 2)
