@@ -14,11 +14,13 @@ columns.  ``smith_normal_form`` and ``kernel_basis`` are the only callers
 that also carry the unimodular transforms U and V along.
 
 The diagonal readers share one kernel, ``_smith_factors``, which takes a
-matrix as sparse rows and first eliminates its unit pivots: each +-1 entry,
-taken in Markowitz order, clears its column by row operations and
-contributes an invariant factor 1.  Bar-complex boundaries have a few +-1
-entries per column, so this leaves a small residue without units, and only
-that residue goes to the dense reduction (Dumas, Saunders and Villard, "On
+matrix as sparse rows and first eliminates its unit pivots: each +-1 entry
+clears its column by row operations and contributes an invariant factor 1.
+Each pivot is chosen when it is needed, a unit of the shortest row that has
+one, in its shortest column; invariant factors are unique, so the order
+shows only in time and fill.  Bar-complex boundaries have a few +-1 entries
+per column, so this leaves a small residue without units, and only that
+residue goes to the dense reduction (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", 2001).
 An ``IntMatrix`` reaches the kernel through ``_smith_diagonal``, which reads
 off its nonzeros; ``sparse_complex_homology`` takes boundaries as sparse
@@ -343,12 +345,6 @@ def _reduce(a: list[list[int]], m: int, n: int) -> None:
             break
 
 
-def _cheapest_unit(row: dict[int, int], cols: list[set[int]]) -> tuple[int, int] | None:
-    """(entries in column j, j) for the +-1 entry of ``row`` whose column is
-    shortest, lowest j first; None when the row has no unit."""
-    return min(((len(cols[j]), j) for j, x in row.items() if x == 1 or x == -1), default=None)
-
-
 def _smith_factors(rows: dict[int, dict[int, int]], n: int) -> list[int]:
     """Nonzero Smith invariant factors, in divisibility order, of the matrix
     with n columns whose row i has the nonzero entries ``rows[i]``
@@ -356,49 +352,33 @@ def _smith_factors(rows: dict[int, dict[int, int]], n: int) -> list[int]:
 
     A unit pivot contributes an invariant factor 1, and clearing its column
     with row operations leaves the Smith form of the rest.  So the +-1
-    entries are eliminated first, on the sparse rows, always at the lowest
-    Markowitz cost (row entries - 1) * (column entries - 1), then lowest
-    row, then lowest column.  Only the residue left when no unit remains is
-    densified and handed to ``_reduce``.
+    entries are eliminated first, on the sparse rows.  Each pivot is chosen
+    when it is needed, with no keys kept between pivots: the shortest row
+    holding a unit, lowest row first, and in it the unit whose column is
+    shortest, lowest column first.  Only the residue left when no unit
+    remains is densified and handed to ``_reduce``.
     """
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, ri in rows.items():
         for j in ri:
             cols[j].add(i)
 
-    # best[i] is the key (column entries, column) of row i's cheapest unit,
-    # or a lower bound on it when i is in ``loose``; keys only change in the
-    # columns of a pivot row, so a loose row is searched again only when its
-    # bound could win the next pivot.
-    best = {i: _cheapest_unit(ri, cols) for i, ri in rows.items()}
-    loose: set[int] = set()
     units = 0
     while True:
-        pick = None
-        for i, b in best.items():
-            if b is None:
-                continue
-            cost = (len(rows[i]) - 1) * (b[0] - 1)
-            if pick is not None and cost >= pick[0]:
-                continue
-            if i in loose:
-                loose.discard(i)
-                b = best[i] = _cheapest_unit(rows[i], cols)
-                if b is None:
-                    continue
-                cost = (len(rows[i]) - 1) * (b[0] - 1)
-                if pick is not None and cost >= pick[0]:
-                    continue
-            pick = (cost, i, b[1])
-            if not cost:
-                break
-        if pick is None:
+        p = None
+        short = n + 1
+        for i, ri in rows.items():
+            if len(ri) < short:
+                values = ri.values()
+                if 1 in values or -1 in values:
+                    p, short = i, len(ri)
+                    if short == 1:
+                        break
+        if p is None:
             break
-        _, p, q = pick
         units += 1
         prow = rows.pop(p)
-        del best[p]
-        loose.discard(p)
+        q = min((len(cols[j]), j) for j, x in prow.items() if x == 1 or x == -1)[1]
         u = prow[q]
         for j in prow:
             cols[j].discard(p)
@@ -414,18 +394,6 @@ def _smith_factors(rows: dict[int, dict[int, int]], n: int) -> list[int]:
                 else:
                     del ri[j]
                     cols[j].discard(i)
-            b = best[i]
-            if b is not None and b[1] in prow:
-                loose.add(i)
-        for j in prow:
-            key = (len(cols[j]), j)
-            for i in cols[j]:
-                b = best[i]
-                if (b is None or key < b) and rows[i][j] in (1, -1):
-                    best[i] = key
-                    loose.discard(i)
-                elif b is not None and b[1] == j and key != b:
-                    loose.add(i)
 
     live = [ri for ri in rows.values() if ri]
     used = sorted({j for ri in live for j in ri})

@@ -281,8 +281,10 @@ def homology_finite(
 
 
 def _sft_complex_matrix(model: SftModel) -> IntMatrix:
+    """I - A^T for the transition matrix A, built in one pass."""
     a = model.matrix
-    return IntMatrix.identity(a.rows) - a.transpose()
+    n, e = a.rows, a.entries
+    return IntMatrix(n, n, tuple([(i == j) - e[j * n + i] for i in range(n) for j in range(n)]))
 
 
 def homology_sft(model: SftModel) -> GradedGroup:

@@ -302,12 +302,11 @@ def _validate_sft(m: SftModel) -> list[str]:
         return ["transition matrix is empty"]
     if any(x < 0 for x in a.entries):
         bad.append("transition matrix has a negative entry")
-    for i in range(a.rows):
-        if all(a.entry(i, j) == 0 for j in range(a.cols)):
-            bad.append(f"row {i} of the transition matrix is zero")
-    for j in range(a.cols):
-        if all(a.entry(i, j) == 0 for i in range(a.rows)):
-            bad.append(f"column {j} of the transition matrix is zero")
+    rows = [a.row(i) for i in range(a.rows)]
+    bad.extend(f"row {i} of the transition matrix is zero" for i, row in enumerate(rows) if not any(row))
+    bad.extend(
+        f"column {j} of the transition matrix is zero" for j, col in enumerate(zip(*rows)) if not any(col)
+    )
     return bad
 
 

@@ -245,6 +245,28 @@ class TestDenseReduction:
         assert time.perf_counter() - start < 1.0
 
 
+class TestPivotOrderIsInvisible:
+    """The sparse kernel picks its unit pivots by row and column lengths,
+    but invariant factors are unique, so no output may depend on the
+    order: not against the transform-carrying dense reduction, and not
+    under row and column permutations or row sign flips."""
+
+    @pytest.mark.parametrize("n, seed", [(40, 89), (50, 97), (60, 101)])
+    def test_sft_relation_matrices_at_workload_size(self, n, seed):
+        rng = random.Random(seed)
+        mat = sft_relation_matrix(rng, n)
+        factors = invariant_factors(mat)
+        assert factors == [d for d in smith_normal_form(mat).diagonal() if d]
+        rows = mat.to_rows()
+        rng.shuffle(rows)
+        assert invariant_factors(M(rows)) == factors
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert invariant_factors(M([[row[j] for j in perm] for row in mat.to_rows()])) == factors
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        assert invariant_factors(M([[s * x for x in row] for s, row in zip(signs, mat.to_rows())])) == factors
+
+
 class TestRanksAndKernels:
     def test_rank_examples(self):
         assert matrix_rank(M([[1, 2], [2, 4]])) == 1

@@ -459,8 +459,8 @@ class TestNonabelianBarComplex:
             (S3, ["Z", "Z/2", "0", "Z/6"]),
             (D8, ["Z", "Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/4"]),
             (Q8, ["Z", "Z/2 + Z/2", "0", "Z/8"]),
-            # A_4's d_4 takes about 2 s, so it stops at degree 2 (H_3 = Z/6).
-            (A4, ["Z", "Z/3", "Z/2"]),
+            # A_4's d_4 is 1,331 x 14,641; its elimination takes under 1 s.
+            (A4, ["Z", "Z/3", "Z/2", "Z/6"]),
         ],
         ids=["S3", "D8", "Q8", "A4"],
     )

@@ -355,6 +355,16 @@ class TestSftValidation:
         assert any("row 0" in v for v in bad)
         assert any("column 1" in v for v in bad)
 
+    def test_whole_message_list_in_order(self):
+        bad = violations(lambda: SftModel(M([[0, -1, 0, 2], [0, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 0]])))
+        assert bad == [
+            "transition matrix has a negative entry",
+            "row 1 of the transition matrix is zero",
+            "row 3 of the transition matrix is zero",
+            "column 0 of the transition matrix is zero",
+            "column 2 of the transition matrix is zero",
+        ]
+
 
 class TestBratteliValidation:
     def good(self) -> BratteliModel:
