@@ -43,7 +43,6 @@ from .hkcheck import (
     HKReport,
     free_graded_commutative_dims,
     hk_check,
-    report_to_json,
     report_to_json_text,
     report_to_text,
     smale_check,
@@ -129,7 +128,6 @@ __all__ = [
     "parse_span",
     "periodicize",
     "replace",
-    "report_to_json",
     "report_to_json_text",
     "report_to_text",
     "smale_check",

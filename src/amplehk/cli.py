@@ -30,10 +30,7 @@ from .hkcheck import (
     VERDICT_MISMATCH,
     VERDICT_PRECONDITION_FAILED,
     _canonical_json,
-    _graded_to_json,
     free_graded_commutative_dims,
-    group_to_json,
-    group_to_text,
     hk_check,
     report_to_json_text,
     report_to_text,
@@ -86,13 +83,11 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     found = invariants(_read_model(args), args.max_degree, args.size_bound)
     graded = found.homology()
     if args.format == "json":
-        sys.stdout.write(
-            _canonical_json({"model": found.summary, "homology": _graded_to_json(graded)})
-        )
+        sys.stdout.write(_canonical_json({"model": found.summary, "homology": graded}))
     else:
         lines = [f"model: {found.summary}"]
         for d, v in enumerate(graded.by_degree):
-            lines.append(f"H_{d} = {group_to_text(v)}")
+            lines.append(f"H_{d} = {v}")
         lines.append(
             f"zero above degree {graded.max_degree}"
             if graded.vanishing_above
@@ -106,19 +101,9 @@ def _cmd_ktheory(args: argparse.Namespace) -> int:
     found = invariants(_read_model(args))
     pair = found.ktheory()
     if args.format == "json":
-        sys.stdout.write(
-            _canonical_json(
-                {
-                    "model": found.summary,
-                    "ktheory": {"k0": group_to_json(pair.k0), "k1": group_to_json(pair.k1)},
-                }
-            )
-        )
+        sys.stdout.write(_canonical_json({"model": found.summary, "ktheory": pair}))
     else:
-        sys.stdout.write(
-            f"model: {found.summary}\nK_0 = {group_to_text(pair.k0)}\n"
-            f"K_1 = {group_to_text(pair.k1)}\n"
-        )
+        sys.stdout.write(f"model: {found.summary}\nK_0 = {pair.k0}\nK_1 = {pair.k1}\n")
     return _EXIT_OK
 
 
@@ -184,7 +169,10 @@ def _cmd_fullgroup_dims(args: argparse.Namespace) -> int:
     r0 = report.ktheory.k0.rank
     r1 = report.ktheory.k1.rank
     dims = free_graded_commutative_dims(r0, r1, args.words)
-    acyclic = all(e == 0 and o == 0 for e, o in dims[1:])
+    # Word length 1 is the generating space, of dims (r0, r1): the algebra is
+    # trivial above word length 0 exactly when both ranks are 0, whatever
+    # --words is, 0 included.
+    acyclic = r0 == r1 == 0
     if args.format == "json":
         sys.stdout.write(
             _canonical_json(

@@ -38,6 +38,9 @@ class ColimitInvariants(Record):
 
     __slots__ = ("rank",)
 
+    def __str__(self) -> str:
+        return f"colimit(rank {self.rank})"
+
 
 def _stable_power(tail: IntMatrix) -> tuple[IntMatrix, int]:
     """(M^k, rank M^k) for the first k >= 1 with rank M^k = rank M^(k+1).
@@ -96,11 +99,11 @@ def map_on_colimit_rank(tail: IntMatrix, endo: IntMatrix) -> int:
             f"endomorphism is {endo.rows}x{endo.cols}, expected {tail.rows}x{tail.cols}"
         )
     stable, _ = _stable_power(tail)
-    commutator = tail @ endo - endo @ tail
     # Allow the discrepancy to die under further tail applications.
-    if not (stable @ commutator).is_zero():
+    if stable @ tail @ endo != stable @ endo @ tail:
         raise CommutationFailure("endomorphism does not commute with the tail, even eventually")
     kernel = kernel_basis(stable)
     if kernel.cols == 0:
         return matrix_rank(endo)
-    return matrix_rank(endo.hstack(kernel)) - kernel.cols
+    joined = IntMatrix.from_rows([endo.row(i) + kernel.row(i) for i in range(endo.rows)])
+    return matrix_rank(joined) - kernel.cols

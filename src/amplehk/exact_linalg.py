@@ -22,9 +22,10 @@ shows only in time and fill.  Bar-complex boundaries have a few +-1 entries
 per column, so this leaves a small residue without units, and only that
 residue goes to the dense reduction (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", 2001).
-An ``IntMatrix`` reaches the kernel through ``_smith_diagonal``, which reads
-off its nonzeros; ``sparse_complex_homology`` takes boundaries as sparse
-columns and hands them over with no dense matrix at all.
+An ``IntMatrix`` reaches the kernel through ``_factors``, which reads off
+its nonzeros and returns the nonzero invariant factors;
+``sparse_complex_homology`` takes boundaries as sparse columns and hands
+them over with no dense matrix at all.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class IntMatrix(Record):
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m.entry(1, 0)
     3
-    >>> (m @ IntMatrix.identity(2)) == m
+    >>> m @ IntMatrix.from_rows([[0, 1], [1, 0]]) == IntMatrix.from_rows([[2, 1], [4, 3]])
     True
     """
 
@@ -94,22 +95,6 @@ class IntMatrix(Record):
                 raise ShapeMismatch("ragged rows")
         return IntMatrix(len(rows), width, tuple([x for row in rows for x in row]))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return IntMatrix(n, n, tuple(flat))
-
-    @staticmethod
-    def diagonal(diag: Iterable[int]) -> "IntMatrix":
-        d = list(diag)
-        n = len(d)
-        flat = [0] * (n * n)
-        for i, x in enumerate(d):
-            flat[i * n + i] = x
-        return IntMatrix(n, n, tuple(flat))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -118,10 +103,6 @@ class IntMatrix(Record):
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        flat = tuple([self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
-        return IntMatrix(self.cols, self.rows, flat)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -142,25 +123,6 @@ class IntMatrix(Record):
                 for j, y in b_rows[k]:
                     out[base + j] += x * y
         return IntMatrix(self.rows, n, tuple(out))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, tuple([x + y for x, y in zip(self.entries, other.entries)]))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("shape mismatch in subtraction")
-        return IntMatrix(self.rows, self.cols, tuple([x - y for x, y in zip(self.entries, other.entries)]))
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack needs equal row counts")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
@@ -402,16 +364,15 @@ def _smith_factors(rows: dict[int, dict[int, int]], n: int) -> list[int]:
     return [1] * units + [a[t][t] for t in range(min(len(a), len(used))) if a[t][t]]
 
 
-def _smith_diagonal(mat: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form of ``mat``, without the transforms: the
-    nonzeros of ``mat.entries`` go to ``_smith_factors`` as sparse rows."""
-    m, n = mat.rows, mat.cols
+def _factors(mat: IntMatrix) -> list[int]:
+    """Nonzero Smith invariant factors of ``mat``, without the transforms:
+    the nonzeros of ``mat.entries`` go to ``_smith_factors`` as sparse rows."""
+    n = mat.cols
     rows: dict[int, dict[int, int]] = {}
-    for i in range(m):
+    for i in range(mat.rows):
         row = mat.row(i)
         rows[i] = {j: row[j] for j in compress(range(n), row)}
-    diag = _smith_factors(rows, n)
-    return diag + [0] * (min(m, n) - len(diag))
+    return _smith_factors(rows, n)
 
 
 def smith_normal_form(mat: IntMatrix) -> SnfResult:
@@ -439,11 +400,11 @@ def smith_normal_form(mat: IntMatrix) -> SnfResult:
 
 def invariant_factors(mat: IntMatrix) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    return [d for d in _smith_diagonal(mat) if d != 0]
+    return _factors(mat)
 
 
 def matrix_rank(mat: IntMatrix) -> int:
-    return sum(1 for d in _smith_diagonal(mat) if d != 0)
+    return len(_factors(mat))
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
@@ -572,9 +533,8 @@ def cokernel(mat: IntMatrix) -> FgAbelianGroup:
     >>> str(cokernel(IntMatrix.from_rows([[2, 4], [6, 8]])))
     'Z/2 + Z/4'
     """
-    diag = _smith_diagonal(mat)
-    r = sum(1 for d in diag if d != 0)
-    return FgAbelianGroup(mat.rows - r, tuple([d for d in diag if d > 1]))
+    factors = _factors(mat)
+    return FgAbelianGroup(mat.rows - len(factors), tuple([d for d in factors if d > 1]))
 
 
 def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:

@@ -5,7 +5,10 @@ isotropy whose class satisfies the rational Baum-Connes property, the rank of
 K_0 equals the total rank of the even homology and the rank of K_1 the total
 rank of the odd homology.  ``hk_check`` runs that comparison on a model and
 returns a full report; ``smale_check`` is the same arithmetic dressed in
-Smale-space terminology.  Reports render as text or as canonical JSON.
+Smale-space terminology.  A report renders as text, each group as its
+``str``, or as canonical JSON: ``_canonical_json`` writes any record as the
+object of its fields, so the report's field names, and those of the records
+it holds, are the JSON keys.
 
 Preconditions are handled honestly: for finite groupoids torsion-freeness of
 the isotropy is computed exactly, for the symbolic classes it is declared
@@ -25,8 +28,7 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import Record, replace
-from .exact_linalg import FgAbelianGroup
-from .homology import DEFAULT_SIZE_BOUND, GradedGroup, GroupValue
+from .homology import DEFAULT_SIZE_BOUND
 from .ktheory import Precondition, invariants, periodicize
 from .models import GroupoidModel, SftModel
 
@@ -36,9 +38,7 @@ __all__ = [
     "VERDICT_MISMATCH",
     "VERDICT_PRECONDITION_FAILED",
     "free_graded_commutative_dims",
-    "group_to_json",
     "hk_check",
-    "report_to_json",
     "report_to_json_text",
     "report_to_text",
     "smale_check",
@@ -215,50 +215,6 @@ def free_graded_commutative_dims(
 # serialization
 
 
-def group_to_json(value: GroupValue) -> dict:
-    if isinstance(value, FgAbelianGroup):
-        return {"rank": value.rank, "torsion": list(value.torsion)}
-    return {"rank": value.rank}
-
-
-def group_to_text(value: GroupValue) -> str:
-    if isinstance(value, FgAbelianGroup):
-        return str(value)
-    return f"colimit(rank {value.rank})"
-
-
-def _graded_to_json(h: GradedGroup) -> dict:
-    return {
-        "by_degree": [group_to_json(v) for v in h.by_degree],
-        "vanishing_above": h.vanishing_above,
-    }
-
-
-def report_to_json(report: HKReport) -> dict:
-    return {
-        "model": report.model,
-        "dialect": report.dialect,
-        "max_degree": report.max_degree,
-        "preconditions": [
-            {"name": p.name, "holds": p.holds, "mode": p.mode, "justification": p.justification}
-            for p in report.preconditions
-        ],
-        "homology": _graded_to_json(report.homology),
-        "ktheory": (
-            None
-            if report.ktheory is None
-            else {"k0": group_to_json(report.ktheory.k0), "k1": group_to_json(report.ktheory.k1)}
-        ),
-        "even_rank": report.even_rank,
-        "odd_rank": report.odd_rank,
-        "rational_match": report.rational_match,
-        "integral_match": report.integral_match,
-        "truncation_degree": report.truncation_degree,
-        "verdict": report.verdict,
-        "notes": list(report.notes),
-    }
-
-
 def report_to_text(report: HKReport) -> str:
     smale = report.dialect == "smale"
     h_label = "H^s" if smale else "H"
@@ -270,15 +226,15 @@ def report_to_text(report: HKReport) -> str:
         lines.append(f"  {p.name}: {status} ({p.mode}) - {p.justification}")
     lines.append(f"homology ({h_label}):")
     for d, v in enumerate(report.homology.by_degree):
-        lines.append(f"  {h_label}_{d} = {group_to_text(v)}")
+        lines.append(f"  {h_label}_{d} = {v}")
     if report.homology.vanishing_above:
         lines.append(f"  zero above degree {report.homology.max_degree}")
     else:
         lines.append(f"  truncated at degree {report.homology.max_degree}")
     if report.ktheory is not None:
         lines.append(f"ktheory ({k_label}):")
-        lines.append(f"  K_0 = {group_to_text(report.ktheory.k0)}")
-        lines.append(f"  K_1 = {group_to_text(report.ktheory.k1)}")
+        lines.append(f"  K_0 = {report.ktheory.k0}")
+        lines.append(f"  K_1 = {report.ktheory.k1}")
     if report.even_rank is not None:
         lines.append(f"periodicized homology ranks: even {report.even_rank}, odd {report.odd_rank}")
     if report.rational_match is not None:
@@ -298,7 +254,9 @@ def _canonical_json(doc: object) -> str:
     which with ``indent`` set runs CPython's pure-Python encoder; this writer
     emits the same text for the types the package writes (``str`` keys,
     ``str``, ``int``, ``bool``, ``None``, ``dict``, ``list`` and ``tuple``)
-    and raises ``TypeError`` on anything else.
+    and raises ``TypeError`` on anything else.  A ``Record`` (a report, a
+    graded group, a group) is written as the object of its fields, keyed by
+    field name.
 
     >>> print(_canonical_json({"b": [1, True, None], "a": {}, "c": "é"}), end="")
     {
@@ -326,19 +284,6 @@ def _write(value: object, put, newline: str) -> None:
         put(_quote(value))
     elif kind is int:
         put(int.__repr__(value))
-    elif kind is dict:
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        opener = "{" + inner
-        for key in sorted(value):
-            put(opener)
-            put(_quote(key))
-            put(": ")
-            _write(value[key], put, inner)
-            opener = "," + inner
-        put(newline + "}")
     elif kind is list or kind is tuple:
         if not value:
             put("[]")
@@ -357,8 +302,26 @@ def _write(value: object, put, newline: str) -> None:
     elif value is False:
         put("false")
     else:
-        raise TypeError(f"cannot write {kind.__name__} as canonical JSON")
+        # An object: a dict, or a record as the object of its fields.
+        if kind is dict:
+            keys, member = sorted(value), value.__getitem__
+        elif isinstance(value, Record):
+            keys, member = sorted(value._fields), value.__getattribute__
+        else:
+            raise TypeError(f"cannot write {kind.__name__} as canonical JSON")
+        if not keys:
+            put("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in keys:
+            put(opener)
+            put(_quote(key))
+            put(": ")
+            _write(member(key), put, inner)
+            opener = "," + inner
+        put(newline + "}")
 
 
 def report_to_json_text(report: HKReport) -> str:
-    return _canonical_json(report_to_json(report))
+    return _canonical_json(report)

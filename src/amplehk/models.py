@@ -85,9 +85,6 @@ class FiniteGroupoid(Record):
         setfield(self, "inverse", {} if inverse is None else inverse)
         _reject(_validate_finite(self))
 
-    def arrow_names(self) -> list[str]:
-        return [a[0] for a in self.arrows]
-
 
 class SftModel(Record):
     """One-sided shift of finite type with the given nonnegative square matrix."""
@@ -167,7 +164,7 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
     unit_number = {u: i for i, u in enumerate(g.units)}
     if len(unit_number) != len(g.units):
         bad.append("duplicate unit names")
-    names = g.arrow_names()
+    names = [a[0] for a in g.arrows]
     number = {name: a for a, name in enumerate(names)}
     if len(number) != len(names):
         bad.append("duplicate arrow names")

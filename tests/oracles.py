@@ -9,8 +9,9 @@ it records.  The nerve oracle enumerates the full nerve of a finite groupoid
 and its dense boundaries, the definition that ``homology.homology_finite``'s
 normalized bar complex of the skeleton must agree with.  The span helpers
 encode the nerve's face maps as spans, whose signed transfers rebuild the
-same boundaries.  The matrix and group helpers (``zeros``, ``scale``,
-``power``, ``is_trivial``) build test inputs and read results.  No command
+same boundaries.  The matrix and group helpers (``zeros``, ``diagonal``,
+``identity``, ``transpose``, ``add``, ``scale``, ``power``, ``hstack``,
+``is_zero``, ``is_trivial``) build test inputs and read results.  No command
 reaches any of this (``test_reachability``).
 """
 
@@ -175,9 +176,6 @@ class Tables:
         self.compose = compose
         self.inverse = inverse
 
-    def arrow_names(self) -> list[str]:
-        return [a[0] for a in self.arrows]
-
 
 def validate_finite(g) -> list[str]:
     """Every violation of the groupoid axioms by the tables of ``g``, in the
@@ -185,7 +183,7 @@ def validate_finite(g) -> list[str]:
     bad: list[str] = []
     if len(set(g.units)) != len(g.units):
         bad.append("duplicate unit names")
-    names = g.arrow_names()
+    names = [a[0] for a in g.arrows]
     if len(set(names)) != len(names):
         bad.append("duplicate arrow names")
         return bad
@@ -358,7 +356,7 @@ def nerve_levels(g: FiniteGroupoid, top: int, size_bound: int | None = None) -> 
         raise ValueError("nerve degree must be nonnegative")
     unit_index = {u: i for i, u in enumerate(g.units)}
     arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
-    names = g.arrow_names()
+    names = [a[0] for a in g.arrows]
     name_index = {name: i for i, name in enumerate(names)}
     src_idx = [unit_index[arrow_map[name][0]] for name in names]
     tgt_idx = [unit_index[arrow_map[name][1]] for name in names]
@@ -442,6 +440,41 @@ def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, (0,) * (rows * cols))
 
 
+def diagonal(diag: Sequence[int]) -> IntMatrix:
+    """The square matrix with ``diag`` on its diagonal."""
+    n = len(diag)
+    return IntMatrix(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return diagonal([1] * n)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    """The transpose of ``m``."""
+    return IntMatrix(m.cols, m.rows, [x for j in range(m.cols) for x in m.entries[j :: m.cols]])
+
+
+def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The sum ``a + b`` of two matrices of one shape."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeMismatch("shape mismatch in addition")
+    return IntMatrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def is_zero(m: IntMatrix) -> bool:
+    """Whether every entry of ``m`` is 0."""
+    return not any(m.entries)
+
+
+def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """``a`` and ``b`` side by side, ``[a | b]``."""
+    if a.rows != b.rows:
+        raise ShapeMismatch("hstack needs equal row counts")
+    return IntMatrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)], cols=a.cols + b.cols)
+
+
 def scale(m: IntMatrix, c: int) -> IntMatrix:
     """The matrix ``c * m``."""
     return IntMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
@@ -453,7 +486,7 @@ def power(m: IntMatrix, k: int) -> IntMatrix:
         raise ShapeMismatch("power of a non-square matrix")
     if k < 0:
         raise ValueError("negative matrix power")
-    result = IntMatrix.identity(m.rows)
+    result = identity(m.rows)
     base = m
     while k:
         if k & 1:
@@ -538,6 +571,6 @@ def boundary_from_face_spans(g: FiniteGroupoid, n: int) -> IntMatrix:
     for i in range(n + 1):
         t = transfer_matrix(face_span(g, n, i))
         signed = t if i % 2 == 0 else scale(t, -1)
-        total = signed if total is None else total + signed
+        total = signed if total is None else add(total, signed)
     assert total is not None
     return total

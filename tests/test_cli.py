@@ -19,7 +19,7 @@ import amplehk.cli as cli
 import amplehk.models as models
 from amplehk import replace
 from amplehk.exact_linalg import IntMatrix
-from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json
+from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json_text
 from amplehk.modelio import MAX_INT_DIGITS, MAX_PRODUCT_DEPTH
 from amplehk.models import SftModel
 from conftest import finite_document
@@ -141,7 +141,7 @@ class TestHkCheckCommand:
         code, out, _ = run(capsys, "hk-check", model_path("o2.json"), "--format", "json")
         assert code == 0
         direct = hk_check(SftModel(IntMatrix.from_rows([[1, 1], [1, 1]])), max_degree=3)
-        assert json.loads(out) == report_to_json(direct)
+        assert out == report_to_json_text(direct)
 
     def test_output_bytes_are_deterministic(self, capsys):
         _, first, _ = run(capsys, "hk-check", model_path("fibonacci.json"), "--format", "json")
@@ -458,6 +458,25 @@ class TestFullgroupDimsCommand:
         assert doc["k0_rank"] == 1 and doc["k1_rank"] == 1
         assert doc["dims_by_word_length"] == [[1, 0], [1, 1], [1, 1]]
         assert doc["trivial_above_word_zero"] is False
+
+    def test_zero_words_claims_nothing_for_nonzero_ranks(self, capsys):
+        path = model_path("cantor_af.json")
+        code, out, _ = run(capsys, "fullgroup-dims", path, "--words", "0")
+        assert code == 0
+        assert out.endswith("word length 0: even 1, odd 0\n")
+        assert "acyclic" not in out
+        code, out, _ = run(capsys, "fullgroup-dims", path, "--words", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["trivial_above_word_zero"] is False
+
+    def test_zero_words_still_finds_vanishing_k_acyclic(self, capsys):
+        code, out, _ = run(capsys, "fullgroup-dims", model_path("o2.json"), "--words", "0")
+        assert code == 0
+        assert out.endswith("trivial above word length 0: the full group is rationally acyclic\n")
+        code, out, _ = run(
+            capsys, "fullgroup-dims", model_path("o2.json"), "--words", "0", "--format", "json"
+        )
+        assert json.loads(out)["trivial_above_word_zero"] is True
 
     def test_precondition_failure(self, capsys):
         code, _, err = run(capsys, "fullgroup-dims", model_path("z2group.json"))
@@ -869,6 +888,23 @@ def test_import_leaves_out_slow_standard_modules():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_import_adds_only_package_modules():
+    """With the standard modules the package uses already loaded, importing
+    the command line loads nothing but the package's own modules."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC_DIR)!r}); "
+        "import argparse, json, json.encoder, re, math, itertools, functools, operator, "
+        "collections.abc, __future__; "
+        "before = set(sys.modules); import amplehk.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    added = ast.literal_eval(proc.stdout)
+    assert added and [name for name in added if name.split(".")[0] != "amplehk"] == []
 
 
 def test_no_tuple_is_built_from_an_iterator():

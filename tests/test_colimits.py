@@ -12,7 +12,7 @@ from amplehk.errors import CommutationFailure, ModelInvalid, ShapeMismatch
 from amplehk.exact_linalg import IntMatrix, kernel_basis, matrix_rank
 from amplehk.homology import homology_af
 from amplehk.models import BratteliModel
-from oracles import power, scale, zeros
+from oracles import add, hstack, identity, power, scale, zeros
 
 
 def M(rows):
@@ -29,7 +29,7 @@ class TestSystemValidation:
 
     def test_connecting_shape_checked(self):
         with pytest.raises(ModelInvalid) as exc:
-            BratteliModel((1, 2), (M([[1]]),), IntMatrix.identity(2))
+            BratteliModel((1, 2), (M([[1]]),), identity(2))
         assert exc.value.violations == ["incidence 0 is 1x1, expected 2x1"]
 
     def test_tail_shape_checked(self):
@@ -166,7 +166,7 @@ class TestMapOnColimit:
         for rows in ([[2]], [[1, 1], [1, 0]], [[1, 1], [0, 0]], [[0, 1], [0, 0]]):
             tail = M(rows)
             rank = colimit_invariants(tail).rank
-            assert map_on_colimit_rank(tail, IntMatrix.identity(tail.rows)) == rank
+            assert map_on_colimit_rank(tail, identity(tail.rows)) == rank
 
     def test_tail_acts_invertibly_on_its_colimit(self):
         tail = M([[1, 1], [0, 0]])
@@ -194,7 +194,7 @@ class TestMapOnColimit:
     def test_shape_checked(self):
         tail = M([[2]])
         with pytest.raises(ShapeMismatch):
-            map_on_colimit_rank(tail, IntMatrix.identity(2))
+            map_on_colimit_rank(tail, identity(2))
 
     def test_nilpotent_blocks_against_the_full_power_kernel(self):
         # Oracle: rank([endo | K]) - rank(K) with K a kernel basis of M^n.
@@ -205,10 +205,10 @@ class TestMapOnColimit:
             tail = block_tail(rng, p, n - p)
             kernel = kernel_basis(power(tail, n))
             a, b, c = (rng.randint(-2, 2) for _ in range(3))
-            endo = scale(power(tail, 2), a) + scale(tail, b) + scale(IntMatrix.identity(n), c)
-            expected = matrix_rank(endo.hstack(kernel)) - kernel.cols
+            endo = add(add(scale(power(tail, 2), a), scale(tail, b)), scale(identity(n), c))
+            expected = matrix_rank(hstack(endo, kernel)) - kernel.cols
             assert map_on_colimit_rank(tail, endo) == expected
-            assert map_on_colimit_rank(tail, IntMatrix.identity(n)) == p
+            assert map_on_colimit_rank(tail, identity(n)) == p
             assert map_on_colimit_rank(tail, tail) == p
 
     def test_discrepancy_inside_a_nilpotent_block_is_accepted(self):

@@ -26,9 +26,13 @@ from conftest import assert_valid_snf, random_int_matrix
 from oracles import (
     boundary_matrix,
     cyclic_group_groupoid,
+    diagonal,
+    identity,
     is_trivial,
+    is_zero,
     power,
     transitive_groupoid,
+    transpose,
     zeros,
 )
 
@@ -39,7 +43,7 @@ def M(rows):
 
 class TestSmithNormalForm:
     def test_identity_is_fixed(self):
-        assert smith_normal_form(IntMatrix.identity(3)).diagonal() == [1, 1, 1]
+        assert smith_normal_form(identity(3)).diagonal() == [1, 1, 1]
 
     def test_zero_matrix(self):
         assert smith_normal_form(zeros(2, 3)).diagonal() == [0, 0]
@@ -61,7 +65,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(zeros(0, 3)).diagonal() == []
         assert smith_normal_form(zeros(3, 0)).diagonal() == []
         res = smith_normal_form(zeros(0, 0))
-        assert res.U == IntMatrix.identity(0) and res.V == IntMatrix.identity(0)
+        assert res.U == identity(0) and res.V == identity(0)
 
     def test_divisibility_needs_fixup(self):
         # diag(2, 3) is not in Smith form; the algorithm must recombine.
@@ -270,7 +274,7 @@ class TestPivotOrderIsInvisible:
 class TestRanksAndKernels:
     def test_rank_examples(self):
         assert matrix_rank(M([[1, 2], [2, 4]])) == 1
-        assert matrix_rank(IntMatrix.identity(4)) == 4
+        assert matrix_rank(identity(4)) == 4
         assert matrix_rank(zeros(3, 3)) == 0
 
     def test_kernel_rank_is_cols_minus_rank(self):
@@ -285,7 +289,7 @@ class TestRanksAndKernels:
             mat = random_int_matrix(rng, 5, -4, 4)
             basis = kernel_basis(mat)
             assert basis.cols == mat.cols - matrix_rank(mat)
-            assert (mat @ basis).is_zero()
+            assert is_zero(mat @ basis)
             # A kernel basis of a saturated summand has full column rank.
             assert matrix_rank(basis) == basis.cols
 
@@ -295,7 +299,7 @@ class TestCokernel:
         assert cokernel(M([[2, 0], [0, 3]])) == FgAbelianGroup(0, (6,))
         assert cokernel(M([[2, 4], [6, 8]])) == FgAbelianGroup(0, (2, 4))
         assert cokernel(zeros(2, 1)) == FgAbelianGroup.free(2)
-        assert is_trivial(cokernel(IntMatrix.identity(3)))
+        assert is_trivial(cokernel(identity(3)))
 
     def test_unimodular_has_trivial_cokernel(self):
         assert is_trivial(cokernel(M([[0, -1], [-1, 0]])))
@@ -318,7 +322,7 @@ class TestChainHomology:
         assert h == FgAbelianGroup(0, (2,))
 
     def test_full_kernel_killed(self):
-        h = chain_homology(zeros(1, 2), IntMatrix.identity(2))
+        h = chain_homology(zeros(1, 2), identity(2))
         assert is_trivial(h)
 
     def test_free_survivor(self):
@@ -332,7 +336,7 @@ class TestChainHomology:
 
     def test_not_a_complex(self):
         with pytest.raises(NotAComplex, match="composite of consecutive boundaries is nonzero"):
-            chain_homology(M([[1, 0]]), IntMatrix.identity(2))
+            chain_homology(M([[1, 0]]), identity(2))
 
     def test_needs_a_boundary(self):
         with pytest.raises(ValueError):
@@ -397,7 +401,7 @@ class TestSparseChainHomology:
 
 class TestDeterminant:
     def test_examples(self):
-        assert determinant(IntMatrix.identity(3)) == 1
+        assert determinant(identity(3)) == 1
         assert determinant(M([[2, 4], [6, 8]])) == -8
         assert determinant(M([[0, 1], [1, 0]])) == -1
         assert determinant(zeros(0, 0)) == 1
@@ -443,7 +447,7 @@ class TestFgAbelianGroup:
             choices = (1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 2**40, 3**25)
             orders = [rng.choice(choices) for _ in range(rng.randint(0, 7))]
             relevant = [o for o in orders if o > 1]
-            assert _canonical_torsion(orders) == cokernel(IntMatrix.diagonal(relevant)).torsion, orders
+            assert _canonical_torsion(orders) == cokernel(diagonal(relevant)).torsion, orders
 
     def test_tensor(self):
         a = FgAbelianGroup(1, (2,))
@@ -474,7 +478,7 @@ class TestIntMatrix:
     def test_power(self):
         fib = M([[1, 1], [1, 0]])
         assert power(fib, 5) == M([[8, 5], [5, 3]])
-        assert power(fib, 0) == IntMatrix.identity(2)
+        assert power(fib, 0) == identity(2)
 
     def test_non_integer_entries_rejected(self):
         for bad in (True, 1.0, "1", None):
@@ -489,8 +493,8 @@ class TestIntMatrix:
     @pytest.mark.parametrize("bad", (2.0, "4", False))
     def test_diagonal_rejects_non_integers(self, bad):
         with pytest.raises(ShapeMismatch, match=f"non-integer entry {bad!r}$"):
-            IntMatrix.diagonal([3, bad])
+            diagonal([3, bad])
 
     def test_transpose_involution(self):
         mat = M([[1, 2, 3], [4, 5, 6]])
-        assert mat.transpose().transpose() == mat
+        assert transpose(transpose(mat)) == mat

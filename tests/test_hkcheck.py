@@ -14,6 +14,7 @@ import amplehk.exact_linalg as exact_linalg
 import amplehk.hkcheck as hkcheck
 import amplehk.ktheory as ktheory
 from amplehk import replace
+from amplehk._record import Record
 from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, SimplicityNotCertified
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
@@ -35,7 +36,7 @@ from amplehk.models import (
     SftModel,
 )
 from conftest import record_calls
-from oracles import cyclic_group_groupoid, pair_groupoid
+from oracles import add, cyclic_group_groupoid, identity, pair_groupoid, scale, transpose
 
 
 def M(rows):
@@ -235,6 +236,35 @@ def random_document(rng: random.Random, depth: int = 0) -> object:
     return items if kind == 6 else tuple(items)
 
 
+def as_fields(value: object) -> object:
+    """``value`` with every record in it replaced by the dict of its fields."""
+    if isinstance(value, Record):
+        return {name: as_fields(getattr(value, name)) for name in value._fields}
+    if isinstance(value, dict):
+        return {key: as_fields(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_fields(item) for item in value]
+    return value
+
+
+# Records and documents holding them, each built when its test runs.
+RECORD_DOCS = {
+    "finite report": lambda: hk_check(pair_groupoid(2)),
+    "finite report, failed precondition": lambda: hk_check(cyclic_group_groupoid(2)),
+    "sft report": lambda: hk_check(SftModel(M([[1, 1], [1, 1]]))),
+    "smale report": lambda: smale_check(SftModel(M([[1, 1], [1, 0]]))),
+    "graded group with colimits": lambda: GradedGroup(
+        (FgAbelianGroup(1), ColimitInvariants(2), FgAbelianGroup(0, (2, 4))), False
+    ),
+    "k pair": lambda: KPair(FgAbelianGroup(1, (3,)), ColimitInvariants(1)),
+    "records in a dict": lambda: {
+        "model": "m",
+        "ktheory": KPair(FgAbelianGroup.zero(), FgAbelianGroup.free(2)),
+        "list": [ColimitInvariants(0)],
+    },
+}
+
+
 class TestCanonicalJson:
     """``_canonical_json`` writes the bytes of ``json.dumps(doc, indent=2,
     sort_keys=True)`` plus a newline, without calling ``json.dumps``."""
@@ -259,6 +289,12 @@ class TestCanonicalJson:
             doc = random_document(rng)
             assert hkcheck._canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("make", RECORD_DOCS.values(), ids=RECORD_DOCS.keys())
+    def test_records_are_written_as_their_fields(self, make):
+        doc = make()
+        expected = json.dumps(as_fields(doc), indent=2, sort_keys=True) + "\n"
+        assert hkcheck._canonical_json(doc) == expected
+
     @pytest.mark.parametrize(
         "value",
         [1.5, {1, 2}, b"bytes", {1: "a"}, {"a": 1, 2: "b"}, [0, 0.0], {"k": frozenset()}],
@@ -273,7 +309,7 @@ class TestCanonicalJson:
 
 
 SHIFT = SftModel(M([[1, 2, 0], [1, 0, 3], [2, 1, 1]]))
-SHIFT_COMPLEX = IntMatrix.identity(3) - SHIFT.matrix.transpose()
+SHIFT_COMPLEX = add(identity(3), scale(transpose(SHIFT.matrix), -1))
 DIAGRAM = BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
 
 
@@ -284,7 +320,7 @@ class TestOneEvaluationPerLeaf:
     def test_shift_complex_is_eliminated_once(self, monkeypatch, capsys, tmp_path, command):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"model": "sft", "matrix": SHIFT.matrix.to_rows()}))
-        eliminated = record_calls(monkeypatch, exact_linalg._smith_diagonal)
+        eliminated = record_calls(monkeypatch, exact_linalg._factors)
         assert cli.main([command, str(path)]) == 0
         assert [args[0] for args in eliminated].count(SHIFT_COMPLEX) == 1
 
@@ -295,7 +331,7 @@ class TestOneEvaluationPerLeaf:
         assert len(colimit_calls) == 1
 
     def test_product_evaluates_each_factor_once(self, monkeypatch):
-        eliminated = record_calls(monkeypatch, exact_linalg._smith_diagonal)
+        eliminated = record_calls(monkeypatch, exact_linalg._factors)
         colimit_calls = record_calls(monkeypatch, colimits.colimit_invariants)
         report = hk_check(ProductModel(SHIFT, DIAGRAM))
         assert report.verdict == VERDICT_MATCH

@@ -7,11 +7,19 @@ attributes (``from . import colimits``, then ``colimits.f``).  A reached
 definition is walked whole, so a class brings in what its methods use, and
 so are the statements a module runs on import.  Reference code the tests
 compare against lives in ``tests/oracles.py``, not in the package.
+
+A method of a reached class is used when reached or allowlisted code looks
+its name up as an attribute.  The walk cannot tell which class an attribute
+belongs to, so a method that shares its name with a used one passes, and
+dunders, which the interpreter calls, are not checked.  Neither is a method
+that overrides one of a base class from outside the package, as
+``_Parser.error`` overrides ``argparse.ArgumentParser.error``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from functools import cache
 from pathlib import Path
 
@@ -103,13 +111,51 @@ def _reached() -> set[tuple[str, str]]:
     return reached
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreached() -> set[tuple[str, str]]:
     return {
         (module, name)
         for module, mod in _modules().items()
         for name in mod.defs
-        if not (name.startswith("__") and name.endswith("__"))
+        if not _is_dunder(name)
     } - _reached()
+
+
+def _attributes_used() -> set[str]:
+    """Every attribute name that reached or allowlisted code, or a module's
+    statements run on import, look up."""
+    modules = _modules()
+    trees: list[ast.AST] = [node for mod in modules.values() for node in mod.runs]
+    for module, name in _reached() | ALLOWED.keys():
+        trees.extend(modules[module].defs.get(name, ()))
+    return {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _overrides_outside_base(module: str, cls: str, method: str) -> bool:
+    """Whether ``cls`` inherits ``method`` from a base defined outside the package."""
+    bases = getattr(importlib.import_module(f"amplehk.{module}"), cls).__mro__[1:]
+    return any(hasattr(base, method) for base in bases if not base.__module__.startswith("amplehk"))
+
+
+def _unused_methods() -> list[str]:
+    used = _attributes_used()
+    unused = []
+    for module, name in sorted(_reached()):
+        for node in _modules()[module].defs[name]:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not _is_dunder(item.name)
+                    and item.name not in used
+                    and not _overrides_outside_base(module, name, item.name)
+                ):
+                    unused.append(f"{module}.{name}.{item.name}")
+    return unused
 
 
 def test_every_definition_is_reached_from_the_cli():
@@ -124,3 +170,8 @@ def test_every_allowlisted_name_is_defined_and_unreached():
         for m, n in ALLOWED.keys() - _unreached()
     }
     assert stale == {}, "stale allowlist entries"
+
+
+def test_every_method_is_used():
+    unused = _unused_methods()
+    assert unused == [], f"methods no reached or allowlisted code calls: {', '.join(unused)}"

@@ -26,7 +26,7 @@ from amplehk.models import (
     SftModel,
 )
 from amplehk.spans import FiniteSpan
-from oracles import NerveLevel, identity_span, nerve_levels, pair_groupoid
+from oracles import NerveLevel, identity, identity_span, nerve_levels, pair_groupoid
 
 M = IntMatrix.from_rows
 DIAGRAM = BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
@@ -37,7 +37,7 @@ def instances() -> list:
     shift = SftModel(M([[1, 1], [1, 0]]))
     return [
         M([[1, 2], [3, 4]]),
-        SnfResult(IntMatrix.identity(1), M([[2]]), IntMatrix.identity(1)),
+        SnfResult(identity(1), M([[2]]), identity(1)),
         FgAbelianGroup(2, (2, 4)),
         ColimitInvariants(3),
         pair_groupoid(2),

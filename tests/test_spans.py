@@ -16,6 +16,7 @@ from oracles import (
     cyclic_group_groupoid,
     disjoint_union_spans,
     face_span,
+    identity,
     identity_span,
     pair_groupoid,
     spans_isomorphic,
@@ -54,7 +55,7 @@ class TestValidation:
 
 class TestTransfer:
     def test_identity_span(self):
-        assert transfer_matrix(identity_span(("x", "y", "z"))) == IntMatrix.identity(3)
+        assert transfer_matrix(identity_span(("x", "y", "z"))) == identity(3)
 
     def test_fiber_counting(self):
         span = FiniteSpan(
