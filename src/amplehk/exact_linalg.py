@@ -22,8 +22,8 @@ shows only in time and fill.  Bar-complex boundaries have a few +-1 entries
 per column, so this leaves a small residue without units, and only that
 residue goes to the dense reduction (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", 2001).
-An ``IntMatrix`` reaches the kernel through ``_factors``, which reads off
-its nonzeros and returns the nonzero invariant factors;
+An ``IntMatrix`` reaches the kernel through ``invariant_factors``, which
+reads off its nonzeros and returns the nonzero invariant factors;
 ``sparse_complex_homology`` takes boundaries as sparse columns and hands
 them over with no dense matrix at all.
 """
@@ -364,9 +364,10 @@ def _smith_factors(rows: dict[int, dict[int, int]], n: int) -> list[int]:
     return [1] * units + [a[t][t] for t in range(min(len(a), len(used))) if a[t][t]]
 
 
-def _factors(mat: IntMatrix) -> list[int]:
-    """Nonzero Smith invariant factors of ``mat``, without the transforms:
-    the nonzeros of ``mat.entries`` go to ``_smith_factors`` as sparse rows."""
+def invariant_factors(mat: IntMatrix) -> list[int]:
+    """Nonzero diagonal entries of the Smith form, in divisibility order,
+    without the transforms: the nonzeros of ``mat.entries`` go to
+    ``_smith_factors`` as sparse rows."""
     n = mat.cols
     rows: dict[int, dict[int, int]] = {}
     for i in range(mat.rows):
@@ -398,13 +399,8 @@ def smith_normal_form(mat: IntMatrix) -> SnfResult:
     )
 
 
-def invariant_factors(mat: IntMatrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    return _factors(mat)
-
-
 def matrix_rank(mat: IntMatrix) -> int:
-    return len(_factors(mat))
+    return len(invariant_factors(mat))
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
@@ -463,7 +459,7 @@ class FgAbelianGroup(Record):
     each at least 2, each dividing the next.  Equality of instances is
     isomorphism of the groups they denote.
 
-    >>> FgAbelianGroup.cyclic(6).direct_sum(FgAbelianGroup.cyclic(4)).torsion
+    >>> FgAbelianGroup.sum([FgAbelianGroup.cyclic(6), FgAbelianGroup.cyclic(4)]).torsion
     (2, 12)
     """
 
@@ -497,8 +493,16 @@ class FgAbelianGroup(Record):
             raise ValueError("cyclic torsion group needs order >= 2")
         return FgAbelianGroup(0, (order,))
 
-    def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        return FgAbelianGroup(self.rank + other.rank, _canonical_torsion(self.torsion + other.torsion))
+    @staticmethod
+    def sum(groups: Sequence["FgAbelianGroup"]) -> "FgAbelianGroup":
+        """Direct sum of ``groups``, the zero group when there are none: the
+        ranks add, and all their torsion orders recombine at once."""
+        rank = 0
+        orders: list[int] = []
+        for group in groups:
+            rank += group.rank
+            orders += group.torsion
+        return FgAbelianGroup(rank, _canonical_torsion(orders))
 
     def tensor(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
         """Tensor product over Z, in canonical form.
@@ -533,7 +537,7 @@ def cokernel(mat: IntMatrix) -> FgAbelianGroup:
     >>> str(cokernel(IntMatrix.from_rows([[2, 4], [6, 8]])))
     'Z/2 + Z/4'
     """
-    factors = _factors(mat)
+    factors = invariant_factors(mat)
     return FgAbelianGroup(mat.rows - len(factors), tuple([d for d in factors if d > 1]))
 
 

@@ -108,38 +108,20 @@ class GradedGroup(Record):
 # finite groupoids: abelian closed form and bar complex
 
 
-def _isotropy_tables(g: FiniteGroupoid) -> list[list[list[int]]]:
-    """For the first unit of each orbit, in ``g.units`` order, the
-    multiplication table of its isotropy group without the identity.
-
-    The non-identity loops at a unit are numbered 0, 1, ... in arrow order,
-    and ``table[a][b]`` is the number of the composite a.b, or -1 when a.b
-    is the identity.  Both are read off the groupoid's number-keyed tables.
-    """
-    composite, slot = g._composite, g._slot
-    tables = []
-    for orbit in g._orbits:
-        loops = g._loops[orbit[0]]
-        number = {a: i for i, a in enumerate(loops)}
-        places = [slot[b] for b in loops]
-        tables.append([[number.get(composite[a][p], -1) for p in places] for a in loops])
-    return tables
-
-
 def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[int, int]]]:
     """Boundaries d_1 .. d_top of the normalized bar complex of one group,
     as sparse columns {row: coefficient}.
 
     ``table`` is the group's multiplication table without the identity, as
-    ``_isotropy_tables`` gives it, on k = len(table) elements.  The n-cells
-    are the tuples (a_1, ..., a_n) of non-identity elements, the one 0-cell
-    is the empty tuple, and cell (a_1, ..., a_n) has index sum a_i k^(n-i):
-    the order of the full nerve, with the cells that hold an identity left
-    out.  Face 0 drops a_1, face n drops a_n, and inner face i replaces
-    a_i, a_(i+1) by their product, a face that is zero in the complex when
-    the product is the identity.  A column is the alternating sum of its
-    cell's faces.  The trivial group has no cells above degree 0, so its
-    boundaries are all empty and cost nothing per degree.
+    ``FiniteGroupoid._isotropy`` keeps it, on k = len(table) elements.  The
+    n-cells are the tuples (a_1, ..., a_n) of non-identity elements, the one
+    0-cell is the empty tuple, and cell (a_1, ..., a_n) has index sum
+    a_i k^(n-i): the order of the full nerve, with the cells that hold an
+    identity left out.  Face 0 drops a_1, face n drops a_n, and inner face
+    i replaces a_i, a_(i+1) by their product, a face that is zero in the
+    complex when the product is the identity.  A column is the alternating
+    sum of its cell's faces.  The trivial group has no cells above degree 0,
+    so its boundaries are all empty and cost nothing per degree.
 
     The cells of degree n are the (c, j) for c of degree n - 1.  Face i < n - 1
     of (c, j) is (face i of c, j), face n - 1 is (c without its last element
@@ -179,8 +161,8 @@ def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[i
 
 def _cyclic_factors(table: list[list[int]]) -> list[int]:
     """Invariant factors of an abelian group given by its table without the
-    identity, as ``_isotropy_tables`` gives it; largest first, each dividing
-    the one before, no 1s.
+    identity, as ``FiniteGroupoid._isotropy`` keeps it; largest first, each
+    dividing the one before, no 1s.
 
     Only element orders are needed.  For each prime p dividing the group's
     order, the elements x with x^(p^i) = 1 number p^(s_i), where s_i sums
@@ -262,17 +244,17 @@ def homology_finite(
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     top = max_degree + 1
-    tables = _isotropy_tables(g)
+    tables = g._isotropy
     for n in range(2, top + 1):
         if sum((len(table) + 1) ** n for table in tables) > size_bound:
             raise SizeBoundExceeded(f"nerve level {n} exceeds size bound {size_bound}")
-    total = [FgAbelianGroup.zero()] * top
+    parts = []
     for table in tables:
         if table == [list(column) for column in zip(*table)]:
-            h = _abelian_homology(table, max_degree).by_degree
+            parts.append(_abelian_homology(table, max_degree).by_degree)
         else:
-            h = sparse_complex_homology(1, _normalized_boundaries(table, top))
-        total = [x.direct_sum(y) for x, y in zip(total, h)]
+            parts.append(sparse_complex_homology(1, _normalized_boundaries(table, top)))
+    total = [FgAbelianGroup.sum([h[n] for h in parts]) for n in range(top)]
     return GradedGroup(tuple(total), vanishing_above=False)
 
 
@@ -349,12 +331,9 @@ def homology_product(
     if left.all_finitely_generated() and right.all_finitely_generated():
         entries: list[GroupValue] = []
         for n in range(max_degree + 1):
-            total = FgAbelianGroup.zero()
-            for p in range(n + 1):
-                total = total.direct_sum(left.entry(p).tensor(right.entry(n - p)))
-            for p in range(n):
-                total = total.direct_sum(left.entry(p).tor(right.entry(n - 1 - p)))
-            entries.append(total)
+            parts = [left.entry(p).tensor(right.entry(n - p)) for p in range(n + 1)]
+            parts += [left.entry(p).tor(right.entry(n - 1 - p)) for p in range(n)]
+            entries.append(FgAbelianGroup.sum(parts))
         return GradedGroup(tuple(entries), vanishing_above=vanishing)
 
     ranks = tuple([

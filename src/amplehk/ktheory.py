@@ -6,9 +6,10 @@ what authority, why it satisfies Baum-Connes, its homology closed form and
 its K-theory.  K is read off H by default, as the even and odd sums of an
 exact grading that stops at degree 1: the Cuntz-Krieger groups of a shift
 of finite type, the dimension group of an AF algebra, the dimension group
-plus a copy of Z for a Cantor minimal Z-system.  Finite groupoids override it: a principal one has one matrix
-algebra per orbit, so K needs no nerve.  Adding a model class means adding
-one record here and one parser branch in ``modelio``.
+plus a copy of Z for a Cantor minimal Z-system.  Finite groupoids override
+it: a principal one has one matrix algebra per orbit, so K needs no nerve.
+Adding a model class means adding one record here and one parser branch in
+``modelio``.
 
 ``periodicize`` folds a graded group into its even and odd direct sums.  It
 reads K off H, and it gives the two-periodic Kunneth formula for K: the fold
@@ -106,10 +107,7 @@ def periodicize(h: GradedGroup) -> KPair:
 
     def fold(values: tuple[GroupValue, ...]) -> GroupValue:
         if all(isinstance(v, FgAbelianGroup) for v in values):
-            total = FgAbelianGroup.zero()
-            for v in values:
-                total = total.direct_sum(v)
-            return total
+            return FgAbelianGroup.sum(values)
         return ColimitInvariants(rank=sum(v.rank for v in values))
 
     return KPair(fold(h.by_degree[0::2]), fold(h.by_degree[1::2]))

@@ -2,12 +2,13 @@
 
 A finite groupoid is given combinatorially: units, arrows, composition and
 inverse tables, keyed by name.  Building one numbers its units and arrows
-once, checks every axiom on those numbers, and keeps the number-keyed
-composition table with what the checks found (each unit's non-identity
-loops, the orbits), which the engines read instead of the names.  The
-symbolic classes describe ample groupoids too large to enumerate: one-sided
-shifts of finite type, AF groupoids presented by Bratteli data, and Cantor
-minimal Z-systems presented the same way.  Products pair any two models.
+once and checks every axiom on a number-keyed composition table.  It keeps
+only what the engines read: the orbits, and each orbit's isotropy group as
+a numbered multiplication table, so no other module decodes the
+composition table's layout.  The symbolic classes describe ample groupoids
+too large to enumerate: one-sided shifts of finite type, AF groupoids
+presented by Bratteli data, and Cantor minimal Z-systems presented the
+same way.  Products pair any two models.
 
 This module holds the data and its axioms only.  What the engines know
 about each class (summary, isotropy, Baum-Connes, homology, K-theory) is
@@ -52,14 +53,14 @@ class FiniteGroupoid(Record):
     the axioms once, on those numbers.  It raises ModelInvalid, whose
     ``violations`` list every violation found, so broken tables can be
     diagnosed in one pass; a groupoid that exists is a valid one.  A valid
-    one keeps, besides its four fields:
+    one keeps, besides its four fields, what the engines read:
 
-    - ``_composite[a][_slot[d]]``, the number of a.d.  Row a lists the
-      composites with the arrows into a's source, in arrow order, and
-      ``_slot[d]`` is d's place among the arrows into its target.
-    - ``_loops[u]``, the non-identity loops at unit u, in arrow order.
     - ``_orbits``, each orbit's units in table order, the orbits in the
       order of their first units.
+    - ``_isotropy[i]``, the multiplication table of orbit i's isotropy
+      group at its first unit, without the identity: the non-identity
+      loops there are numbered 0, 1, ... in arrow order, and
+      ``table[a][b]`` is the number of a.b, or -1 when a.b is the identity.
 
     These are derived from the fields, so equality, repr and ``replace``
     ignore them.
@@ -70,7 +71,7 @@ class FiniteGroupoid(Record):
     amplehk.errors.ModelInvalid: composition ('e', 'e') required but missing
     """
 
-    __slots__ = ("units", "arrows", "compose", "inverse", "_composite", "_slot", "_loops", "_orbits")
+    __slots__ = ("units", "arrows", "compose", "inverse", "_orbits", "_isotropy")
 
     def __init__(
         self,
@@ -275,7 +276,10 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
         return bad
 
     # In a groupoid the units with an arrow into u are exactly u's orbit.
+    # The first unit not yet placed starts an orbit, and its non-identity
+    # loops, numbered in arrow order, give the orbit's isotropy table.
     unit_orbits: list[tuple[int, ...]] = []
+    isotropy: list[list[list[int]]] = []
     placed = [False] * len(g.units)
     for u in range(len(g.units)):
         if not placed[u]:
@@ -283,10 +287,12 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
             for v in orbit:
                 placed[v] = True
             unit_orbits.append(tuple(orbit))
-    setfield(g, "_composite", composite)
-    setfield(g, "_slot", slot)
-    setfield(g, "_loops", [[e for e in at if e != identity[u]] for u, at in enumerate(loops)])
+            at = [e for e in loops[u] if e != identity[u]]
+            index = {a: i for i, a in enumerate(at)}
+            columns = [slot[b] for b in at]
+            isotropy.append([[index.get(composite[a][c], -1) for c in columns] for a in at])
     setfield(g, "_orbits", unit_orbits)
+    setfield(g, "_isotropy", isotropy)
     return bad
 
 
@@ -384,5 +390,8 @@ def orbits(g: FiniteGroupoid) -> list[set[str]]:
 
 
 def _units_with_isotropy(g: FiniteGroupoid) -> list[str]:
-    """The units with a non-identity loop, sorted."""
-    return sorted(u for u, at in zip(g.units, g._loops) if at)
+    """The units with a non-identity loop, sorted: those of the orbits with
+    a nontrivial isotropy group, since an orbit's isotropy groups are
+    conjugate."""
+    units = g.units
+    return sorted([units[u] for orbit, table in zip(g._orbits, g._isotropy) if table for u in orbit])

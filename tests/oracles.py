@@ -298,7 +298,7 @@ def orbits_by_union_find(g) -> list[set[str]]:
 
 
 def isotropy_tables_by_name(g: FiniteGroupoid) -> list[list[list[int]]]:
-    """``homology._isotropy_tables`` read off the name-keyed tables: for the
+    """``FiniteGroupoid._isotropy`` read off the name-keyed tables: for the
     first unit of each orbit, the multiplication table of its non-identity
     loops, numbered in arrow order, with -1 for the identity."""
     position = {u: i for i, u in enumerate(g.units)}

@@ -439,7 +439,9 @@ class TestFgAbelianGroup:
     def test_direct_sum_recombines(self):
         a = FgAbelianGroup.cyclic(6)
         b = FgAbelianGroup.cyclic(4)
-        assert a.direct_sum(b) == FgAbelianGroup(0, (2, 12))
+        assert FgAbelianGroup.sum([a, b]) == FgAbelianGroup(0, (2, 12))
+        assert FgAbelianGroup.sum([a, FgAbelianGroup.free(2), b]) == FgAbelianGroup(2, (2, 12))
+        assert FgAbelianGroup.sum([]) == FgAbelianGroup.zero()
 
     def test_canonical_torsion_matches_the_diagonal_cokernel(self):
         rng = random.Random(61)

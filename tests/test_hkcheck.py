@@ -320,7 +320,7 @@ class TestOneEvaluationPerLeaf:
     def test_shift_complex_is_eliminated_once(self, monkeypatch, capsys, tmp_path, command):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"model": "sft", "matrix": SHIFT.matrix.to_rows()}))
-        eliminated = record_calls(monkeypatch, exact_linalg._factors)
+        eliminated = record_calls(monkeypatch, exact_linalg.invariant_factors)
         assert cli.main([command, str(path)]) == 0
         assert [args[0] for args in eliminated].count(SHIFT_COMPLEX) == 1
 
@@ -331,7 +331,7 @@ class TestOneEvaluationPerLeaf:
         assert len(colimit_calls) == 1
 
     def test_product_evaluates_each_factor_once(self, monkeypatch):
-        eliminated = record_calls(monkeypatch, exact_linalg._factors)
+        eliminated = record_calls(monkeypatch, exact_linalg.invariant_factors)
         colimit_calls = record_calls(monkeypatch, colimits.colimit_invariants)
         report = hk_check(ProductModel(SHIFT, DIAGRAM))
         assert report.verdict == VERDICT_MATCH

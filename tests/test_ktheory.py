@@ -152,10 +152,8 @@ class TestProduct:
             """Free, torsion or mixed, and now and then colimit-valued."""
             if rng.random() < 0.15:
                 return ColimitInvariants(rank=rng.randint(0, 3))
-            total = Z(rng.randint(0, 2))
-            for _ in range(rng.randint(0, 2)):
-                total = total.direct_sum(FgAbelianGroup.cyclic(rng.choice((2, 3, 4, 6))))
-            return total
+            cyclic = [FgAbelianGroup.cyclic(rng.choice((2, 3, 4, 6))) for _ in range(rng.randint(0, 2))]
+            return FgAbelianGroup.sum([Z(rng.randint(0, 2))] + cyclic)
 
         for _ in range(400):
             left, right = KPair(group(), group()), KPair(group(), group())
@@ -175,8 +173,8 @@ def even_odd_formula(left: KPair, right: KPair) -> KPair:
         )
     a0, a1 = left.k0, left.k1
     b0, b1 = right.k0, right.k1
-    k0 = a0.tensor(b0).direct_sum(a1.tensor(b1)).direct_sum(a0.tor(b1)).direct_sum(a1.tor(b0))
-    k1 = a0.tensor(b1).direct_sum(a1.tensor(b0)).direct_sum(a0.tor(b0)).direct_sum(a1.tor(b1))
+    k0 = FgAbelianGroup.sum([a0.tensor(b0), a1.tensor(b1), a0.tor(b1), a1.tor(b0)])
+    k1 = FgAbelianGroup.sum([a0.tensor(b1), a1.tensor(b0), a0.tor(b0), a1.tor(b1)])
     return KPair(k0, k1)
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from amplehk import homology, replace
+from amplehk import replace
 from amplehk.errors import ModelInvalid, SimplicityNotCertified, SizeBoundExceeded
 from amplehk.exact_linalg import IntMatrix
 from amplehk.homology import homology_cantor_z
@@ -322,19 +322,14 @@ class TestValidatorAgainstTheNameKeyedOracle:
             g = FiniteGroupoid(base.units, base.arrows, _shuffled(rng, base.compose), base.inverse)
             assert validate_finite(g) == []
             assert orbits(g) == orbits_by_union_find(g)
-            assert homology._isotropy_tables(g) == isotropy_tables_by_name(g)
+            assert g._isotropy == isotropy_tables_by_name(g)
             assert _units_with_isotropy(g) == units_with_isotropy_by_name(g)
-            identity = identity_arrows(g)
-            for u, loops in zip(g.units, g._loops):
-                assert [g.arrows[a][0] for a in loops] == [
-                    name for name, src, tgt in g.arrows if src == tgt == u and name != identity[u]
-                ]
 
     def test_derived_tables_stay_out_of_the_fields(self):
         g = transitive_groupoid(2, 2)
         assert g._fields == ("units", "arrows", "compose", "inverse")
         copy = replace(g, compose=_shuffled(random.Random(3), g.compose))
-        assert copy == g and copy._composite == g._composite
+        assert copy == g and copy._isotropy == g._isotropy
 
 
 class TestSftValidation:

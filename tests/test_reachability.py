@@ -37,7 +37,6 @@ ALLOWED = {
     ("exact_linalg", "smith_normal_form"): "D, J",
     ("exact_linalg", "SnfResult"): "D, J",
     ("exact_linalg", "determinant"): "J",
-    ("exact_linalg", "invariant_factors"): "J",
     ("exact_linalg", "complex_homology"): "F",
     ("errors", "DimensionMismatch"): "F",
 }

@@ -193,7 +193,7 @@ class TestSemantics:
         g = pair_groupoid(2)
         for duplicate in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert duplicate == g and duplicate._orbits == g._orbits
-            assert duplicate._composite == g._composite
+            assert duplicate._isotropy == g._isotropy
         deep = copy.deepcopy(g)
         assert deep.compose == g.compose and deep.compose is not g.compose
 
