@@ -184,7 +184,7 @@ def _parse_finite(doc: dict, pointer: str) -> FiniteGroupoid:
     if not set(map(type, inverse.values())) <= {str}:
         for k, v in inverse.items():
             _expect_str(v, f"{pointer}/inverse/{k}")
-    return FiniteGroupoid(units, tuple(arrows), compose, dict(inverse))
+    return FiniteGroupoid(units, arrows, compose, inverse)
 
 
 def _parse_arrow(a, ap: str) -> tuple[str, str, str]:

@@ -2,13 +2,14 @@
 
 A finite groupoid is given combinatorially: units, arrows, composition and
 inverse tables, keyed by name.  Building one numbers its units and arrows
-once and checks every axiom on a number-keyed composition table.  It keeps
-only what the engines read: the orbits, and each orbit's isotropy group as
-a numbered multiplication table, so no other module decodes the
-composition table's layout.  The symbolic classes describe ample groupoids
-too large to enumerate: one-sided shifts of finite type, AF groupoids
-presented by Bratteli data, and Cantor minimal Z-systems presented the
-same way.  Products pair any two models.
+once and checks every axiom on a number-keyed composition table.  It stores
+its tables as tuples in a canonical order, and derives only what the
+engines read: the orbits, and each orbit's isotropy group as a numbered
+multiplication table, so no other module decodes the composition table's
+layout.  The symbolic classes describe ample groupoids too large to
+enumerate: one-sided shifts of finite type, AF groupoids presented by
+Bratteli data, and Cantor minimal Z-systems presented the same way.
+Products pair any two models.
 
 This module holds the data and its axioms only.  What the engines know
 about each class (summary, isotropy, Baum-Connes, homology, K-theory) is
@@ -46,14 +47,21 @@ class FiniteGroupoid(Record):
     ``arrows`` lists (name, source, target) triples of an arrow and its
     units.  The ``compose`` table is keyed by (g, d) and holds the composite
     g.d; it must be defined exactly for the pairs with source(g) == target(d).
-    Unit (identity) arrows are part of ``arrows`` and are recognized by their
-    behaviour, not by naming convention.
+    ``inverse`` maps each arrow to its inverse.  Each table is given as a
+    mapping or as its (key, value) pairs.  Unit (identity) arrows are part
+    of ``arrows`` and are recognized by their behaviour, not by naming
+    convention.
 
     Building a groupoid numbers units and arrows in table order and checks
     the axioms once, on those numbers.  It raises ModelInvalid, whose
     ``violations`` list every violation found, so broken tables can be
     diagnosed in one pass; a groupoid that exists is a valid one.  A valid
-    one keeps, besides its four fields, what the engines read:
+    one owns its tables: ``units`` and ``arrows`` are tuples, ``compose``
+    holds the ((g, d), g.d) pairs ordered by g and then d in arrow order,
+    and ``inverse`` the (a, inverse of a) pairs in arrow order.  So it
+    hashes, ``dict(g.compose)`` gives the table back, and equality does not
+    depend on the order the tables were given in.  It keeps, besides its
+    four fields, what the engines read:
 
     - ``_orbits``, each orbit's units in table order, the orbits in the
       order of their first units.
@@ -65,6 +73,8 @@ class FiniteGroupoid(Record):
     These are derived from the fields, so equality, repr and ``replace``
     ignore them.
 
+    >>> FiniteGroupoid(("x",), [["e", "x", "x"]], {("e", "e"): "e"}, {"e": "e"})
+    FiniteGroupoid(units=('x',), arrows=(('e', 'x', 'x'),), compose=((('e', 'e'), 'e'),), inverse=(('e', 'e'),))
     >>> FiniteGroupoid(("x",), (("e", "x", "x"),), compose={}, inverse={"e": "e"})
     Traceback (most recent call last):
         ...
@@ -77,14 +87,12 @@ class FiniteGroupoid(Record):
         self,
         units: tuple[str, ...],
         arrows: tuple[tuple[str, str, str], ...],  # (name, source, target)
-        compose: Mapping[tuple[str, str], str] | None = None,
-        inverse: Mapping[str, str] | None = None,
+        compose: Mapping[tuple[str, str], str] | tuple = (),
+        inverse: Mapping[str, str] | tuple = (),
     ) -> None:
-        setfield(self, "units", units)
-        setfield(self, "arrows", arrows)
-        setfield(self, "compose", {} if compose is None else compose)
-        setfield(self, "inverse", {} if inverse is None else inverse)
-        _reject(_validate_finite(self))
+        setfield(self, "units", tuple(units))
+        setfield(self, "arrows", tuple([tuple(a) for a in arrows]))
+        _reject(_validate_finite(self, dict(compose), dict(inverse)))
 
 
 class SftModel(Record):
@@ -109,8 +117,8 @@ class BratteliModel(Record):
     def __init__(
         self, level_sizes: tuple[int, ...], incidences: tuple[IntMatrix, ...], tail: IntMatrix
     ) -> None:
-        setfield(self, "level_sizes", level_sizes)
-        setfield(self, "incidences", incidences)
+        setfield(self, "level_sizes", tuple(level_sizes))
+        setfield(self, "incidences", tuple(incidences))
         setfield(self, "tail", tail)
         _reject(_validate_bratteli(self))
 
@@ -152,9 +160,10 @@ def _reject(violations: list[str]) -> None:
         raise ModelInvalid(violations)
 
 
-def _validate_finite(g: FiniteGroupoid) -> list[str]:
-    """The violations of ``g``'s axioms; when there are none, ``g``'s derived
-    tables are stored (see ``FiniteGroupoid``).
+def _validate_finite(g: FiniteGroupoid, compose: dict, inverse: dict) -> list[str]:
+    """The violations of the groupoid axioms by ``g``'s units and arrows with
+    the ``compose`` and ``inverse`` tables; when there are none, ``g``'s
+    canonical tables and derived tables are stored (see ``FiniteGroupoid``).
 
     Names are resolved to numbers once; every later check reads the
     number-keyed table.  A stage that finds violations ends the check when
@@ -192,10 +201,13 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
         slot.append(len(into[t]))
         into[t].append(d)
     # A slot left None is a missing pair; -1 marks a listed composite that
-    # names an unknown arrow.
+    # names an unknown arrow.  ``entries`` keeps each accepted table entry
+    # in the same place: read row by row, it is the canonical table.
     composite: list[list] = [[None] * len(into[s]) for s in source]
+    entries: list[list] = [[None] * len(into[s]) for s in source]
     find = number.get
-    for (gname, dname), result in g.compose.items():
+    for entry in compose.items():
+        (gname, dname), result = entry
         a, d, r = find(gname), find(dname), find(result)
         if a is None or d is None or r is None:
             bad.append(f"composition entry ({gname!r}, {dname!r}) -> {result!r} names unknown arrows")
@@ -207,6 +219,7 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
             if source[r] != source[d] or target[r] != target[a]:
                 bad.append(f"composite {result!r} of ({gname!r}, {dname!r}) has wrong endpoints")
             composite[a][slot[d]] = r
+            entries[a][slot[d]] = entry
     for a, row in enumerate(composite):
         if None in row:
             bad.extend(
@@ -256,7 +269,6 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
     if bad:
         return bad
 
-    inverse = g.inverse
     bad.extend(f"inverse entry for unknown arrow {k!r}" for k in inverse if k not in number)
     for a, name in enumerate(names):
         if name not in inverse:
@@ -291,6 +303,8 @@ def _validate_finite(g: FiniteGroupoid) -> list[str]:
             index = {a: i for i, a in enumerate(at)}
             columns = [slot[b] for b in at]
             isotropy.append([[index.get(composite[a][c], -1) for c in columns] for a in at])
+    setfield(g, "compose", tuple([entry for row in entries for entry in row]))
+    setfield(g, "inverse", tuple([(name, inverse[name]) for name in names]))
     setfield(g, "_orbits", unit_orbits)
     setfield(g, "_isotropy", isotropy)
     return bad

@@ -58,9 +58,18 @@ def finite_document(g: FiniteGroupoid) -> dict:
         "model": "finite",
         "units": list(g.units),
         "arrows": [{"id": a, "source": s, "target": t} for a, s, t in g.arrows],
-        "compose": [[x, y, z] for (x, y), z in g.compose.items()],
+        "compose": [[x, y, z] for (x, y), z in g.compose],
         "inverse": dict(g.inverse),
     }
+
+
+def nonnegative(rng: random.Random, rows: int, cols: int, entries=(0, 0, 1, 2)) -> list[list[int]]:
+    """A matrix with entries drawn from ``entries``, redrawn until no row
+    and no column is zero."""
+    while True:
+        m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        if all(map(any, m)) and all(map(any, zip(*m))):
+            return m
 
 
 def random_finite_groupoid(rng: random.Random, max_arrows: int = 30) -> FiniteGroupoid:

@@ -155,10 +155,10 @@ def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGrou
     arrows = tuple((tag("L", n), tag("L", s), tag("L", t)) for n, s, t in a.arrows) + tuple(
         (tag("R", n), tag("R", s), tag("R", t)) for n, s, t in b.arrows
     )
-    compose = {(tag("L", x), tag("L", y)): tag("L", z) for (x, y), z in a.compose.items()}
-    compose.update({(tag("R", x), tag("R", y)): tag("R", z) for (x, y), z in b.compose.items()})
-    inverse = {tag("L", x): tag("L", y) for x, y in a.inverse.items()}
-    inverse.update({tag("R", x): tag("R", y) for x, y in b.inverse.items()})
+    compose = {(tag("L", x), tag("L", y)): tag("L", z) for (x, y), z in a.compose}
+    compose.update({(tag("R", x), tag("R", y)): tag("R", z) for (x, y), z in b.compose})
+    inverse = {tag("L", x): tag("L", y) for x, y in a.inverse}
+    inverse.update({tag("R", x): tag("R", y) for x, y in b.inverse})
     return FiniteGroupoid(units, arrows, compose, inverse)
 
 
@@ -167,8 +167,10 @@ def disjoint_union_groupoids(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGrou
 
 
 class Tables:
-    """Finite-groupoid tables that nothing checks, shaped like
-    ``FiniteGroupoid``, for the validator below to run on broken input."""
+    """Finite-groupoid tables that nothing checks, with ``FiniteGroupoid``'s
+    field names, for the validator below to run on broken input.  The
+    validator reads ``compose`` and ``inverse`` through ``dict``, so they
+    may be mappings or, as a ``FiniteGroupoid`` stores them, pairs."""
 
     def __init__(self, units, arrows, compose, inverse) -> None:
         self.units = units
@@ -180,6 +182,7 @@ class Tables:
 def validate_finite(g) -> list[str]:
     """Every violation of the groupoid axioms by the tables of ``g``, in the
     order ``FiniteGroupoid`` reports them."""
+    compose, inverse = dict(g.compose), dict(g.inverse)
     bad: list[str] = []
     if len(set(g.units)) != len(g.units):
         bad.append("duplicate unit names")
@@ -197,7 +200,7 @@ def validate_finite(g) -> list[str]:
     if bad:
         return bad
 
-    for (gname, dname), result in g.compose.items():
+    for (gname, dname), result in compose.items():
         if gname not in arrow_map or dname not in arrow_map or result not in arrow_map:
             bad.append(f"composition entry ({gname!r}, {dname!r}) -> {result!r} names unknown arrows")
             continue
@@ -215,13 +218,13 @@ def validate_finite(g) -> list[str]:
         into[tgt].append(name)
     for gname, src, _ in g.arrows:
         for dname in into[src]:
-            if (gname, dname) not in g.compose:
+            if (gname, dname) not in compose:
                 bad.append(f"composition ({gname!r}, {dname!r}) required but missing")
     if bad:
         return bad
 
     # Now the table holds exactly the composable pairs.
-    comp = g.compose
+    comp = compose
     for a, src, _ in g.arrows:
         for b in into[src]:
             ab = comp[(a, b)]
@@ -236,12 +239,12 @@ def validate_finite(g) -> list[str]:
     if bad:
         return bad
 
-    bad.extend(f"inverse entry for unknown arrow {k!r}" for k in g.inverse if k not in arrow_map)
+    bad.extend(f"inverse entry for unknown arrow {k!r}" for k in inverse if k not in arrow_map)
     for name, src, tgt in g.arrows:
-        if name not in g.inverse:
+        if name not in inverse:
             bad.append(f"arrow {name!r} has no inverse entry")
             continue
-        inv = g.inverse[name]
+        inv = inverse[name]
         if inv not in arrow_map:
             bad.append(f"inverse of {name!r} names unknown arrow {inv!r}")
             continue
@@ -256,18 +259,19 @@ def validate_finite(g) -> list[str]:
 def identity_arrows(g) -> dict[str, str]:
     """Map each unit to its two-sided identity arrow, where one exists."""
     arrow_map = {name: (src, tgt) for name, src, tgt in g.arrows}
+    compose = dict(g.compose)
     out: dict[str, str] = {}
     for u in g.units:
         for cand, (src, tgt) in arrow_map.items():
             if src != u or tgt != u:
                 continue
             left_ok = all(
-                g.compose.get((cand, other)) == other
+                compose.get((cand, other)) == other
                 for other, (_, otgt) in arrow_map.items()
                 if otgt == u
             )
             right_ok = all(
-                g.compose.get((other, cand)) == other
+                compose.get((other, cand)) == other
                 for other, (osrc, _) in arrow_map.items()
                 if osrc == u
             )
@@ -304,22 +308,22 @@ def isotropy_tables_by_name(g: FiniteGroupoid) -> list[list[list[int]]]:
     position = {u: i for i, u in enumerate(g.units)}
     reps = {min(orbit, key=position.__getitem__) for orbit in orbits_by_union_find(g)}
     units = tuple(u for u in g.units if u in reps)
+    compose = dict(g.compose)
     loops: dict[str, list[str]] = {u: [] for u in units}
     for name, src, tgt in g.arrows:
-        if src == tgt and src in loops and g.compose[(name, name)] != name:
+        if src == tgt and src in loops and compose[(name, name)] != name:
             loops[src].append(name)
     tables = []
     for u in units:
         number = {a: i for i, a in enumerate(loops[u])}
-        tables.append([[number.get(g.compose[(a, b)], -1) for b in loops[u]] for a in loops[u]])
+        tables.append([[number.get(compose[(a, b)], -1) for b in loops[u]] for a in loops[u]])
     return tables
 
 
 def units_with_isotropy_by_name(g: FiniteGroupoid) -> list[str]:
     """The units with a non-identity loop a (one with a.a != a), sorted."""
-    return sorted(
-        {src for name, src, tgt in g.arrows if src == tgt and g.compose[(name, name)] != name}
-    )
+    compose = dict(g.compose)
+    return sorted({src for name, src, tgt in g.arrows if src == tgt and compose[(name, name)] != name})
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +365,7 @@ def nerve_levels(g: FiniteGroupoid, top: int, size_bound: int | None = None) -> 
     src_idx = [unit_index[arrow_map[name][0]] for name in names]
     tgt_idx = [unit_index[arrow_map[name][1]] for name in names]
     comp_idx: dict[tuple[int, int], int] = {}
-    for (a, b), c in g.compose.items():
+    for (a, b), c in g.compose:
         comp_idx[(name_index[a], name_index[b])] = name_index[c]
 
     levels = [NerveLevel(0, tuple(range(len(g.units))), ())]

@@ -718,10 +718,10 @@ class TestOneExitPerDocument:
         real = models._validate_finite
         calls = []
 
-        def counted(g):
+        def counted(g, compose, inverse):
             if len(g.arrows) == arrows:
                 calls.append(g)
-            return real(g)
+            return real(g, compose, inverse)
 
         monkeypatch.setattr(models, "_validate_finite", counted)
         code, _, _ = run(capsys, "hk-check", model_path("pair2.json"))

@@ -217,8 +217,8 @@ def skeleton(g: FiniteGroupoid) -> FiniteGroupoid:
     return FiniteGroupoid(
         tuple(u for u in g.units if u in reps),
         arrows,
-        {pair: c for pair, c in g.compose.items() if kept.issuperset(pair)},
-        {a: b for a, b in g.inverse.items() if a in kept},
+        {pair: c for pair, c in g.compose if kept.issuperset(pair)},
+        {a: b for a, b in g.inverse if a in kept},
     )
 
 
@@ -228,8 +228,8 @@ def vertex_group(g: FiniteGroupoid, u: str) -> FiniteGroupoid:
     return FiniteGroupoid(
         (u,),
         tuple(a for a in g.arrows if a[0] in loops),
-        {pair: c for pair, c in g.compose.items() if loops.issuperset(pair)},
-        {a: b for a, b in g.inverse.items() if a in loops},
+        {pair: c for pair, c in g.compose if loops.issuperset(pair)},
+        {a: b for a, b in g.inverse if a in loops},
     )
 
 
@@ -237,7 +237,8 @@ def normalized(levels: list[NerveLevel], g: FiniteGroupoid) -> list[NerveLevel]:
     """Oracle: the nerve levels without the cells that hold an identity
     arrow; a face landing on a dropped cell becomes -1."""
     names = [a[0] for a in g.arrows]
-    identities = {i for i, a in enumerate(names) if g.compose[(a, a)] == a}
+    compose = dict(g.compose)
+    identities = {i for i, a in enumerate(names) if compose[(a, a)] == a}
     out = [levels[0]]
     index = list(range(levels[0].size()))
     for level in levels[1:]:

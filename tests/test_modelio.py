@@ -104,7 +104,7 @@ class TestParseModel:
         model = parse_model(doc)
         assert isinstance(model, FiniteGroupoid)
         assert model.units == ("x",)
-        assert model.compose[("g", "g")] == "e"
+        assert dict(model.compose)[("g", "g")] == "e"
         assert replace(model) == model
 
     def test_product(self):

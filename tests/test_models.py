@@ -92,7 +92,7 @@ class TestFiniteValidation:
 
     def test_missing_composition(self):
         g = cyclic_group_groupoid(2)
-        pruned = {k: v for k, v in g.compose.items() if k != ("g1", "g1")}
+        pruned = {k: v for k, v in g.compose if k != ("g1", "g1")}
         bad = violations(lambda: replace(g, compose=pruned))
         assert any("required but missing" in v for v in bad)
 
@@ -115,8 +115,8 @@ class TestFiniteValidation:
         # Two units with isotropy Z/2; arrow names read target<element<source.
         g = transitive_groupoid(2, 2)
         dropped = {("u1<1<u0", "u0<0<u1"), ("u0<1<u0", "u0<1<u0")}
-        missing = {k: v for k, v in g.compose.items() if k not in dropped}
-        tampered = {**g.compose, ("u1<1<u1", "u1<1<u1"): "u1<1<u1"}
+        missing = {k: v for k, v in g.compose if k not in dropped}
+        tampered = {**dict(g.compose), ("u1<1<u1", "u1<1<u1"): "u1<1<u1"}
         pairs = [
             "composition ('u0<1<u0', 'u0<1<u0') required but missing",
             "composition ('u1<1<u0', 'u0<0<u1') required but missing",
@@ -157,7 +157,7 @@ class TestFiniteValidation:
 
     def test_inverse_entry_for_unknown_arrow(self):
         g = cyclic_group_groupoid(2)
-        bad = violations(lambda: replace(g, inverse={**g.inverse, "zz": "g0"}))
+        bad = violations(lambda: replace(g, inverse={**dict(g.inverse), "zz": "g0"}))
         assert bad == ["inverse entry for unknown arrow 'zz'"]
 
     def test_inverse_with_wrong_endpoints(self):
@@ -284,8 +284,8 @@ MUTATIONS = [
 ]
 
 
-def _shuffled(rng: random.Random, table: dict) -> dict:
-    items = list(table.items())
+def _shuffled(rng: random.Random, table: tuple) -> dict:
+    items = list(table)
     rng.shuffle(items)
     return dict(items)
 

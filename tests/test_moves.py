@@ -17,19 +17,30 @@ elimination shows up as a difference.
   the system up to conjugacy (Herman, Putnam and Skau, Int. J. Math. 1992).
   T is primitive exactly when T^k is, so a failed simplicity certificate
   fails for both.
+- Product symmetry and associativity: A x B is isomorphic to B x A, and
+  (A x B) x C to A x (B x C), as groupoids.  The Kunneth formula must then
+  give one answer for each, Tor terms included, so the factors are drawn
+  with torsion on both sides.  The ``model`` summary, each precondition's
+  justification and the "precondition failed" note name the factors in
+  order, so they are left out of the comparison.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 from amplehk import cli
+from conftest import finite_document, nonnegative
+from oracles import cyclic_group_groupoid, transitive_groupoid
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
-def outcome(capsys, command: str, path: str) -> tuple[int, dict | None, str]:
+def outcome(capsys, command: str, path: str, *flags: str) -> tuple[int, dict | None, str]:
     """Exit code, JSON output without its ``model`` key, and stderr."""
-    code = cli.main([command, path, "--format", "json"])
+    code = cli.main([command, path, "--format", "json", *flags])
     out, err = capsys.readouterr()
     report = json.loads(out) if out else None
     if report is not None:
@@ -44,15 +55,6 @@ def write(path, doc: dict) -> str:
 
 def matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
-
-
-def nonnegative(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
-    """A nonnegative matrix with entries drawn from {0, 0, 1, 2}, redrawn
-    until no row and no column is zero."""
-    while True:
-        m = [[rng.choice((0, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)]
-        if all(map(any, m)) and all(map(any, zip(*m))):
-            return m
 
 
 def test_strong_shift_equivalent_shifts_give_one_report(capsys, tmp_path):
@@ -100,3 +102,68 @@ def test_telescoped_tails_give_one_report(capsys, tmp_path):
     assert differences == []
     # The corpus holds primitive and non-primitive tails alike.
     assert exits == {("af", 0), ("cantor_z", 0), ("cantor_z", 2)}
+
+
+def product_outcome(capsys, command: str, path: str) -> tuple[int, dict | None]:
+    """Exit code and JSON output of a product, without what names its
+    factors in order: the ``model`` summary, each precondition's
+    justification and the "precondition failed" note."""
+    flags = () if command == "ktheory" else ("--max-degree", "2")
+    code, report, _ = outcome(capsys, command, path, *flags)
+    if report is not None:
+        for precondition in report.get("preconditions", ()):
+            del precondition["justification"]
+        if "notes" in report:
+            report["notes"] = [n for n in report["notes"] if not n.startswith("precondition failed: ")]
+    return code, report
+
+
+def product(left: dict, right: dict) -> dict:
+    return {"model": "product", "factors": [left, right]}
+
+
+def product_factors() -> list[dict]:
+    """The shipped models, and seeded factors with torsion: Z/k, a finite
+    groupoid with Z/2 isotropy on two units, and shifts whose H_0 =
+    coker(I - A^T) has torsion."""
+    shipped = [json.loads(p.read_text()) for p in sorted(MODELS_DIR.glob("*.json"))]
+    factors = [doc for doc in shipped if "model" in doc]
+    factors += [finite_document(cyclic_group_groupoid(k)) for k in (2, 3, 4)]
+    factors.append(finite_document(transitive_groupoid(2, 2)))
+    factors += [{"model": "sft", "matrix": [[k]]} for k in (4, 5)]
+    rng = random.Random("moves:torsion-sft")
+    shifts: list[dict] = []
+    while len(shifts) < 4:
+        m = nonnegative(rng, 2, 2)
+        # When det(I - A) is not 0, H_0 is finite of order |det(I - A)|.
+        if abs((1 - m[0][0]) * (1 - m[1][1]) - m[0][1] * m[1][0]) > 1:
+            shifts.append({"model": "sft", "matrix": m})
+    return factors + shifts
+
+
+def test_products_commute(capsys, tmp_path):
+    factors = product_factors()
+    differences, compared = [], 0
+    for i, left in enumerate(factors):
+        for right in factors[i + 1:]:
+            ab = write(tmp_path / "ab.json", product(left, right))
+            ba = write(tmp_path / "ba.json", product(right, left))
+            for command in ("homology", "hk-check", "ktheory"):
+                compared += 1
+                if product_outcome(capsys, command, ab) != product_outcome(capsys, command, ba):
+                    differences.append((command, left, right))
+    assert differences == [] and compared > 400
+
+
+def test_products_associate(capsys, tmp_path):
+    factors = product_factors()
+    rng = random.Random("moves:associate")
+    differences = []
+    for _ in range(60):
+        a, b, c = (rng.choice(factors) for _ in range(3))
+        left = write(tmp_path / "left.json", product(product(a, b), c))
+        right = write(tmp_path / "right.json", product(a, product(b, c)))
+        for command in ("homology", "hk-check", "ktheory"):
+            if product_outcome(capsys, command, left) != product_outcome(capsys, command, right):
+                differences.append((command, a, b, c))
+    assert differences == []

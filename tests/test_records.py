@@ -7,7 +7,12 @@ from __future__ import annotations
 
 import copy
 import inspect
+import os
 import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,7 @@ from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, SnfResult
 from amplehk.hkcheck import HKReport, hk_check
 from amplehk.homology import GradedGroup
 from amplehk.ktheory import RECORDS, Invariants, KPair, ModelClass, Precondition
+import amplehk.models as models
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
@@ -26,9 +32,19 @@ from amplehk.models import (
     SftModel,
 )
 from amplehk.spans import FiniteSpan
-from oracles import NerveLevel, identity, identity_span, nerve_levels, pair_groupoid
+from oracles import (
+    NerveLevel,
+    cyclic_group_groupoid,
+    identity,
+    identity_span,
+    nerve_levels,
+    pair_groupoid,
+    transitive_groupoid,
+)
 
 M = IntMatrix.from_rows
+SRC_DIR = Path(models.__file__).resolve().parent.parent
+TESTS_DIR = Path(__file__).resolve().parent
 DIAGRAM = BratteliModel((1, 2), (M([[1], [1]]),), M([[1, 1], [1, 1]]))
 
 
@@ -89,13 +105,12 @@ class TestEveryRecord:
 
     def test_hash_is_the_field_tuple_hash(self, record):
         values = tuple(getattr(record, f) for f in record._fields)
-        try:
-            expected = hash(values)
-        except TypeError:
+        if isinstance(record, FiniteSpan):
+            # The one record that still keeps its caller's dicts.
             with pytest.raises(TypeError):
                 hash(record)
         else:
-            assert hash(record) == expected
+            assert hash(record) == hash(values)
 
     def test_repr_lists_the_fields(self, record):
         body = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
@@ -179,15 +194,75 @@ class TestSemantics:
         assert FgAbelianGroup(2) == FgAbelianGroup(2, ())
         assert RECORDS[SftModel].ktheory is None
         one = FiniteGroupoid(("x",), (("e", "x", "x"),), inverse={"e": "e"}, compose={("e", "e"): "e"})
-        assert one.compose == {("e", "e"): "e"}
+        assert one.compose == ((("e", "e"), "e"),) and one.inverse == (("e", "e"),)
+        assert FiniteGroupoid((), ()) == FiniteGroupoid((), (), {}, {})
         with pytest.raises(ModelInvalid, match="required but missing"):
             FiniteGroupoid(("x",), (("e", "x", "x"),))
 
-    def test_default_tables_are_not_shared(self):
-        a = FiniteGroupoid((), ())
-        b = FiniteGroupoid((), ())
-        assert a.compose == {} and a.inverse == {}
-        assert a.compose is not b.compose and a.inverse is not b.inverse
+    def test_the_callers_tables_are_copied(self):
+        base = cyclic_group_groupoid(3)
+        units, arrows = list(base.units), [list(a) for a in base.arrows]
+        compose, inverse = dict(base.compose), dict(base.inverse)
+        g = FiniteGroupoid(units, arrows, compose, inverse)
+        isotropy = copy.deepcopy(g._isotropy)
+        units.append("ghost")
+        arrows[1][0] = "bogus"
+        arrows.pop()
+        compose[("g1", "g1")] = "bogus"
+        del compose[("g0", "g0")]
+        inverse["g1"] = "g1"
+        assert g == base and g._isotropy == isotropy == [[[1, -1], [-1, 0]]]
+
+    def test_models_built_from_lists_store_tuples_and_hash(self):
+        g = FiniteGroupoid(["x"], [["e", "x", "x"]], [(("e", "e"), "e")], [("e", "e")])
+        assert (g.units, g.arrows, g.compose, g.inverse) == (
+            ("x",), (("e", "x", "x"),), ((("e", "e"), "e"),), (("e", "e"),)
+        )
+        diagram = BratteliModel([1, 2], [M([[1], [1]])], M([[1, 1], [1, 1]]))
+        assert (diagram.level_sizes, diagram.incidences) == ((1, 2), (M([[1], [1]]),))
+        for model in (g, diagram):
+            for field in model._fields:
+                value = getattr(model, field)
+                assert not isinstance(value, (list, dict)), field
+        keyed = {g: "g", diagram: "diagram", ProductModel(g, diagram): "product"}
+        assert keyed[FiniteGroupoid(("x",), (("e", "x", "x"),), {("e", "e"): "e"}, {"e": "e"})] == "g"
+        assert keyed[DIAGRAM] == "diagram"
+        assert keyed[ProductModel(g, DIAGRAM)] == "product"
+
+    def test_table_order_does_not_matter(self):
+        rng = random.Random(5)
+        base = transitive_groupoid(2, 2)
+        z2 = cyclic_group_groupoid(2)
+        for _ in range(5):
+            compose, inverse = list(base.compose), list(base.inverse)
+            rng.shuffle(compose)
+            rng.shuffle(inverse)
+            g = FiniteGroupoid(base.units, base.arrows, dict(compose), dict(inverse))
+            assert g == base and hash(g) == hash(base) and repr(g) == repr(base)
+            product = ProductModel(z2, g)
+            assert product == ProductModel(z2, base) and hash(product) == hash(ProductModel(z2, base))
+            restored = pickle.loads(pickle.dumps(product))
+            assert restored == product and hash(restored) == hash(product)
+
+    def test_repr_does_not_depend_on_the_hash_seed(self):
+        # The tables are given in set order, which changes with the seed.
+        code = (
+            f"import sys; sys.path[:0] = [{str(SRC_DIR)!r}, {str(TESTS_DIR)!r}]\n"
+            "from amplehk.models import FiniteGroupoid\n"
+            "from oracles import pair_groupoid\n"
+            "g = pair_groupoid(2)\n"
+            "print(list(set(g.compose)))\n"
+            "print(repr(FiniteGroupoid(g.units, g.arrows, set(g.compose), set(g.inverse))))\n"
+        )
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            runs.append(proc.stdout.splitlines())
+        assert runs[0][0] != runs[1][0]
+        assert runs[0][1] == runs[1][1] == repr(pair_groupoid(2))
 
     def test_copies_go_through_the_checking_constructor(self):
         g = pair_groupoid(2)
