@@ -16,7 +16,6 @@ from .colimits import (
 )
 from .errors import (
     CommutationFailure,
-    DimensionMismatch,
     ModelInvalid,
     NotAComplex,
     NotPrincipal,
@@ -31,8 +30,6 @@ from .exact_linalg import (
     FgAbelianGroup,
     IntMatrix,
     SnfResult,
-    cokernel,
-    complex_homology,
     determinant,
     invariant_factors,
     kernel_basis,
@@ -49,11 +46,9 @@ from .hkcheck import (
 )
 from .homology import (
     GradedGroup,
-    homology_af,
-    homology_cantor_z,
     homology_finite,
     homology_product,
-    homology_sft,
+    stationary_homology,
 )
 from .ktheory import (
     KPair,
@@ -82,7 +77,6 @@ __all__ = [
     "CantorZModel",
     "ColimitInvariants",
     "CommutationFailure",
-    "DimensionMismatch",
     "FgAbelianGroup",
     "FiniteGroupoid",
     "FiniteSpan",
@@ -104,18 +98,13 @@ __all__ = [
     "SizeBoundExceeded",
     "SnfResult",
     "TruncationUnsound",
-    "cokernel",
     "colimit_invariants",
-    "complex_homology",
     "compose_spans",
     "determinant",
     "free_graded_commutative_dims",
     "hk_check",
-    "homology_af",
-    "homology_cantor_z",
     "homology_finite",
     "homology_product",
-    "homology_sft",
     "invariant_factors",
     "invariants",
     "k_finite_principal",
@@ -132,5 +121,6 @@ __all__ = [
     "report_to_text",
     "smale_check",
     "smith_normal_form",
+    "stationary_homology",
     "transfer_matrix",
 ]

@@ -3,8 +3,9 @@
 Subcommands: homology, ktheory, hk-check, smale-check, span-check,
 fullgroup-dims.  All take a JSON document path.  Exit codes: 0 for success or
 a matching verdict, 1 for a rank mismatch, 2 for a failed precondition, 3 for
-unusable input or a usage error.  Output is deterministic: the same input
-bytes produce the same output bytes, in both text and JSON formats.
+unusable input, a usage error or running out of memory.  Output is
+deterministic: the same input bytes produce the same output bytes, in both
+text and JSON formats.
 Integers are exact; a document's integer literals have at most
 ``modelio.MAX_INT_DIGITS`` digits, and results are printed in full.
 """
@@ -254,7 +255,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         for flag in flags:
             default, flag_help = integer_options[flag]
             command.add_argument(flag, type=int, default=default, help=flag_help)
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, command=name)
         commands[name] = command
     return parser, commands
 
@@ -266,8 +267,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     # same subparser, parsing the line twice.  Anything else (no arguments,
     # -h, an unknown name) goes to the top-level parser, which prints the
     # help and usage errors.  Both are _Parser, so an error raises
-    # _UsageError with the same message either way; only the namespace's
-    # ``command``, which nothing reads, is left unset.
+    # _UsageError with the same message either way, and both set
+    # ``command``, the subcommand's name, from its parser's defaults.
     if argv is None:
         argv = sys.argv[1:]
     parser, commands = _build_parser()
@@ -313,6 +314,12 @@ def _run(argv: list[str] | None) -> int:
     except (NotPrincipal, SimplicityNotCertified, TruncationUnsound) as e:
         sys.stderr.write(f"precondition failure: {e}\n")
         return _EXIT_PRECONDITION
+    except MemoryError:
+        pass
+    # Out of memory.  The message is written after the except clause, which
+    # drops the traceback and with it the frames that filled memory.
+    sys.stderr.write(f"error: {args.command} ran out of memory\n")
+    return _EXIT_INPUT
 
 
 def entry() -> None:

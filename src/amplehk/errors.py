@@ -3,8 +3,9 @@
 Everything raised here is a ValueError or RuntimeError subclass so callers
 that do not care about the fine distinctions can catch the usual built-ins.
 The CLI maps these onto exit codes: input problems (ParseError, SchemaError,
-ModelInvalid, ShapeMismatch) and SizeBoundExceeded exit 3, precondition
-failures (NotPrincipal, SimplicityNotCertified, TruncationUnsound) exit 2.
+ModelInvalid, ShapeMismatch), SizeBoundExceeded and the built-in MemoryError
+exit 3, precondition failures (NotPrincipal, SimplicityNotCertified,
+TruncationUnsound) exit 2.  NotAComplex guards the one chain-complex path.
 ModelInvalid comes only from building a model whose tables break its axioms,
 so a document is rejected as malformed when it is read; the precondition
 failures concern well-formed models outside a theorem's hypotheses.  A group
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 __all__ = [
     "CommutationFailure",
-    "DimensionMismatch",
     "ModelInvalid",
     "NotAComplex",
     "NotPrincipal",
@@ -30,10 +30,6 @@ __all__ = [
 
 class ShapeMismatch(ValueError):
     """Matrix operands have incompatible shapes."""
-
-
-class DimensionMismatch(ValueError):
-    """Consecutive boundary maps do not fit together as a complex."""
 
 
 class NotAComplex(ValueError):

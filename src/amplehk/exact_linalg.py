@@ -6,12 +6,12 @@ quotient computed here is exact.  Matrices are immutable; the functions below
 are pure and deterministic, so results can be compared byte-for-byte across
 runs.
 
-One Smith reduction drives everything else.  Ranks, invariant factors and
-cokernels read only the diagonal it leaves, so they never build transforms;
-``sparse_complex_homology`` reads a whole chain complex off one elimination
-per boundary, and ``complex_homology`` hands it dense boundaries as sparse
-columns.  ``smith_normal_form`` and ``kernel_basis`` are the only callers
-that also carry the unimodular transforms U and V along.
+One Smith reduction drives everything else.  Ranks and invariant factors
+read only the diagonal it leaves, so they never build transforms;
+``sparse_complex_homology``, the package's one chain-complex path, reads a
+whole complex off one elimination per boundary, given as sparse columns.
+``smith_normal_form`` and ``kernel_basis`` are the only callers that also
+carry the unimodular transforms U and V along.
 
 The diagonal readers share one kernel, ``_smith_factors``, which takes a
 matrix as sparse rows and first eliminates its unit pivots: each +-1 entry
@@ -23,9 +23,8 @@ per column, so this leaves a small residue without units, and only that
 residue goes to the dense reduction (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", 2001).
 An ``IntMatrix`` reaches the kernel through ``invariant_factors``, which
-reads off its nonzeros and returns the nonzero invariant factors;
-``sparse_complex_homology`` takes boundaries as sparse columns and hands
-them over with no dense matrix at all.
+reads off its nonzeros, and a complex through ``sparse_complex_homology``,
+with no dense matrix at all.
 """
 
 from __future__ import annotations
@@ -35,14 +34,12 @@ from collections.abc import Iterable, Sequence
 from itertools import compress
 
 from ._record import Record, setfield
-from .errors import DimensionMismatch, NotAComplex, ShapeMismatch
+from .errors import NotAComplex, ShapeMismatch
 
 __all__ = [
     "FgAbelianGroup",
     "IntMatrix",
     "SnfResult",
-    "cokernel",
-    "complex_homology",
     "determinant",
     "invariant_factors",
     "kernel_basis",
@@ -531,55 +528,19 @@ class FgAbelianGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(mat: IntMatrix) -> FgAbelianGroup:
-    """The quotient Z^rows / im(mat), in canonical form.
-
-    >>> str(cokernel(IntMatrix.from_rows([[2, 4], [6, 8]])))
-    'Z/2 + Z/4'
-    """
-    factors = invariant_factors(mat)
-    return FgAbelianGroup(mat.rows - len(factors), tuple([d for d in factors if d > 1]))
-
-
-def complex_homology(boundaries: Sequence[IntMatrix]) -> list[FgAbelianGroup]:
-    """Homology H_0 .. H_(k-1) of the chain complex with boundaries d_1 .. d_k.
-
-    ``boundaries[n - 1]`` is d_n, mapping degree n down to degree n - 1;
-    consecutive boundaries must chain and compose to zero.  The image of d_n
-    is free, so ker d_n is a direct summand: H_n has the torsion of
-    coker d_(n+1) and rank rank coker d_(n+1) - rank d_n, where rank d_n is
-    rows - rank coker d_n.  So each boundary is eliminated once, as sparse
-    columns by ``sparse_complex_homology``.
-
-    >>> d1, d2 = IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
-    >>> [str(h) for h in complex_homology([d1, d2])]
-    ['Z', 'Z/2']
-    """
-    if not boundaries:
-        raise ValueError("a chain complex needs at least one boundary")
-    for d_in, d_out in zip(boundaries, boundaries[1:]):
-        if d_in.cols != d_out.rows:
-            raise DimensionMismatch(
-                f"boundary shapes {d_in.rows}x{d_in.cols} and "
-                f"{d_out.rows}x{d_out.cols} do not chain"
-            )
-    columns = [
-        [{i: x for i, x in enumerate(d.entries[t :: d.cols]) if x} for t in range(d.cols)]
-        for d in boundaries
-    ]
-    return sparse_complex_homology(boundaries[0].rows, columns)
-
-
 def sparse_complex_homology(
     rows: int, boundaries: Sequence[Sequence[dict[int, int]]]
 ) -> list[FgAbelianGroup]:
-    """``complex_homology`` of boundaries given as sparse columns.
+    """Homology H_0 .. H_(k-1) of the chain complex with boundaries d_1 .. d_k.
 
-    ``boundaries[n - 1]`` lists the columns of d_n, column t as
-    {row: coefficient} with no zero coefficient; d_1 has ``rows`` rows and
-    d_(n+1) one row per column of d_n.  The composites are checked on the
-    columns, and each boundary reaches ``_smith_factors`` as sparse rows,
-    without a dense intermediate.
+    ``boundaries[n - 1]`` lists the columns of d_n, column t as {row:
+    coefficient} with no zero coefficient; d_1 has ``rows`` rows and d_(n+1)
+    one row per column of d_n.  The composites are checked on the columns.
+    The image of d_n is free, so H_n has the torsion of coker d_(n+1) and
+    rank rank C_n - rank d_(n+1) - rank d_n, a boundary's rank being the
+    count of its nonzero invariant factors.  So each boundary with a nonzero
+    entry reaches ``_smith_factors`` once, as sparse rows, and a zero one
+    not at all.
 
     >>> [str(h) for h in sparse_complex_homology(1, [[{}], [{0: 2}]])]
     ['Z', 'Z/2']
@@ -594,22 +555,17 @@ def sparse_complex_homology(
                     image[r] = image.get(r, 0) + c * x
             if any(image.values()):
                 raise NotAComplex("composite of consecutive boundaries is nonzero")
-    heights = [rows] + [len(d) for d in boundaries[:-1]]
-    cokernels = []
-    for d, m in zip(boundaries, heights):
-        sparse: dict[int, dict[int, int]] = {i: {} for i in range(m)}
-        for t, column in enumerate(d):
-            for r, x in column.items():
-                sparse[r][t] = x
-        factors = _smith_factors(sparse, len(d))
-        cokernels.append(FgAbelianGroup(m - len(factors), tuple([f for f in factors if f > 1])))
-    return _homology(cokernels, heights)
-
-
-def _homology(cokernels: list[FgAbelianGroup], heights: list[int]) -> list[FgAbelianGroup]:
-    """H_0 .. H_(k-1) from coker d_1 .. coker d_k and the row counts of
-    d_1 .. d_k, as ``complex_homology`` explains."""
-    out = [cokernels[0]]
-    for m, below, above in zip(heights, cokernels, cokernels[1:]):
-        out.append(FgAbelianGroup(above.rank - (m - below.rank), above.torsion))
+    out = []
+    # At d = d_(n+1), m is the rank of C_n and ``lost`` the rank of d_n.
+    m, lost = rows, 0
+    for d in boundaries:
+        factors: list[int] = []
+        if any(d):
+            sparse: dict[int, dict[int, int]] = {i: {} for i in range(m)}
+            for t, column in enumerate(d):
+                for r, x in column.items():
+                    sparse[r][t] = x
+            factors = _smith_factors(sparse, len(d))
+        out.append(FgAbelianGroup(m - len(factors) - lost, tuple([f for f in factors if f > 1])))
+        m, lost = len(d), len(factors)
     return out

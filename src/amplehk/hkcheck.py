@@ -80,7 +80,7 @@ def hk_check(
     report stays informative; the rank verdict itself is refused in that
     case, and K-theory is not computed.  Both sides come from one walk over
     the model (``ktheory.invariants``), which finds the isotropy first and
-    evaluates each leaf's closed form at most once, for H and K alike.  The
+    computes each leaf's homology at most once, for H and K alike.  The
     integral comparison is attempted only when every group in sight is
     finitely generated and the grading is exact, and an integral discrepancy
     is reported as a note, never as a failure of the rational statement.

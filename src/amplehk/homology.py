@@ -18,17 +18,18 @@ the face maps), and ``exact_linalg.sparse_complex_homology`` checks d.d = 0
 on them and reads every degree off one sparse elimination per boundary,
 without a dense matrix.
 
-The symbolic classes use their known closed forms: a two-term complex for
-shifts of finite type, the dimension-group colimit for AF models, the
-colimit plus one copy of Z for Cantor minimal Z-systems.  Products use the
-Kunneth formula (``homology_product``), on presented groups when both
-factors have them and on ranks otherwise; it is exact when both factors
-are, and truncated at the asked-for degree otherwise.
+The symbolic classes share one engine, ``stationary_homology``, over the
+complex each class builds (``sft_complex``, ``af_complex``,
+``cantor_z_complex``): a finite complex of free modules, with a stationary
+tail on each degree taken in the colimit, as a Bratteli diagram's degree 0
+is.  Products use the Kunneth formula (``homology_product``), on presented
+groups when both factors have them and on ranks otherwise; it is exact when
+both factors are, and truncated at the asked-for degree otherwise.
 
-This module holds the closed forms only.  Which one a model gets is part of
-its class's record in ``ktheory``, whose walk (``ktheory.invariants``)
-assembles products with ``homology_product``; ``ktheory.k_product`` applies
-the same formula to the two-term groups (K_0, K_1).
+Which engine a model gets is part of its class's record in ``ktheory``,
+whose walk (``ktheory.invariants``) assembles products with
+``homology_product``; ``ktheory.k_product`` applies the same formula to the
+two-term groups (K_0, K_1).
 
 Every model checked its axioms when it was built, so the engines take their
 input as valid.  The one hypothesis checked here is the simplicity
@@ -42,6 +43,8 @@ known only by their rank.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from ._record import Record
 # colimit_invariants is called through its module: bench/layertrace.py wraps
 # the name ``homology.colimit_invariants`` with a probe that reads ``.tail``
@@ -49,7 +52,7 @@ from ._record import Record
 from . import colimits
 from .colimits import ColimitInvariants
 from .errors import SimplicityNotCertified, SizeBoundExceeded, TruncationUnsound
-from .exact_linalg import FgAbelianGroup, IntMatrix, cokernel, sparse_complex_homology
+from .exact_linalg import FgAbelianGroup, IntMatrix, sparse_complex_homology
 from .models import (
     BratteliModel,
     CantorZModel,
@@ -62,11 +65,12 @@ __all__ = [
     "DEFAULT_SIZE_BOUND",
     "GradedGroup",
     "GroupValue",
-    "homology_af",
-    "homology_cantor_z",
+    "af_complex",
+    "cantor_z_complex",
     "homology_finite",
     "homology_product",
-    "homology_sft",
+    "sft_complex",
+    "stationary_homology",
 ]
 
 GroupValue = FgAbelianGroup | ColimitInvariants
@@ -108,7 +112,9 @@ class GradedGroup(Record):
 # finite groupoids: abelian closed form and bar complex
 
 
-def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[int, int]]]:
+def _normalized_boundaries(
+    table: tuple[tuple[int, ...], ...], top: int
+) -> list[list[dict[int, int]]]:
     """Boundaries d_1 .. d_top of the normalized bar complex of one group,
     as sparse columns {row: coefficient}.
 
@@ -159,7 +165,7 @@ def _normalized_boundaries(table: list[list[int]], top: int) -> list[list[dict[i
     return boundaries
 
 
-def _cyclic_factors(table: list[list[int]]) -> list[int]:
+def _cyclic_factors(table: tuple[tuple[int, ...], ...]) -> list[int]:
     """Invariant factors of an abelian group given by its table without the
     identity, as ``FiniteGroupoid._isotropy`` keeps it; largest first, each
     dividing the one before, no 1s.
@@ -198,7 +204,7 @@ def _cyclic_factors(table: list[list[int]]) -> list[int]:
     return factors
 
 
-def _abelian_homology(table: list[list[int]], max_degree: int) -> GradedGroup:
+def _abelian_homology(table: tuple[tuple[int, ...], ...], max_degree: int) -> GradedGroup:
     """Homology of a finite abelian group, degrees 0..max_degree, by closed
     form: H_*(Z/d) is Z, Z/d, 0, Z/d, 0, ... and the group is the product of
     its cyclic factors, assembled by Kunneth (Brown, *Cohomology of Groups*,
@@ -250,7 +256,7 @@ def homology_finite(
             raise SizeBoundExceeded(f"nerve level {n} exceeds size bound {size_bound}")
     parts = []
     for table in tables:
-        if table == [list(column) for column in zip(*table)]:
+        if list(zip(*table)) == list(table):
             parts.append(_abelian_homology(table, max_degree).by_degree)
         else:
             parts.append(sparse_complex_homology(1, _normalized_boundaries(table, top)))
@@ -262,44 +268,64 @@ def homology_finite(
 # symbolic classes
 
 
-def _sft_complex_matrix(model: SftModel) -> IntMatrix:
-    """I - A^T for the transition matrix A, built in one pass."""
+def stationary_homology(
+    rows: int,
+    boundaries: list[list[dict[int, int]]],
+    tails: dict[int, IntMatrix],
+) -> GradedGroup:
+    """Homology of a finite complex of free modules C_0 <- ... <- C_k, some
+    degrees taken in the colimit along a stationary tail; zero above k.
+
+    ``rows`` is the rank of C_0 and ``boundaries`` lists d_1 .. d_k as
+    ``sparse_complex_homology`` takes them.  ``tails`` maps a degree whose
+    chain group is its own homology (both boundaries there are zero) to a
+    square matrix on it, and that degree's group is the colimit along it.
+    Each symbolic class's builder below returns these three arguments.
+
+    >>> [str(h) for h in stationary_homology(1, [[{0: 2}]], {}).by_degree]
+    ['Z/2', '0']
+    """
+    groups: list[GroupValue] = sparse_complex_homology(rows, [*boundaries, []])
+    for degree, tail in tails.items():
+        groups[degree] = colimits.colimit_invariants(tail)
+    return GradedGroup(tuple(groups), vanishing_above=True)
+
+
+def sft_complex(model: SftModel) -> tuple:
+    """The shift groupoid's complex Z^n <- Z^n by d_1 = I - A^T (Matui,
+    Proc. LMS 2012), with no tail.  Column j of d_1 is e_j minus row j of A."""
     a = model.matrix
-    n, e = a.rows, a.entries
-    return IntMatrix(n, n, tuple([(i == j) - e[j * n + i] for i in range(n) for j in range(n)]))
+    n = a.rows
+    d1 = []
+    for j in range(n):
+        row = a.row(j)
+        column = {i: -row[i] for i in compress(range(n), row) if i != j}
+        if row[j] != 1:
+            column[j] = 1 - row[j]
+        d1.append(column)
+    return n, [d1], {}
 
 
-def homology_sft(model: SftModel) -> GradedGroup:
-    """Homology of the shift groupoid: the two-term complex of id minus the
-    transposed transition matrix; everything above degree 1 vanishes.
+def af_complex(model: BratteliModel) -> tuple:
+    """An AF groupoid's complex: Z^n with no boundary, n the size of the
+    tail, which acts on degree 0; the colimit is the dimension group."""
+    return model.tail.rows, [], {0: model.tail}
 
-    The matrix is square, so its kernel has the rank of its cokernel and one
-    elimination gives both degrees.
+
+def cantor_z_complex(model: CantorZModel) -> tuple:
+    """A Cantor minimal Z-system's complex: the AF complex of its diagram,
+    whose degree-0 colimit is the coinvariants of the action, and one zero
+    column for d_1, the degree-1 Z of the invariant class: minimality makes
+    the only invariant functions the constants.
+
+    Raises SimplicityNotCertified when the diagram is not simple (its tail
+    is not primitive) or its path space is a single point.
     """
-    h0 = cokernel(_sft_complex_matrix(model))
-    return GradedGroup((h0, FgAbelianGroup.free(h0.rank)), vanishing_above=True)
-
-
-def homology_af(model: BratteliModel) -> GradedGroup:
-    """Homology of an AF groupoid: the dimension-group colimit in degree 0."""
-    h0 = colimits.colimit_invariants(model.tail)
-    return GradedGroup((h0,), vanishing_above=True)
-
-
-def homology_cantor_z(model: CantorZModel) -> GradedGroup:
-    """Homology of a Cantor minimal Z-system presented by a Bratteli diagram.
-
-    Degree 0 is the dimension-group colimit (the coinvariants of the action);
-    degree 1 is a single copy of Z, the class of the invariant: minimality
-    makes the only invariant functions the constants.  Raises
-    SimplicityNotCertified when the diagram is not simple (its tail is not
-    primitive) or its path space is a single point.
-    """
-    ok, why = simplicity_certificate(model.diagram.tail)
+    tail = model.diagram.tail
+    ok, why = simplicity_certificate(tail)
     if not ok:
         raise SimplicityNotCertified(why)
-    h0 = colimits.colimit_invariants(model.diagram.tail)
-    return GradedGroup((h0, FgAbelianGroup.free(1)), vanishing_above=True)
+    return tail.rows, [[{}]], {0: tail}
 
 
 # ---------------------------------------------------------------------------

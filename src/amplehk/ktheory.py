@@ -2,14 +2,15 @@
 
 Each leaf model class has one record (``ModelClass``, in ``RECORDS``): its
 document kind and summary, whether its stabilizers are torsion-free and on
-what authority, why it satisfies Baum-Connes, its homology closed form and
-its K-theory.  K is read off H by default, as the even and odd sums of an
-exact grading that stops at degree 1: the Cuntz-Krieger groups of a shift
-of finite type, the dimension group of an AF algebra, the dimension group
-plus a copy of Z for a Cantor minimal Z-system.  Finite groupoids override
-it: a principal one has one matrix algebra per orbit, so K needs no nerve.
-Adding a model class means adding one record here and one parser branch in
-``modelio``.
+what authority, why it satisfies Baum-Connes, its homology (for a symbolic
+class, ``stationary_homology`` of the complex its builder in ``homology``
+returns) and its K-theory.  K is read off H by default, as the even and odd
+sums of an exact grading that stops at degree 1: the Cuntz-Krieger groups
+of a shift of finite type, the dimension group of an AF algebra, the
+dimension group plus a copy of Z for a Cantor minimal Z-system.  Finite
+groupoids override it: a principal one has one matrix algebra per orbit, so
+K needs no nerve.  A new class is one record, one complex builder and one
+``modelio`` branch.
 
 ``periodicize`` folds a graded group into its even and odd direct sums.  It
 reads K off H, and it gives the two-periodic Kunneth formula for K: the fold
@@ -17,8 +18,8 @@ of ``homology_product`` applied to the two-term groups (K_0, K_1).
 
 ``invariants`` is the one walk over a model tree.  It finds each node's
 summary, isotropy and Baum-Connes justification at once, and its H and K
-when asked; each leaf's closed form runs at most once per walk, whichever
-side asks first.
+when asked; each leaf's homology is computed at most once per walk,
+whichever side asks first.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from .homology import (
     DEFAULT_SIZE_BOUND,
     GradedGroup,
     GroupValue,
-    homology_af,
-    homology_cantor_z,
+    af_complex,
+    cantor_z_complex,
     homology_finite,
     homology_product,
-    homology_sft,
+    sft_complex,
+    stationary_homology,
 )
 from .models import (
     BratteliModel,
@@ -137,10 +139,10 @@ class ModelClass(Record):
 
     ``kind`` is the class's ``model`` tag in documents, and a model's summary
     is ``kind(describe(model))``.  ``homology(model, max_degree, size_bound)``
-    is the closed form; a finite groupoid's is truncated at ``max_degree``,
-    its abelian isotropy groups taking the cyclic closed form and Kunneth,
-    the others the normalized bar complex.  ``ktheory`` forms K from the
-    model alone; when it is None, K is read off H by ``periodicize``.
+    gives H: for a symbolic class, ``stationary_homology`` of its complex,
+    exact whatever the degree; for a finite groupoid, ``homology_finite``,
+    truncated at ``max_degree``.  ``ktheory`` forms K from the model alone;
+    when it is None, K is read off H by ``periodicize``.
     """
 
     __slots__ = ("kind", "describe", "isotropy", "baum_connes", "homology", "ktheory")
@@ -153,6 +155,11 @@ def _torsion_free(holds: bool, mode: str, justification: str) -> Precondition:
 def _declared(justification: str) -> Callable[[object], Precondition]:
     fact = _torsion_free(True, "declared", justification)
     return lambda model: fact
+
+
+def _stationary(complex_of: Callable[[object], tuple]) -> Callable[..., GradedGroup]:
+    """The ``homology`` slot of a class whose complex ``complex_of`` builds."""
+    return lambda model, max_degree, size_bound: stationary_homology(*complex_of(model))
 
 
 def _finite_isotropy(g: FiniteGroupoid) -> Precondition:
@@ -193,7 +200,7 @@ RECORDS: dict[type, ModelClass] = {
             "shift-of-finite-type groupoids are amenable, hence satisfy Baum-Connes "
             "(Tu); Matui established the integral comparison for this class"
         ),
-        homology=lambda m, max_degree, size_bound: homology_sft(m),
+        homology=_stationary(sft_complex),
         ktheory=None,
     ),
     BratteliModel: ModelClass(
@@ -204,7 +211,7 @@ RECORDS: dict[type, ModelClass] = {
             "AF groupoids are amenable, hence satisfy Baum-Connes (Tu); Matui "
             "established the integral comparison for this class"
         ),
-        homology=lambda b, max_degree, size_bound: homology_af(b),
+        homology=_stationary(af_complex),
         ktheory=None,
     ),
     CantorZModel: ModelClass(
@@ -218,7 +225,9 @@ RECORDS: dict[type, ModelClass] = {
             "satisfy Baum-Connes (Tu); Matui established the integral comparison for "
             "this class"
         ),
-        homology=lambda c, max_degree, size_bound: homology_cantor_z(c),
+        # Degree 1 is declared, not computed: the complex's one zero column
+        # is the invariant class that minimality gives.
+        homology=_stationary(cantor_z_complex),
         ktheory=None,
     ),
 }
@@ -253,8 +262,8 @@ def invariants(
 ) -> Invariants:
     """Summary, preconditions, and H and K on demand, of any model in one walk.
 
-    A leaf's closed form runs at most once, when its H is asked for or its K
-    is read off H; a finite groupoid's K-theory builds no nerve.  Products
+    A leaf's homology is computed at most once, when its H is asked for or
+    its K is read off H; a finite groupoid's K-theory builds no nerve.  Products
     assemble their factors with ``homology_product`` and ``k_product``.
     """
     if isinstance(model, ProductModel):

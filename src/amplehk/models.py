@@ -48,9 +48,9 @@ class FiniteGroupoid(Record):
     units.  The ``compose`` table is keyed by (g, d) and holds the composite
     g.d; it must be defined exactly for the pairs with source(g) == target(d).
     ``inverse`` maps each arrow to its inverse.  Each table is given as a
-    mapping or as its (key, value) pairs.  Unit (identity) arrows are part
-    of ``arrows`` and are recognized by their behaviour, not by naming
-    convention.
+    mapping or as its (key, value) pairs, which may list a key only once.
+    Unit (identity) arrows are part of ``arrows`` and are recognized by
+    their behaviour, not by naming convention.
 
     Building a groupoid numbers units and arrows in table order and checks
     the axioms once, on those numbers.  It raises ModelInvalid, whose
@@ -70,8 +70,8 @@ class FiniteGroupoid(Record):
       loops there are numbered 0, 1, ... in arrow order, and
       ``table[a][b]`` is the number of a.b, or -1 when a.b is the identity.
 
-    These are derived from the fields, so equality, repr and ``replace``
-    ignore them.
+    Both are tuples, and derived from the fields, so equality, repr and
+    ``replace`` ignore them.
 
     >>> FiniteGroupoid(("x",), [["e", "x", "x"]], {("e", "e"): "e"}, {"e": "e"})
     FiniteGroupoid(units=('x',), arrows=(('e', 'x', 'x'),), compose=((('e', 'e'), 'e'),), inverse=(('e', 'e'),))
@@ -92,7 +92,10 @@ class FiniteGroupoid(Record):
     ) -> None:
         setfield(self, "units", tuple(units))
         setfield(self, "arrows", tuple([tuple(a) for a in arrows]))
-        _reject(_validate_finite(self, dict(compose), dict(inverse)))
+        compose, repeated = _as_dict(compose, "composable pair {!r} is listed twice")
+        inverse, more = _as_dict(inverse, "inverse of {!r} is listed twice")
+        _reject(repeated + more)
+        _reject(_validate_finite(self, compose, inverse))
 
 
 class SftModel(Record):
@@ -158,6 +161,18 @@ GroupoidModel = FiniteGroupoid | SftModel | BratteliModel | CantorZModel | Produ
 def _reject(violations: list[str]) -> None:
     if violations:
         raise ModelInvalid(violations)
+
+
+def _as_dict(table: Mapping | tuple, message: str) -> tuple[dict, list[str]]:
+    """``table``, a mapping or its (key, value) pairs, as a dict, and the
+    violation ``message.format(key)`` for each key listed more than once."""
+    if isinstance(table, Mapping):
+        return dict(table), []
+    pairs = list(table)
+    counts: dict = {}
+    for key, _ in pairs:
+        counts[key] = counts.get(key, 0) + 1
+    return dict(pairs), [message.format(key) for key, n in counts.items() if n > 1]
 
 
 def _validate_finite(g: FiniteGroupoid, compose: dict, inverse: dict) -> list[str]:
@@ -291,7 +306,7 @@ def _validate_finite(g: FiniteGroupoid, compose: dict, inverse: dict) -> list[st
     # The first unit not yet placed starts an orbit, and its non-identity
     # loops, numbered in arrow order, give the orbit's isotropy table.
     unit_orbits: list[tuple[int, ...]] = []
-    isotropy: list[list[list[int]]] = []
+    isotropy: list[tuple[tuple[int, ...], ...]] = []
     placed = [False] * len(g.units)
     for u in range(len(g.units)):
         if not placed[u]:
@@ -302,11 +317,11 @@ def _validate_finite(g: FiniteGroupoid, compose: dict, inverse: dict) -> list[st
             at = [e for e in loops[u] if e != identity[u]]
             index = {a: i for i, a in enumerate(at)}
             columns = [slot[b] for b in at]
-            isotropy.append([[index.get(composite[a][c], -1) for c in columns] for a in at])
+            isotropy.append(tuple([tuple([index.get(composite[a][c], -1) for c in columns]) for a in at]))
     setfield(g, "compose", tuple([entry for row in entries for entry in row]))
     setfield(g, "inverse", tuple([(name, inverse[name]) for name in names]))
-    setfield(g, "_orbits", unit_orbits)
-    setfield(g, "_isotropy", isotropy)
+    setfield(g, "_orbits", tuple(unit_orbits))
+    setfield(g, "_isotropy", tuple(isotropy))
     return bad
 
 

@@ -11,7 +11,8 @@ normalized bar complex of the skeleton must agree with.  The span helpers
 encode the nerve's face maps as spans, whose signed transfers rebuild the
 same boundaries.  The matrix and group helpers (``zeros``, ``diagonal``,
 ``identity``, ``transpose``, ``add``, ``scale``, ``power``, ``hstack``,
-``is_zero``, ``is_trivial``) build test inputs and read results.  No command
+``is_zero``, ``is_trivial``, ``columns``, ``cokernel``) build test inputs and
+read results.  No command
 reaches any of this (``test_reachability``).
 """
 
@@ -22,7 +23,7 @@ from typing import Hashable, Sequence
 
 from amplehk._record import Record
 from amplehk.errors import ShapeMismatch, SizeBoundExceeded
-from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
+from amplehk.exact_linalg import FgAbelianGroup, IntMatrix, sparse_complex_homology
 from amplehk.models import FiniteGroupoid
 from amplehk.spans import FiniteSpan, transfer_matrix
 
@@ -301,7 +302,7 @@ def orbits_by_union_find(g) -> list[set[str]]:
     return list(groups.values())
 
 
-def isotropy_tables_by_name(g: FiniteGroupoid) -> list[list[list[int]]]:
+def isotropy_tables_by_name(g: FiniteGroupoid) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``FiniteGroupoid._isotropy`` read off the name-keyed tables: for the
     first unit of each orbit, the multiplication table of its non-identity
     loops, numbered in arrow order, with -1 for the identity."""
@@ -316,8 +317,10 @@ def isotropy_tables_by_name(g: FiniteGroupoid) -> list[list[list[int]]]:
     tables = []
     for u in units:
         number = {a: i for i, a in enumerate(loops[u])}
-        tables.append([[number.get(compose[(a, b)], -1) for b in loops[u]] for a in loops[u]])
-    return tables
+        tables.append(
+            tuple(tuple(number.get(compose[(a, b)], -1) for b in loops[u]) for a in loops[u])
+        )
+    return tuple(tables)
 
 
 def units_with_isotropy_by_name(g: FiniteGroupoid) -> list[str]:
@@ -503,6 +506,19 @@ def power(m: IntMatrix, k: int) -> IntMatrix:
 def is_trivial(group: FgAbelianGroup) -> bool:
     """Whether ``group`` is the zero group."""
     return group.rank == 0 and not group.torsion
+
+
+def columns(mat: IntMatrix) -> list[dict[int, int]]:
+    """The columns of ``mat`` as sparse columns {row: entry}, as
+    ``sparse_complex_homology`` takes a boundary."""
+    return [
+        {i: mat.entry(i, j) for i in range(mat.rows) if mat.entry(i, j)} for j in range(mat.cols)
+    ]
+
+
+def cokernel(mat: IntMatrix) -> FgAbelianGroup:
+    """Z^rows / im(mat): H_0 of the complex whose one boundary is ``mat``."""
+    return sparse_complex_homology(mat.rows, [columns(mat)])[0]
 
 
 

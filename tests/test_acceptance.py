@@ -19,7 +19,7 @@ import amplehk.cli as cli
 from amplehk.errors import ModelInvalid
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 from amplehk.hkcheck import hk_check
-from amplehk.homology import homology_finite, homology_sft
+from amplehk.homology import homology_finite
 from amplehk.ktheory import invariants
 from amplehk.models import (
     BratteliModel,
@@ -100,7 +100,7 @@ def test_02_random_shifts_of_finite_type_match_integrally():
             ok = False
             break
         report = hk_check(model)
-        h = homology_sft(model)
+        h = invariants(model).homology()
         k = invariants(model).ktheory()
         if not (
             report.verdict == "match"

@@ -23,7 +23,7 @@ from amplehk.hkcheck import VERDICT_MISMATCH, hk_check, report_to_json_text
 from amplehk.modelio import MAX_INT_DIGITS, MAX_PRODUCT_DEPTH
 from amplehk.models import SftModel
 from conftest import finite_document
-from oracles import cyclic_group_groupoid
+from oracles import D8, cyclic_group_groupoid, permutation_group_groupoid
 from test_cli_help import ARGV_CASES
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -727,6 +727,43 @@ class TestOneExitPerDocument:
         code, _, _ = run(capsys, "hk-check", model_path("pair2.json"))
         assert code == 0
         assert len(calls) == 1
+
+
+class TestOutOfMemory:
+    """Running out of memory is exit 3 with one ``error:`` line naming the
+    subcommand, never a traceback and exit 1, which means a rank mismatch."""
+
+    def test_memory_error_exits_three(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "invariants", exhausted)
+        code, out, err = run(capsys, "homology", model_path("o3.json"))
+        assert (code, out, err) == (3, "", "error: homology ran out of memory\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+    def test_capped_bar_complex_exits_three(self, tmp_path):
+        # D_8 x Z/2 to degree 3 peaks near 480 MB; capped at 200 MB of
+        # address space, the child runs out of memory in its eliminations.
+        import resource
+
+        d8_z2 = [r + (4, 5) for r in D8] + [(0, 1, 2, 3, 5, 4)]
+        path = tmp_path / "d8_z2.json"
+        path.write_text(json.dumps(finite_document(permutation_group_groupoid(d8_z2))))
+        cap = 200 << 20
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "amplehk.cli", "homology", str(path), "--max-degree", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert time.perf_counter() - start < 10
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: homology ran out of memory\n"
 
 
 class TestEntryPoint:

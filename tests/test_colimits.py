@@ -10,7 +10,7 @@ import amplehk.colimits as colimits
 from amplehk.colimits import ColimitInvariants, colimit_invariants, map_on_colimit_rank
 from amplehk.errors import CommutationFailure, ModelInvalid, ShapeMismatch
 from amplehk.exact_linalg import IntMatrix, kernel_basis, matrix_rank
-from amplehk.homology import homology_af
+from amplehk.ktheory import invariants
 from amplehk.models import BratteliModel
 from oracles import add, hstack, identity, power, scale, zeros
 
@@ -61,7 +61,7 @@ class TestColimitInvariants:
         # diagram's dimension group has the rank of its tail's colimit.
         tail = M([[2, 1], [0, 3]])
         diagram = BratteliModel((3, 2), (M([[1, 0, 2], [0, 1, 1]]),), tail)
-        assert homology_af(diagram).by_degree[0] == colimit_invariants(tail)
+        assert invariants(diagram).homology().by_degree[0] == colimit_invariants(tail)
 
     def test_eventual_rank_has_stabilized(self):
         rng = random.Random(31)

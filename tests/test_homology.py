@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,19 +23,16 @@ from amplehk.errors import (
 from amplehk.exact_linalg import (
     FgAbelianGroup,
     IntMatrix,
-    cokernel,
     matrix_rank,
     sparse_complex_homology,
 )
 from amplehk.homology import (
     GradedGroup,
-    homology_af,
-    homology_cantor_z,
     homology_finite,
     homology_product,
-    homology_sft,
 )
 from amplehk.ktheory import invariants
+from amplehk.modelio import parse_model
 from amplehk.models import (
     BratteliModel,
     CantorZModel,
@@ -43,7 +42,7 @@ from amplehk.models import (
     orbits,
 )
 
-from conftest import random_finite_groupoid
+from conftest import random_finite_groupoid, record_calls
 from oracles import (
     A4,
     D8,
@@ -51,14 +50,20 @@ from oracles import (
     S3,
     NerveLevel,
     boundary_matrix,
+    add,
     boundary_matrix_from_levels,
+    cokernel,
+    columns,
     cyclic_group_groupoid,
     disjoint_union_groupoids,
+    identity,
     is_zero,
     nerve_levels,
     pair_groupoid,
     permutation_group_groupoid,
+    scale,
     transitive_groupoid,
+    transpose,
     trivial_groupoid,
 )
 
@@ -174,7 +179,9 @@ class TestFiniteHomology:
         monkeypatch.setattr(exact_linalg, "_smith_factors", counted)
         h = homology_finite(permutation_group_groupoid(S3), 3)
         assert groups(h) == ["Z", "Z/2", "0", "Z/6"]
-        assert len(calls) == 4 and len(set(calls)) == 4
+        # d_1 is zero (both faces of a loop are its unit), so only d_2 .. d_4
+        # reach the kernel.
+        assert len(calls) == 3 and len(set(calls)) == 3
 
     def test_nonzero_composite_is_not_a_complex(self, monkeypatch):
         # An all-ones d_1 meets d_2 of S_3 in a nonzero composite: column
@@ -372,7 +379,7 @@ class TestReducedComplex:
         assert h.by_degree == (Z(2),) + (Z(0),) * 10_000
 
 
-def abelian_table(orders: tuple[int, ...], rng: random.Random) -> list[list[int]]:
+def abelian_table(orders: tuple[int, ...], rng: random.Random) -> tuple[tuple[int, ...], ...]:
     """The table of Z/d_1 x ... x Z/d_r without the identity, as
     ``FiniteGroupoid._isotropy`` keeps it, its elements numbered at random."""
     elements = list(itertools.product(*map(range, orders)))
@@ -380,10 +387,10 @@ def abelian_table(orders: tuple[int, ...], rng: random.Random) -> list[list[int]
     rng.shuffle(rest)
     number = {x: i for i, x in enumerate(rest)}
     number[elements[0]] = -1
-    return [
-        [number[tuple((x + y) % d for x, y, d in zip(a, b, orders))] for b in rest]
+    return tuple(
+        tuple(number[tuple((x + y) % d for x, y, d in zip(a, b, orders))] for b in rest)
         for a in rest
-    ]
+    )
 
 
 V4 = ((1, 0, 3, 2), (2, 3, 0, 1))
@@ -473,42 +480,81 @@ class TestNonabelianBarComplex:
         assert built == [len(g.arrows)]
 
 
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+class TestStationaryHomology:
+    def test_sft_boundary_is_one_minus_the_transpose(self):
+        # A is not symmetric, so a dropped transpose changes d_1.
+        a = M([[1, 2, 0, 0], [1, 0, 3, 0], [2, 1, 1, 1], [0, 0, 1, 2]])
+        rows, boundaries, tails = homology.sft_complex(SftModel(a))
+        assert (rows, tails) == (4, {})
+        assert boundaries == [columns(add(identity(4), scale(transpose(a), -1)))]
+
+    def test_tailed_degree_is_the_colimit(self):
+        tail = M([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+        h = homology.stationary_homology(3, [[{}]], {0: tail})
+        assert h.by_degree == (ColimitInvariants(rank=1), Z(1))
+        assert h.vanishing_above
+
+    def test_every_degree_up_to_the_top_chain_group(self):
+        # The real projective plane, closed by the empty boundary above C_2.
+        h = homology.stationary_homology(1, [[{}], [{0: 2}]], {})
+        assert groups(h) == ["Z", "Z/2", "0"]
+        assert h.entry(3) == FgAbelianGroup.zero()
+
+    def test_shipped_tails_sit_on_degrees_with_zero_boundaries(self, monkeypatch):
+        calls = record_calls(monkeypatch, homology.stationary_homology)
+        for path in sorted(MODELS_DIR.glob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if "model" in doc:
+                invariants(parse_model(doc), max_degree=2).homology()
+        assert any(tails for _, _, tails in calls)
+        for rows, boundaries, tails in calls:
+            ranks = [rows] + [len(d) for d in boundaries]
+            for n, tail in tails.items():
+                assert (tail.rows, tail.cols) == (ranks[n], ranks[n])
+                # d_n out of C_n and d_(n+1) into it, where they exist.
+                touching = boundaries[max(n - 1, 0) : n + 1]
+                assert not any(column for d in touching for column in d), (n, boundaries)
+
+
 class TestSftHomology:
     def test_full_two_shift(self):
-        h = homology_sft(SftModel(M([[1, 1], [1, 1]])))
+        h = invariants(SftModel(M([[1, 1], [1, 1]]))).homology()
         assert groups(h) == ["0", "0"]
         assert h.vanishing_above
         assert h.entry(17) == FgAbelianGroup.zero()
 
     def test_full_three_shift(self):
-        assert groups(homology_sft(SftModel(M([[3]])))) == ["Z/2", "0"]
+        assert groups(invariants(SftModel(M([[3]]))).homology()) == ["Z/2", "0"]
 
     def test_fixed_point(self):
-        assert groups(homology_sft(SftModel(M([[1]])))) == ["Z", "Z"]
+        assert groups(invariants(SftModel(M([[1]]))).homology()) == ["Z", "Z"]
 
     def test_golden_mean_shift(self):
-        assert groups(homology_sft(SftModel(M([[1, 1], [1, 0]])))) == ["0", "0"]
+        assert groups(invariants(SftModel(M([[1, 1], [1, 0]]))).homology()) == ["0", "0"]
 
     def test_cycles_look_like_circles(self):
         for length in range(1, 6):
             perm = [[1 if j == (i + 1) % length else 0 for j in range(length)] for i in range(length)]
-            h = homology_sft(SftModel(M(perm)))
+            h = invariants(SftModel(M(perm))).homology()
             assert groups(h) == ["Z", "Z"]
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ModelInvalid):
-            homology_sft(SftModel(M([[0]])))
+            invariants(SftModel(M([[0]]))).homology()
 
 
 class TestAfHomology:
     def test_stationary_doubling(self):
-        h = homology_af(BratteliModel((1,), (), M([[2]])))
+        h = invariants(BratteliModel((1,), (), M([[2]]))).homology()
         assert h.vanishing_above
         assert h.by_degree == (ColimitInvariants(rank=1),)
         assert h.entry(1) == FgAbelianGroup.zero()
 
     def test_not_finitely_generated_entries(self):
-        h = homology_af(BratteliModel((1,), (), M([[2]])))
+        h = invariants(BratteliModel((1,), (), M([[2]]))).homology()
         assert not h.all_finitely_generated()
 
 
@@ -517,7 +563,7 @@ class TestCantorZHomology:
         return CantorZModel(BratteliModel((1,), (), M([[2]])))
 
     def test_odometer(self):
-        h = homology_cantor_z(self.odometer())
+        h = invariants(self.odometer()).homology()
         assert h.vanishing_above
         assert h.rank(0) == 1
         assert h.by_degree[1] == Z(1)
@@ -525,25 +571,25 @@ class TestCantorZHomology:
     def test_simplicity_gate(self):
         single = CantorZModel(BratteliModel((1,), (), M([[1]])))
         with pytest.raises(SimplicityNotCertified):
-            homology_cantor_z(single)
+            invariants(single).homology()
         never = CantorZModel(BratteliModel((2,), (), M([[1, 1], [0, 1]])))
         with pytest.raises(SimplicityNotCertified):
-            homology_cantor_z(never)
+            invariants(never).homology()
 
     def test_primitive_tail_with_a_zero_entry_is_certified(self):
         fib_tail = CantorZModel(BratteliModel((2,), (), M([[1, 1], [1, 0]])))
-        assert homology_cantor_z(fib_tail).rank(0) == 2
+        assert invariants(fib_tail).homology().rank(0) == 2
 
 
 class TestKunneth:
     def test_two_circles(self):
-        circle = homology_sft(SftModel(M([[1]])))
+        circle = invariants(SftModel(M([[1]]))).homology()
         torus = homology_product(circle, circle)
         assert groups(torus) == ["Z", "Z^2", "Z", "0"]
         assert torus.vanishing_above
 
     def test_exact_factors_give_the_exact_product_whatever_the_degree(self):
-        circle = homology_sft(SftModel(M([[1]])))
+        circle = invariants(SftModel(M([[1]]))).homology()
         torus = homology_product(circle, circle, max_degree=1)
         assert torus == homology_product(circle, circle)
         assert torus.vanishing_above
@@ -569,8 +615,8 @@ class TestKunneth:
             homology_product(trunc, trunc)
 
     def test_colimit_entries_give_ranks_without_rational_only(self):
-        af = homology_af(BratteliModel((1,), (), M([[2]])))
-        circle = homology_sft(SftModel(M([[1]])))
+        af = invariants(BratteliModel((1,), (), M([[2]]))).homology()
+        circle = invariants(SftModel(M([[1]]))).homology()
         for left, right in ((af, af), (af, circle), (circle, af)):
             h = homology_product(left, right, max_degree=1)
             assert all(isinstance(v, ColimitInvariants) for v in h.by_degree)
@@ -579,7 +625,7 @@ class TestKunneth:
     def test_rational_mode_convolves_ranks(self):
         # Colimit-valued factors put the product on ranks alone: an exact
         # product, with no max_degree, whose entries are ranks.
-        af = homology_af(BratteliModel((1,), (), M([[3]])))
+        af = invariants(BratteliModel((1,), (), M([[3]]))).homology()
         h = homology_product(af, af)
         assert [v.rank for v in h.by_degree] == [1, 0]
         assert all(isinstance(v, ColimitInvariants) for v in h.by_degree)

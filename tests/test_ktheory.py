@@ -12,7 +12,7 @@ from amplehk.colimits import ColimitInvariants
 from amplehk.errors import ModelInvalid, NotPrincipal, SchemaError
 from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
 import amplehk.homology as homology
-from amplehk.homology import GradedGroup, homology_sft
+from amplehk.homology import GradedGroup
 from amplehk.ktheory import (
     RECORDS,
     KPair,
@@ -89,7 +89,7 @@ class TestSft:
             mat = M([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
             try:
                 model = SftModel(mat)
-                h = homology_sft(model)
+                h = invariants(model).homology()
             except ModelInvalid:
                 continue
             k = invariants(model).ktheory()

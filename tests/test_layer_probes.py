@@ -30,13 +30,11 @@ LIVE = {
     "cli.compose_spans",
     "cli.transfer_matrix",
     "homology.simplicity_certificate",
-    "homology.cokernel",
     "homology.homology_product",
     "ktheory.orbits",
     "colimits.matrix_rank",
     "colimits.kernel_basis",
     "exact_linalg.smith_normal_form",
-    "exact_linalg.cokernel",
     "exact_linalg.matrix_rank",
 }
 

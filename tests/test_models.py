@@ -8,8 +8,8 @@ import pytest
 
 from amplehk import replace
 from amplehk.errors import ModelInvalid, SimplicityNotCertified, SizeBoundExceeded
-from amplehk.exact_linalg import IntMatrix
-from amplehk.homology import homology_cantor_z
+from amplehk.exact_linalg import FgAbelianGroup, IntMatrix
+from amplehk.homology import homology_finite
 from amplehk.ktheory import invariants
 from amplehk.modelio import parse_model
 from amplehk.models import (
@@ -179,6 +179,32 @@ class TestFiniteValidation:
         assert identity_arrows(g) == {"x": "g0"}
         h = pair_groupoid(2)
         assert identity_arrows(h) == {"u0": "u0<u0", "u1": "u1<u1"}
+
+    def test_a_key_listed_twice_as_pairs(self):
+        # A dict would keep the last pair; a document that lists a pair twice
+        # is refused by the parser, and so are pairs given in Python.
+        bad = violations(
+            lambda: FiniteGroupoid(
+                ("x",), (("e", "x", "x"),), [(("e", "e"), "zz"), (("e", "e"), "e")], [("e", "e")]
+            )
+        )
+        assert bad == ["composable pair ('e', 'e') is listed twice"]
+        g = cyclic_group_groupoid(2)
+        inverse = g.inverse + (("g1", "g0"), ("g0", "g0"))
+        assert violations(lambda: replace(g, inverse=inverse)) == [
+            "inverse of 'g0' is listed twice",
+            "inverse of 'g1' is listed twice",
+        ]
+        assert violations(lambda: replace(g, compose=g.compose * 2, inverse=inverse)) == [
+            f"composable pair {pair!r} is listed twice" for pair, _ in g.compose
+        ] + ["inverse of 'g0' is listed twice", "inverse of 'g1' is listed twice"]
+
+    def test_derived_tables_are_tuples(self):
+        h = cyclic_group_groupoid(2)
+        assert h._orbits == ((0,),) and h._isotropy == (((-1,),),)
+        with pytest.raises(AttributeError):
+            h._isotropy[0].clear()
+        assert homology_finite(h, 1).by_degree[1] == FgAbelianGroup.cyclic(2)
 
 
 def _differential_corpus() -> list[FiniteGroupoid]:
@@ -469,7 +495,7 @@ class TestSimplicity:
     def test_engine_refuses_a_non_primitive_tail(self):
         model = CantorZModel(BratteliModel((2,), (), M([[1, 1], [0, 1]])))
         with pytest.raises(SimplicityNotCertified) as exc:
-            homology_cantor_z(model)
+            invariants(model).homology()
         assert str(exc.value) == "no power of the tail is entrywise positive"
 
 

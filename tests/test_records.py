@@ -211,7 +211,7 @@ class TestSemantics:
         compose[("g1", "g1")] = "bogus"
         del compose[("g0", "g0")]
         inverse["g1"] = "g1"
-        assert g == base and g._isotropy == isotropy == [[[1, -1], [-1, 0]]]
+        assert g == base and g._isotropy == isotropy == (((1, -1), (-1, 0)),)
 
     def test_models_built_from_lists_store_tuples_and_hash(self):
         g = FiniteGroupoid(["x"], [["e", "x", "x"]], [(("e", "e"), "e")], [("e", "e")])
